@@ -404,8 +404,7 @@ class AuditReport:
     mechanism: str
     max_improvement: float                  # best cost cut any BS found anywhere
     improvements: tuple[float, ...]         # per-BS maxima over scenarios and grid
-    truthful_dominant: bool
-    threshold: float = 1e-9
+    truthful_dominant: bool                 # max_improvement <= 1e-9
 
 
 def truthfulness_audit(
@@ -417,8 +416,7 @@ def truthfulness_audit(
     `n_scenarios` random multiplicative perturbations) and every deviation
     on the grid, compares the deviator's post-allocation cost against its
     cost under truthful reporting in the same scenario.  The verdict is
-    truthful-dominant iff no deviation improves cost by more than the
-    threshold.
+    truthful-dominant iff no deviation improves cost by more than 1e-9.
     """
     m_star = truthful_orders(market).orders
     rng = np.random.default_rng(grid.seed)

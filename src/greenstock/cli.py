@@ -7,10 +7,12 @@ load split), `queue-validate` (simulator vs closed forms), `allocate`
 and `audit` (multi-BS mechanisms), plus `sweep` over any analytic
 scenario's scalar parameter.
 
-Configuration precedence: command-line --set overrides > JSON config
-file > built-in defaults.  `--check` asserts each scenario's pinned
-validation thresholds at its reference parameters and exits 3 on
-failure; invalid configuration exits 2.
+Each scenario declares its parameters and their defaults once, in
+`SCENARIOS`.  Configuration precedence: command-line --set overrides >
+JSON config file > those defaults; an undeclared key, or a value that
+does not convert to its default's type, exits 2.  `--check` runs the
+scenario's pinned acceptance checks at the default parameters, prints
+one PASS/FAIL line each on stderr and exits 3 on failure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import NormalizedParams
+from .core import NormalizedParams, StrategyPair
 from .errors import GreenstockError, ParameterError
 from .game import (
     GameInstance,
@@ -47,7 +49,6 @@ from .allocation import (
     BsProfile,
     DeviationGrid,
     Market,
-    OrderVector,
     adaptive_uniform_allocation,
     pareto_priority_allocation,
     proportional_allocation,
@@ -57,7 +58,6 @@ from .allocation import (
     truthfulness_audit,
 )
 from .simulate import Exponential, HyperExp2, SimConfig, TruncatedNormal, empirical_pdf_compare, simulate
-from .core import StrategyPair
 
 
 @dataclass
@@ -85,38 +85,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(table: ResultTable, path: str) -> None:
-    """UTF-8 CSV: '#' provenance comments, then header, then data rows."""
+def render_csv(table: ResultTable) -> str:
+    """UTF-8 CSV text: '#' provenance comments, then header, then data rows."""
     lines = [f"# {key}: {val}" for key, val in table.provenance.items()]
     lines.append(",".join(table.columns))
     for row in table.rows:
         if len(row) != len(table.columns):
             raise ParameterError("ragged row in result table")
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def render_csv(table: ResultTable) -> str:
-    lines = [f"# {key}: {val}" for key, val in table.provenance.items()]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
-# scenario implementations
+# scenario implementations; `params` always holds every declared key
 
 
 def _game(params) -> GameInstance:
     return GameInstance(NormalizedParams(
-        b_n=float(params["b"]), cs_n=float(params["cs"]),
-        phi=float(params["phi"]), alpha=float(params.get("alpha", 0.5))))
+        b_n=params["b"], cs_n=params["cs"], phi=params["phi"], alpha=params["alpha"]))
 
 
 def scenario_central(params: dict, seed: int) -> ResultTable:
-    g = _game(params)
+    g = _game({**_GAME, **params})  # the joint optimum does not read alpha
     opt = centralized_optimum(g)
     return ResultTable(
         columns=["b", "cs", "phi", "nu_bar", "s_bar", "cost"],
@@ -124,18 +114,22 @@ def scenario_central(params: dict, seed: int) -> ResultTable:
     )
 
 
+def _dynamics(g: GameInstance, params: dict) -> tuple[StrategyPair, int, float]:
+    """Closed-form NE, best-response iterations and their final gap to it."""
+    ne = nash_equilibrium(g)
+    start = StrategyPair(s=params["start_s"], nu=params["start_nu_frac"] * g.phi)
+    fixed, trace = best_response_dynamics(g, start, tol=params["tol"])
+    return ne, len(trace) - 1, max(abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
+
+
 def scenario_nash(params: dict, seed: int) -> ResultTable:
     g = _game(params)
-    ne = nash_equilibrium(g)
-    start = StrategyPair(s=float(params.get("start_s", 1.0)),
-                         nu=float(params.get("start_nu_frac", 0.5)) * g.phi)
-    fixed, trace = best_response_dynamics(g, start, tol=float(params.get("tol", 1e-9)))
-    gap = max(abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
+    ne, iterations, gap = _dynamics(g, params)
     return ResultTable(
         columns=["b", "cs", "phi", "alpha", "s_star", "nu_star",
                  "cost_bs", "cost_rps", "brd_iterations", "brd_gap"],
         rows=[[g.b, g.cs, g.phi, g.alpha, ne.s, ne.nu,
-               cost_bs(g, ne), cost_rps(g, ne), len(trace) - 1, gap]],
+               cost_bs(g, ne), cost_rps(g, ne), iterations, gap]],
     )
 
 
@@ -144,7 +138,7 @@ def scenario_penalty_contract(params: dict, seed: int) -> ResultTable:
     ne = nash_equilibrium(g)
     rng = epsilon_range(g)
     lo, hi = (rng if rng is not None else (math.nan, math.nan))
-    eps = float(params["epsilon"]) if "epsilon" in params else 0.5 * (lo + hi)
+    eps = 0.5 * (lo + hi) if math.isnan(params["epsilon"]) else params["epsilon"]
     opt = centralized_optimum(g)
     bs_coord, rps_coord = coordinated_costs(g, TransferContract(eps), opt)
     return ResultTable(
@@ -157,16 +151,18 @@ def scenario_penalty_contract(params: dict, seed: int) -> ResultTable:
     )
 
 
+def _split_game(params: dict) -> GameInstance:
+    # phi is a placeholder: power_split rebuilds the headroom per lambda.
+    return _game({**params, "phi": 1.0})
+
+
 def scenario_power_split(params: dict, seed: int) -> ResultTable:
-    g = _game({**params, "phi": 1.0})    # phi placeholder; rebuilt per lambda
-    total_lambda = float(params.get("total_lambda", 1.8))
-    mu0 = float(params.get("mu0", 2.0))
-    p1 = float(params.get("p1", 1.0))
-    p2_list = params.get("p2_list", [5.0, 7.5, 10.0])
+    g = _split_game(params)
+    total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
     rows = []
-    for p2 in p2_list:
-        lam, cost = power_split(g, total_lambda, mu0, p1, float(p2))
-        rows.append([g.b, g.cs, g.alpha, mu0, total_lambda, p1, float(p2), lam, cost])
+    for p2 in params["p2_list"]:
+        lam, cost = power_split(g, total_lambda, mu0, p1, p2)
+        rows.append([g.b, g.cs, g.alpha, mu0, total_lambda, p1, p2, lam, cost])
     return ResultTable(
         columns=["b", "cs", "alpha", "mu0", "total_lambda", "p1", "p2",
                  "lambda_star", "cost"],
@@ -175,39 +171,31 @@ def scenario_power_split(params: dict, seed: int) -> ResultTable:
 
 
 def _h2_interarrival(params: dict) -> HyperExp2:
-    return HyperExp2(prob=float(params.get("h2_prob", 0.5)),
-                     rate1=float(params.get("h2_rate1", 2.3)),
-                     rate2=float(params.get("h2_rate2", 3.5)))
+    return HyperExp2(prob=params["h2_prob"], rate1=params["h2_rate1"], rate2=params["h2_rate2"])
+
+
+def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
+    """(model, config, rho, kappa) per queue-validate row: M/M/1 at each rho_list
+    load with seed seed+k, then hyperexponential arrivals and truncated-normal
+    service at h2_rho with the kappa = (c_a^2 + c_s^2)/2 heavy-traffic correction."""
+    run = {"base_stock": params["base_stock"], "horizon": params["horizon"]}
+    cases = [("mm1", SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.0 / rho),
+                               seed=seed + k, **run), rho, 1.0)
+             for k, rho in enumerate(params["rho_list"])]
+    h2, rho, cv = _h2_interarrival(params), params["h2_rho"], params["service_cv"]
+    service = TruncatedNormal(mean=h2.mean_time() * rho, cv=cv)
+    cases.append(("h2-truncnorm", SimConfig(arrival=h2, service=service, seed=h2_seed, **run),
+                  rho, (h2.scv() + cv * cv) / 2.0))
+    return cases
 
 
 def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
-    horizon = int(params.get("horizon", 2_000_000))
-    base_stock = int(params.get("base_stock", 0))
-    rho_list = [float(r) for r in params.get("rho_list", [0.39, 0.70, 0.80, 0.93])]
     rows = []
-    for k, rho in enumerate(rho_list):
-        cfg = SimConfig(arrival=Exponential(rate=1.0),
-                        service=Exponential(rate=1.0 / rho),
-                        base_stock=base_stock, horizon=horizon, seed=seed + k)
+    for model, cfg, rho, kappa in _queue_cases(params, seed, seed + len(params["rho_list"])):
         stats = simulate(cfg)
-        rows.append(["mm1", rho, rho / (1 - rho), rho / (1 - rho),
-                     stats.mean_outstanding, stats.mean_waiting,
-                     stats.ci_halfwidth, empirical_pdf_compare(stats, rho),
-                     horizon, cfg.seed])
-    # General-distribution row: hyperexponential arrivals, truncated-normal
-    # service, with the kappa = (c_a^2 + c_s^2)/2 heavy-traffic correction.
-    h2 = _h2_interarrival(params)
-    rho = float(params.get("h2_rho", 0.80))
-    cv = float(params.get("service_cv", 0.5))
-    service = TruncatedNormal(mean=h2.mean_time() * rho, cv=cv)
-    cfg = SimConfig(arrival=h2, service=service, base_stock=base_stock,
-                    horizon=horizon, seed=seed + len(rho_list))
-    stats = simulate(cfg)
-    kappa = (h2.scv() + cv * cv) / 2.0
-    rows.append(["h2-truncnorm", rho, rho / (1 - rho), kappa * rho / (1 - rho),
-                 stats.mean_outstanding, stats.mean_waiting,
-                 stats.ci_halfwidth, empirical_pdf_compare(stats, rho),
-                 horizon, cfg.seed])
+        rows.append([model, rho, rho / (1 - rho), kappa * rho / (1 - rho),
+                     stats.mean_outstanding, stats.mean_waiting, stats.ci_halfwidth,
+                     empirical_pdf_compare(stats, rho), cfg.horizon, cfg.seed])
     return ResultTable(
         columns=["model", "rho", "analysis", "analysis_kappa", "sim_mean",
                  "sim_waiting", "ci_halfwidth", "pmf_sup_distance",
@@ -217,15 +205,13 @@ def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
 
 
 def _market(params: dict) -> Market:
-    n = int(params.get("n_bs", 8))
-    b = float(params.get("b", 2.0))
-    step = float(params.get("lambda_step", 0.5))
-    lambda_bars = params.get("lambda_bars", [step * i for i in range(1, n + 1)])
-    profiles = tuple(BsProfile(lambda_bar=float(lb), b=b, index=i)
+    # An empty lambda_bars means n_bs stations at lambda_step * (1..n_bs).
+    lambda_bars = params["lambda_bars"] or [
+        params["lambda_step"] * i for i in range(1, params["n_bs"] + 1)]
+    profiles = tuple(BsProfile(lambda_bar=lb, b=params["b"], index=i)
                      for i, lb in enumerate(lambda_bars))
-    return Market(profiles=profiles, mu0=float(params.get("mu0", 20.0)),
-                  p=float(params.get("p", 2.0)), p1=float(params.get("p1", 1.0)),
-                  p2=float(params.get("p2", 10.0)))
+    return Market(profiles=profiles, mu0=params["mu0"], p=params["p"],
+                  p1=params["p1"], p2=params["p2"])
 
 
 def scenario_allocate(params: dict, seed: int) -> ResultTable:
@@ -246,13 +232,14 @@ def scenario_allocate(params: dict, seed: int) -> ResultTable:
     )
 
 
+def _deviation_grid(params: dict, seed: int) -> DeviationGrid:
+    return DeviationGrid(n_points=params["grid_points"], n_scenarios=params["n_scenarios"],
+                         span=params["span"], seed=seed)
+
+
 def scenario_audit(params: dict, seed: int) -> ResultTable:
     market = _market(params)
-    grid = DeviationGrid(
-        n_points=int(params.get("grid_points", 200)),
-        n_scenarios=int(params.get("n_scenarios", 20)),
-        span=float(params.get("span", 2.5)),
-        seed=seed)
+    grid = _deviation_grid(params, seed)
     rows = []
     for mech in (adaptive_uniform_allocation, pareto_priority_allocation,
                  proportional_allocation):
@@ -268,33 +255,38 @@ def scenario_audit(params: dict, seed: int) -> ResultTable:
 
 
 # --------------------------------------------------------------------------
-# --check validations (pinned reference parameters; exit 3 on failure)
+# --check: the pinned acceptance criteria, evaluated at each scenario's
+# declared defaults.  Each returns (label, passed, measured) triples.
+
+
+def _defaults(name: str) -> dict:
+    return SCENARIOS[name][2]
+
+
+def _near(label: str, value: float, target: float, tol: float):
+    return (f"{label} = {target} +/- {tol}", abs(value - target) <= tol, f"{value:.5f}")
 
 
 def check_central(seed: int):
-    g = _game({"b": 10.0, "cs": 5.0, "phi": 1.0})
+    g = _game({**_GAME, **_defaults("central")})
     opt = centralized_optimum(g)
-    cost = centralized_cost(g)
     return [
-        ("nu_bar within 0.01 of 0.33", abs(opt.nu - 0.33) <= 0.01, f"{opt.nu:.4f}"),
-        ("s_bar within 0.01 of 7.29", abs(opt.s - 7.29) <= 0.01, f"{opt.s:.4f}"),
-        ("cost within 0.01 of 17.19", abs(cost - 17.19) <= 0.01, f"{cost:.4f}"),
+        _near("nu_bar", opt.nu, 0.33, 0.01),
+        _near("s_bar", opt.s, 7.29, 0.01),
+        _near("cost", centralized_cost(g), 17.19, 0.01),
     ]
 
 
 def check_nash(seed: int):
+    params = _defaults("nash")
     rng = np.random.default_rng(seed)
-    worst_gap = 0.0
-    worst_foc = 0.0
-    worst_id = 0.0
+    worst_gap = worst_foc = worst_id = 0.0
     for _ in range(100):
         g = GameInstance(NormalizedParams(
             b_n=rng.uniform(1, 20), cs_n=rng.uniform(1, 10),
             phi=rng.uniform(0.5, 3), alpha=rng.uniform(0.1, 0.9)))
-        ne = nash_equilibrium(g)
-        start = StrategyPair(s=1.0, nu=0.5 * g.phi)
-        fixed, _ = best_response_dynamics(g, start, tol=1e-9)
-        worst_gap = max(worst_gap, abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
+        ne, _, gap = _dynamics(g, params)
+        worst_gap = max(worst_gap, gap)
         worst_foc = max(worst_foc, abs(ne.nu * ne.s - math.log1p(g.alpha * g.b)))
         worst_id = max(worst_id, abs(cost_bs(g, ne) - ne.s))
     return [
@@ -304,7 +296,9 @@ def check_nash(seed: int):
     ]
 
 
-def _coordination_grid_check(g: GameInstance, eps: float) -> bool:
+def check_penalty_contract(seed: int):
+    g = _game(_defaults("penalty-contract"))
+    lo, hi = epsilon_range(g)
     opt = centralized_optimum(g)
     n = 300
     s_axis = 4.0 * opt.s * np.arange(1, n + 1) / n
@@ -312,142 +306,163 @@ def _coordination_grid_check(g: GameInstance, eps: float) -> bool:
     S, V = np.meshgrid(s_axis, nu_axis, indexing="ij")
     total = (S - 1.0 / V + (1.0 + g.b) * np.exp(-V * S) / V
              + g.cs * (V + 1.0) / (g.phi - V))
-    coord_bs = (1.0 - eps) * total
-    k_coord = np.unravel_index(np.argmin(coord_bs), coord_bs.shape)
+    # Dual route: the vectorized surface equals the library's costs pointwise.
+    surface_err = 0.0
+    for i, j in np.random.default_rng(1).integers(0, n, size=(200, 2)):
+        x = StrategyPair(s=float(s_axis[i]), nu=float(nu_axis[j]))
+        surface_err = max(surface_err, abs(total[i, j] - cost_bs(g, x) - cost_rps(g, x)))
     k_central = np.unravel_index(np.argmin(total), total.shape)
     # The cost valley s*nu ~ gamma is flat, so the discrete argmin may sit a
     # few cells along it; require the shared gridpoint to stay in that band.
     near = (abs(s_axis[k_central[0]] - opt.s) <= 3.0 * (s_axis[1] - s_axis[0])
             and abs(nu_axis[k_central[1]] - opt.nu) <= 3.0 * (nu_axis[1] - nu_axis[0]))
-    return k_coord == k_central and near
-
-
-def check_penalty_contract(seed: int):
-    g = _game({"b": 10.0, "cs": 5.0, "phi": 1.0, "alpha": 0.5})
-    pen = competition_penalty(g)
-    lo, hi = epsilon_range(g)
-    grid_ok = all(_coordination_grid_check(g, e) for e in (lo, 0.5 * (lo + hi), hi))
+    # Under the contract the BS minimizes (1-eps)*C and the supplier eps*C.
+    aligned = all(np.unravel_index(np.argmin(share * total), total.shape) == k_central
+                  for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
     return [
-        ("penalty = 0.0407 +/- 0.0005", abs(pen - 0.0407) <= 0.0005, f"{pen:.5f}"),
-        ("coordinated grid argmin at centralized point", grid_ok, f"eps in [{lo:.4f},{hi:.4f}]"),
+        _near("penalty", competition_penalty(g), 0.0407, 0.0005),
+        ("vectorized cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
+         f"{surface_err:.2e}"),
+        ("central gridpoint within 3 cells of (s_bar, nu_bar)", near,
+         f"cell ({k_central[0]}, {k_central[1]})"),
+        ("BS and supplier grid argmins at the central gridpoint", aligned,
+         f"eps in [{lo:.4f},{hi:.4f}]"),
     ]
 
 
 def check_power_split(seed: int):
-    g = _game({"b": 5.0, "cs": 5.0, "phi": 1.0, "alpha": 0.5})
+    params = _defaults("power-split")
+    g = _split_game(params)
+    total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
+    # 1e-3 grid oracle over the same interval; lambda = 0 is all-grid.
+    grid = np.arange(0.0, min(total_lambda, mu0 * (1 - 1e-6)) + 1e-9, 1e-3)
+    phi = mu0 / grid[1:] - 1.0
     f = auxiliary_f(g)
-    anchors = {5.0: 0.67, 10.0: 1.11}
-    results = {}
-    checks = []
-    for p2 in (5.0, 7.5, 10.0):
-        lam, _ = power_split(g, 1.8, 2.0, 1.0, p2)
-        # 1e-3 grid oracle over the same interval
-        grid = np.arange(0.0, min(1.8, 2.0 * (1 - 1e-6)) + 1e-9, 1e-3)
-        costs = []
-        for x in grid:
-            if x <= 0:
-                costs.append(p2 * 1.8)
-            else:
-                phi = 2.0 / x - 1.0
-                s = (math.sqrt(1 + phi) + f) * math.log1p(g.alpha * g.b) / (f * phi)
-                costs.append(s + 1.0 * x + p2 * (1.8 - x))
+    s_star = (np.sqrt(1.0 + phi) + f) * math.log1p(g.alpha * g.b) / (f * phi)
+    checks, lams = [], []
+    for p2 in params["p2_list"]:
+        lam, _ = power_split(g, total_lambda, mu0, p1, p2)
+        costs = np.concatenate(([p2 * total_lambda],
+                                s_star + p1 * grid[1:] + p2 * (total_lambda - grid[1:])))
         lam_grid = grid[int(np.argmin(costs))]
-        results[p2] = lam
+        lams.append(lam)
         checks.append((f"P2={p2}: golden-section matches 1e-3 grid",
                        abs(lam - lam_grid) <= 1e-3, f"{lam:.4f} vs {lam_grid:.4f}"))
     checks.append(("lambda* nondecreasing in P2",
-                   results[5.0] <= results[7.5] + 1e-9 and results[7.5] <= results[10.0] + 1e-9,
-                   f"{results[5.0]:.3f} <= {results[7.5]:.3f} <= {results[10.0]:.3f}"))
-    for p2, target in anchors.items():
-        checks.append((f"P2={p2}: lambda* within 0.1 of {target}",
-                       abs(results[p2] - target) <= 0.1, f"{results[p2]:.3f}"))
+                   all(a <= b + 1e-9 for a, b in zip(lams, lams[1:])),
+                   " <= ".join(f"{lam:.3f}" for lam in lams)))
+    # The paper's anchors, keyed on the P2 price they belong to.
+    lam_at = dict(zip(params["p2_list"], lams))
+    checks.append(_near("P2=5.0 lambda*", lam_at[5.0], 0.67, 0.1))
+    checks.append(_near("P2=10.0 lambda*", lam_at[10.0], 1.11, 0.1))
     return checks
 
 
 def check_queue_validate(seed: int):
-    checks = []
-    for k, rho in enumerate((0.39, 0.70, 0.80, 0.93)):
-        cfg = SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.0 / rho),
-                        base_stock=0, horizon=2_000_000, seed=seed + k)
+    params = _defaults("queue-validate")
+    checks = [_near("h2 interarrival scv", _h2_interarrival(params).scv(), 1.0856, 1e-4)]
+    for model, cfg, rho, kappa in _queue_cases(params, seed, seed + 11):
         stats = simulate(cfg)
-        target = rho / (1 - rho)
+        target = kappa * rho / (1 - rho)
         rel = abs(stats.mean_outstanding - target) / target
-        sup = empirical_pdf_compare(stats, rho)
-        checks.append((f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}"))
-        checks.append((f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}"))
-    h2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
-    rho = 0.80
-    cfg = SimConfig(arrival=h2, service=TruncatedNormal(mean=h2.mean_time() * rho, cv=0.5),
-                    base_stock=0, horizon=2_000_000, seed=seed + 11)
-    stats = simulate(cfg)
-    kappa = (h2.scv() + 0.25) / 2.0
-    target = kappa * rho / (1 - rho)
-    rel = abs(stats.mean_outstanding - target) / target
-    checks.append(("h2/truncnorm rho=0.8: mean within 15% of kappa formula",
-                   rel <= 0.15, f"rel={rel:.4f}"))
+        if model == "mm1":
+            sup = empirical_pdf_compare(stats, rho)
+            checks.append((f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}"))
+            checks.append((f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}"))
+        else:
+            checks.append((f"h2/truncnorm rho={rho}: mean within 15% of kappa formula",
+                           rel <= 0.15, f"rel={rel:.4f}"))
     return checks
 
 
 def check_allocate(seed: int):
-    market = _market({})
+    market = _market(_defaults("allocate"))
     orders = truthful_orders(market)
     uniform = adaptive_uniform_allocation(market, orders)
-    top = max(uniform.grants)
-    prop = proportional_allocation(market, orders)
-    pareto = pareto_priority_allocation(market, orders)
-    brute_grants, brute_cost = social_optimum_bruteforce(market)
-    cost_prop = social_cost(market, prop)
-    cost_pareto = social_cost(market, pareto)
+    _, brute_cost = social_optimum_bruteforce(market)
+    cost_prop = social_cost(market, proportional_allocation(market, orders))
+    cost_pareto = social_cost(market, pareto_priority_allocation(market, orders))
     return [
         ("adaptive n_hat = 5", uniform.n_hat == 5, f"{uniform.n_hat}"),
-        ("uniform grant = 2.9654 +/- 1e-3", abs(top - 2.9654) <= 1e-3, f"{top:.5f}"),
+        _near("uniform grant", max(uniform.grants), 2.9654, 1e-3),
         ("feasible: sum grants <= mu0",
          sum(uniform.grants) <= market.mu0 + 1e-9, f"{sum(uniform.grants):.6f}"),
         ("proportional strictly above brute-force optimum",
          cost_prop > brute_cost + 1e-6, f"{cost_prop:.4f} vs {brute_cost:.4f}"),
-        ("brute-force agrees with pareto-priority cost",
-         abs(brute_cost - cost_pareto) <= 1e-6, f"{brute_cost:.6f} vs {cost_pareto:.6f}"),
+        ("brute-force agrees with pareto-priority cost to 1e-9",
+         abs(brute_cost - cost_pareto) <= 1e-9, f"{brute_cost:.6f} vs {cost_pareto:.6f}"),
     ]
 
 
 def check_audit(seed: int):
-    market = _market({})
-    grid = DeviationGrid(n_points=200, n_scenarios=20, seed=seed)
+    params = _defaults("audit")
+    market = _market(params)
+    grid = _deviation_grid(params, seed)
     adaptive = truthfulness_audit(market, adaptive_uniform_allocation, grid)
     pareto = truthfulness_audit(market, pareto_priority_allocation, grid)
     return [
-        ("adaptive uniform is truthful-dominant", adaptive.truthful_dominant,
+        ("adaptive uniform is truthful-dominant", adaptive.max_improvement <= 1e-9,
          f"max improvement {adaptive.max_improvement:.2e}"),
         ("pareto priority admits a profitable inflation",
          pareto.max_improvement > 1e-9, f"max improvement {pareto.max_improvement:.4f}"),
     ]
 
 
+_CENTRAL = {"b": 10.0, "cs": 5.0, "phi": 1.0}
+_GAME = {**_CENTRAL, "alpha": 0.5}
+_MARKET = {"n_bs": 8, "lambda_step": 0.5, "lambda_bars": [], "b": 2.0,
+           "mu0": 20.0, "p": 2.0, "p1": 1.0, "p2": 10.0}
+
+# name -> (scenario, pinned checks, every parameter with its default).
 SCENARIOS = {
-    "central": (scenario_central, check_central,
-                {"b": 10.0, "cs": 5.0, "phi": 1.0}),
+    "central": (scenario_central, check_central, _CENTRAL),
     "nash": (scenario_nash, check_nash,
-             {"b": 10.0, "cs": 5.0, "phi": 1.0, "alpha": 0.5}),
+             {**_GAME, "start_s": 1.0, "start_nu_frac": 0.5, "tol": 1e-9}),
+    # epsilon nan: the midpoint of the acceptable sharing range.
     "penalty-contract": (scenario_penalty_contract, check_penalty_contract,
-                         {"b": 10.0, "cs": 5.0, "phi": 1.0, "alpha": 0.5}),
+                         {**_GAME, "epsilon": math.nan}),
     "power-split": (scenario_power_split, check_power_split,
                     {"b": 5.0, "cs": 5.0, "alpha": 0.5, "mu0": 2.0,
                      "total_lambda": 1.8, "p1": 1.0, "p2_list": [5.0, 7.5, 10.0]}),
     "queue-validate": (scenario_queue_validate, check_queue_validate,
                        {"horizon": 2_000_000, "base_stock": 0,
                         "rho_list": [0.39, 0.70, 0.80, 0.93],
+                        "h2_prob": 0.5, "h2_rate1": 2.3, "h2_rate2": 3.5,
                         "h2_rho": 0.80, "service_cv": 0.5}),
-    "allocate": (scenario_allocate, check_allocate,
-                 {"n_bs": 8, "mu0": 20.0, "p": 2.0, "p1": 1.0, "p2": 10.0,
-                  "b": 2.0, "lambda_step": 0.5}),
+    "allocate": (scenario_allocate, check_allocate, _MARKET),
     "audit": (scenario_audit, check_audit,
-              {"n_bs": 8, "mu0": 20.0, "p": 2.0, "p1": 1.0, "p2": 10.0,
-               "b": 2.0, "lambda_step": 0.5, "grid_points": 200,
-               "n_scenarios": 20}),
+              {**_MARKET, "grid_points": 200, "n_scenarios": 20, "span": 2.5}),
 }
 
 ANALYTIC_SCENARIOS = {"central", "nash", "penalty-contract", "power-split",
                       "allocate"}
+
+
+def resolve_params(name: str, params: dict) -> dict:
+    """The scenario's defaults overridden by `params`, each converted to its
+    default's type; undeclared keys and unconvertible values raise."""
+    defaults = _defaults(name)
+    valid = f"valid keys for {name}: {', '.join(sorted(defaults))}"
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(f"unknown parameter {', '.join(unknown)}; {valid}")
+    resolved = dict(defaults)
+    for key, value in params.items():
+        kind = type(defaults[key])
+        try:
+            resolved[key] = [float(v) for v in value] if kind is list else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(
+                f"{key}={value!r} is not a valid {kind.__name__}; {valid}") from None
+    return resolved
+
+
+def run_checks(name: str, seed: int, stream) -> list:
+    """Run the scenario's pinned checks, writing one PASS/FAIL line each to `stream`."""
+    results = SCENARIOS[name][1](seed)
+    for label, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'}: {label} ({detail})", file=stream)
+    return results
 
 
 def _parse_set(values) -> dict:
@@ -497,9 +512,7 @@ def _sweep_values(spec: dict) -> list[float]:
 def run_scenario(name: str, params: dict, seed: int) -> ResultTable:
     if name not in SCENARIOS:
         raise ParameterError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    fn, _, defaults = SCENARIOS[name]
-    merged = {**defaults, **params}
-    table = fn(merged, seed)
+    table = SCENARIOS[name][0](resolve_params(name, params), seed)
     table.provenance = {
         "scenario": name,
         "seed": seed,
@@ -510,8 +523,6 @@ def run_scenario(name: str, params: dict, seed: int) -> ResultTable:
 
 
 def run_sweep(name: str, params: dict, sweep: dict, seed: int) -> ResultTable:
-    if name not in SCENARIOS:
-        raise ParameterError(f"unknown scenario {name!r}")
     values = _sweep_values(sweep)
     key = sweep["name"]
     table = None
@@ -524,38 +535,30 @@ def run_sweep(name: str, params: dict, sweep: dict, seed: int) -> ResultTable:
     table.provenance = {
         "scenario": f"sweep:{name}",
         "sweep": f"{key} in [{values[0]}, {values[-1]}] step {sweep['step']}",
-        "seed": seed,
-        "version": __version__,
-        "timestamp": _timestamp(),
+        **{k: v for k, v in part.provenance.items() if k != "scenario"},
     }
     return table
-
-
-def _print_table(table: ResultTable) -> None:
-    print(render_csv(table), end="")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="greenstock",
         description="Supply-inventory game and allocation-mechanism experiment runner")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file")
+    common.add_argument("--out", default=None, help="CSV output path")
+    common.add_argument("--seed", type=int, default=None, help="RNG seed")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a scenario parameter")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SCENARIOS:
-        sp = sub.add_parser(name, help=f"run the {name} scenario")
-        sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None, help="CSV output path")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed")
+        sp = sub.add_parser(name, parents=[common], help=f"run the {name} scenario")
         sp.add_argument("--check", action="store_true",
                         help="assert pinned validation thresholds (exit 3 on failure)")
-        sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a scenario parameter")
-    sw = sub.add_parser("sweep", help="sweep one parameter of an analytic scenario")
+    sw = sub.add_parser("sweep", parents=[common],
+                        help="sweep one parameter of an analytic scenario")
     sw.add_argument("scenario", choices=sorted(ANALYTIC_SCENARIOS))
-    sw.add_argument("--config", default=None)
-    sw.add_argument("--out", default=None)
-    sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--sweep", default=None, metavar="NAME:START:STOP:STEP")
-    sw.add_argument("--set", action="append", metavar="KEY=VALUE")
 
     args = parser.parse_args(argv)
     try:
@@ -580,18 +583,15 @@ def main(argv=None) -> int:
         else:
             table = run_scenario(args.command, params, seed)
 
+        text = render_csv(table)
         if out:
-            write_csv(table, out)
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         else:
-            _print_table(table)
+            sys.stdout.write(text)
 
         if getattr(args, "check", False):
-            _, checker, _ = SCENARIOS[args.command]
-            failures = 0
-            for label, ok, detail in checker(seed):
-                print(f"{'PASS' if ok else 'FAIL'}: {label} ({detail})")
-                failures += 0 if ok else 1
-            if failures:
+            if not all(ok for _, ok, _ in run_checks(args.command, seed, sys.stderr)):
                 return 3
         return 0
     except GreenstockError as exc:

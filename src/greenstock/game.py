@@ -139,6 +139,8 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         return left - right
 
     lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
+    # Below a few ulps of the bracket the midpoint stops moving.
+    tol = max(tol, 4.0 * math.ulp(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if foc(mid) > 0.0:
@@ -289,6 +291,8 @@ def coordinated_costs(
 def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
     """Golden-section minimizer on [lo, hi]; returns the midpoint of the bracket."""
     a, b = lo, hi
+    # Below a few ulps of the bracket the probes stop moving.
+    tol = max(tol, 4.0 * math.ulp(hi))
     c = b - (b - a) * _INV_GOLDEN
     d = a + (b - a) * _INV_GOLDEN
     fc, fd = fn(c), fn(d)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfcx
-from scipy.stats import t as t_dist
+from scipy.special import erfcx, stdtrit
 
 from .errors import ParameterError
 
@@ -277,7 +276,7 @@ def simulate(config: SimConfig) -> SimStats:
         bs_state = (state[:usable] * hold[:usable]).reshape(_BATCHES, -1).sum(axis=1)
         bs_time = hold[:usable].reshape(_BATCHES, -1).sum(axis=1)
         batch_means = bs_state / bs_time
-        ci = float(t_dist.ppf(0.975, _BATCHES - 1)
+        ci = float(stdtrit(_BATCHES - 1, 0.975)
                    * batch_means.std(ddof=1) / math.sqrt(_BATCHES))
     else:
         ci = math.inf
@@ -316,17 +315,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     """
     if n_reps < 1:
         raise ParameterError(f"n_reps must be >= 1, got {n_reps}")
-    runs = []
-    for k in range(n_reps):
-        cfg = SimConfig(
-            arrival=config.arrival,
-            service=config.service,
-            base_stock=config.base_stock,
-            horizon=config.horizon,
-            warmup=config.warmup,
-            seed=config.seed + k,
-        )
-        runs.append(simulate(cfg))
+    runs = [simulate(replace(config, seed=config.seed + k)) for k in range(n_reps)]
     if n_reps == 1:
         return runs[0]
 
@@ -336,7 +325,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     for r in runs:
         pooled_pdf[: r.pdf.size] += r.pdf
     pooled_pdf /= n_reps
-    ci = float(t_dist.ppf(0.975, n_reps - 1) * outs.std(ddof=1) / math.sqrt(n_reps))
+    ci = float(stdtrit(n_reps - 1, 0.975) * outs.std(ddof=1) / math.sqrt(n_reps))
     return SimStats(
         mean_outstanding=float(outs.mean()),
         mean_waiting=float(np.mean([r.mean_waiting for r in runs])),

@@ -1,164 +1,49 @@
 """Acceptance criteria, one test per criterion.
 
-Each test pins the tolerance stated in the project contract, prints a
-PASS line with the measured quantities (visible under pytest -s/-v) and
-enforces the runtime budget.  Run with:  pytest tests/test_acceptance.py -v
+The pinned criteria live in one place: each scenario's `--check` function
+in `greenstock.cli`.  The tests below run those functions at seed 0,
+require every returned check to pass, print its PASS lines (visible under
+pytest -s) and enforce the runtime budget.  Criterion 5 has no scenario
+and is pinned here.  Run with:  pytest tests/test_acceptance.py -v -s
 """
 
-import math
+import sys
 import time
 
-import numpy as np
-import pytest
-
-from greenstock import (
-    BsProfile,
-    DeviationGrid,
-    Exponential,
-    GameInstance,
-    HyperExp2,
-    Market,
-    NormalizedParams,
-    SimConfig,
-    StrategyPair,
-    TruncatedNormal,
-    adaptive_uniform_allocation,
-    approximation_error,
-    best_response_dynamics,
-    centralized_cost,
-    centralized_optimum,
-    competition_penalty,
-    cost_bs,
-    cost_rps,
-    empirical_pdf_compare,
-    epsilon_range,
-    nash_equilibrium,
-    pareto_priority_allocation,
-    power_split,
-    proportional_allocation,
-    simulate,
-    social_cost,
-    social_optimum_bruteforce,
-    truthful_orders,
-    truthfulness_audit,
-)
-
-REF_GAME = GameInstance(NormalizedParams(b_n=10.0, cs_n=5.0, phi=1.0, alpha=0.5))
+from greenstock import approximation_error
+from greenstock.cli import run_checks
 
 
-def reference_market():
-    profiles = tuple(BsProfile(lambda_bar=0.5 * i, b=2.0, index=i - 1)
-                     for i in range(1, 9))
-    return Market(profiles=profiles, mu0=20.0, p=2.0, p1=1.0, p2=10.0)
+def assert_checks_pass(scenario: str, budget_s: float) -> None:
+    t0 = time.perf_counter()
+    results = run_checks(scenario, 0, sys.stdout)
+    elapsed = time.perf_counter() - t0
+    failed = [f"{label} ({detail})" for label, ok, detail in results if not ok]
+    assert results and not failed, failed
+    assert elapsed < budget_s, f"{scenario} checks took {elapsed:.2f}s"
 
 
 def test_criterion_1_centralized_optimum():
-    """Centralized optimum within 0.01 of (0.33, 7.29, 17.19) in < 1 s."""
-    t0 = time.perf_counter()
-    opt = centralized_optimum(REF_GAME)
-    cost = centralized_cost(REF_GAME)
-    elapsed = time.perf_counter() - t0
-    assert abs(opt.nu - 0.33) <= 0.01, f"nu_bar {opt.nu}"
-    assert abs(opt.s - 7.29) <= 0.01, f"s_bar {opt.s}"
-    assert abs(cost - 17.19) <= 0.01, f"cost {cost}"
-    assert elapsed < 1.0
-    print(f"\nPASS criterion 1: centralized (nu={opt.nu:.4f}, s={opt.s:.4f}, "
-          f"C={cost:.4f}) in {elapsed:.3f}s")
+    """Centralized optimum (nu_bar, s_bar, cost) at the reference point, < 1 s."""
+    assert_checks_pass("central", 1.0)
 
 
 def test_criterion_2_equilibrium_consistency():
-    """Closed form vs dynamics to 1e-6 and the two NE identities to 1e-9
-    over 100 random draws, in < 5 s."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(0)
-    worst_gap = worst_foc = worst_cost = 0.0
-    for _ in range(100):
-        g = GameInstance(NormalizedParams(
-            b_n=float(rng.uniform(1, 20)), cs_n=float(rng.uniform(1, 10)),
-            phi=float(rng.uniform(0.5, 3)), alpha=float(rng.uniform(0.1, 0.9))))
-        ne = nash_equilibrium(g)
-        fixed, _ = best_response_dynamics(
-            g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9)
-        worst_gap = max(worst_gap, abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
-        worst_foc = max(worst_foc, abs(ne.nu * ne.s - math.log1p(g.alpha * g.b)))
-        worst_cost = max(worst_cost, abs(cost_bs(g, ne) - ne.s))
-    elapsed = time.perf_counter() - t0
-    assert worst_gap <= 1e-6, f"dynamics gap {worst_gap:.2e}"
-    assert worst_foc <= 1e-9, f"FOC identity {worst_foc:.2e}"
-    assert worst_cost <= 1e-9, f"cost identity {worst_cost:.2e}"
-    assert elapsed < 5.0
-    print(f"\nPASS criterion 2: NE consistency (gap {worst_gap:.2e}, "
-          f"foc {worst_foc:.2e}, cost {worst_cost:.2e}) in {elapsed:.2f}s")
+    """Closed form vs dynamics and the two NE identities over 100 random
+    draws, < 5 s."""
+    assert_checks_pass("nash", 5.0)
 
 
 def test_criterion_3_penalty_and_contract():
-    """Penalty 0.0407 +/- 0.0005; coordinated 300x300 grid argmin matches
-    the centralized gridpoint for every tested eps, in < 10 s."""
-    t0 = time.perf_counter()
-    pen = competition_penalty(REF_GAME)
-    assert abs(pen - 0.0407) <= 0.0005, f"penalty {pen:.5f}"
-
-    opt = centralized_optimum(REF_GAME)
-    lo, hi = epsilon_range(REF_GAME)
-    n = 300
-    s_axis = 4.0 * opt.s * np.arange(1, n + 1) / n
-    nu_axis = REF_GAME.phi * np.arange(1, n + 1) / (n + 1)
-    S, V = np.meshgrid(s_axis, nu_axis, indexing="ij")
-    total = (S - 1.0 / V + 11.0 * np.exp(-V * S) / V
-             + 5.0 * (V + 1.0) / (1.0 - V))
-    # dual route: the vectorized surface equals the library cost pointwise
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-        x = StrategyPair(s=float(s_axis[i]), nu=float(nu_axis[j]))
-        direct = cost_bs(REF_GAME, x) + cost_rps(REF_GAME, x)
-        assert abs(total[i, j] - direct) <= 1e-9
-    k_central = np.unravel_index(np.argmin(total), total.shape)
-    assert abs(s_axis[k_central[0]] - opt.s) <= 3 * (s_axis[1] - s_axis[0])
-    assert abs(nu_axis[k_central[1]] - opt.nu) <= 3 * (nu_axis[1] - nu_axis[0])
-    for eps in (lo, 0.5 * (lo + hi), hi):
-        k_bs = np.unravel_index(np.argmin((1.0 - eps) * total), total.shape)
-        k_rps = np.unravel_index(np.argmin(eps * total), total.shape)
-        assert k_bs == k_central, f"eps={eps}: BS argmin {k_bs} != {k_central}"
-        assert k_rps == k_central, f"eps={eps}: RPS argmin {k_rps} != {k_central}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
-    print(f"\nPASS criterion 3: penalty {pen:.5f}, eps range [{lo:.4f}, {hi:.4f}], "
-          f"grid argmin coincides, in {elapsed:.2f}s")
+    """Competition penalty; the coordinated 300x300 grid argmins of both
+    players match the centralized gridpoint for every tested eps, < 10 s."""
+    assert_checks_pass("penalty-contract", 10.0)
 
 
 def test_criterion_4_queue_validation():
-    """M/M/1 means within 5% at four loads; H2/truncated-normal within 15%
-    of the kappa-corrected mean; pmf sup-distance < 0.01; all < 60 s."""
-    t0 = time.perf_counter()
-    lines = []
-    for k, rho in enumerate((0.39, 0.70, 0.80, 0.93)):
-        cfg = SimConfig(arrival=Exponential(rate=1.0),
-                        service=Exponential(rate=1.0 / rho),
-                        base_stock=0, horizon=2_000_000, seed=k)
-        stats = simulate(cfg)
-        target = rho / (1 - rho)
-        rel = abs(stats.mean_outstanding - target) / target
-        sup = empirical_pdf_compare(stats, rho)
-        assert rel <= 0.05, f"rho={rho}: {stats.mean_outstanding} vs {target}"
-        assert sup < 0.01, f"rho={rho}: pmf distance {sup:.4f}"
-        lines.append(f"rho={rho}: rel {rel:.3f}, sup {sup:.4f}")
-
-    arrival = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
-    rho = 0.80
-    cfg = SimConfig(arrival=arrival,
-                    service=TruncatedNormal(mean=arrival.mean_time() * rho, cv=0.5),
-                    base_stock=0, horizon=2_000_000, seed=11)
-    stats = simulate(cfg)
-    kappa = (arrival.scv() + 0.25) / 2.0
-    assert arrival.scv() == pytest.approx(1.0856, abs=1e-4)
-    target = kappa * rho / (1 - rho)
-    rel = abs(stats.mean_outstanding - target) / target
-    assert rel <= 0.15, f"h2 run {stats.mean_outstanding} vs kappa target {target}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    print(f"\nPASS criterion 4: {'; '.join(lines)}; h2 rel {rel:.3f}, "
-          f"in {elapsed:.1f}s")
+    """M/M/1 means and pmfs at four loads; H2/truncated-normal mean against
+    the kappa-corrected formula, < 60 s."""
+    assert_checks_pass("queue-validate", 60.0)
 
 
 def test_criterion_5_continuous_approximation():
@@ -173,75 +58,18 @@ def test_criterion_5_continuous_approximation():
 
 
 def test_criterion_6_multi_bs_mechanisms():
-    """Adaptive uniform: n_hat=5, uniform grant 2.9654 +/- 1e-3, truthful
-    dominant on 200-point grids over 21 scenarios; pareto priority admits
-    a profitable inflation; all < 60 s."""
-    t0 = time.perf_counter()
-    market = reference_market()
-    orders = truthful_orders(market)
-    result = adaptive_uniform_allocation(market, orders)
-    top = max(result.grants)
-    assert result.n_hat == 5, f"n_hat {result.n_hat}"
-    assert abs(top - 2.9654) <= 1e-3, f"uniform grant {top:.5f}"
-
-    grid = DeviationGrid(n_points=200, n_scenarios=20, span=2.5, seed=0)
-    adaptive = truthfulness_audit(market, adaptive_uniform_allocation, grid)
-    assert adaptive.truthful_dominant, (
-        f"adaptive improvement {adaptive.max_improvement:.2e}")
-    assert adaptive.max_improvement <= 1e-9
-
-    pareto = truthfulness_audit(market, pareto_priority_allocation, grid)
-    assert pareto.max_improvement > 1e-9, "pareto inflation should pay"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    print(f"\nPASS criterion 6: n_hat=5, grant {top:.4f}, adaptive max gain "
-          f"{adaptive.max_improvement:.1e}, pareto gain "
-          f"{pareto.max_improvement:.3f}, in {elapsed:.1f}s")
+    """Adaptive uniform is truthful-dominant on 200-point grids over 21
+    scenarios; pareto priority admits a profitable inflation, < 60 s."""
+    assert_checks_pass("audit", 60.0)
 
 
 def test_criterion_7_lemma_reproduction():
-    """Proportional strictly exceeds the brute-force optimum on the
-    reference market; brute force agrees with pareto priority; < 10 s."""
-    t0 = time.perf_counter()
-    market = reference_market()
-    orders = truthful_orders(market)
-    prop_cost = social_cost(market, proportional_allocation(market, orders))
-    pareto_cost = social_cost(market, pareto_priority_allocation(market, orders))
-    _, brute_cost = social_optimum_bruteforce(market)
-    assert prop_cost > brute_cost + 1e-6, (
-        f"proportional {prop_cost:.4f} vs optimum {brute_cost:.4f}")
-    assert brute_cost == pytest.approx(pareto_cost, abs=1e-9), (
-        f"brute {brute_cost:.6f} vs pareto {pareto_cost:.6f}")
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
-    print(f"\nPASS criterion 7: proportional {prop_cost:.4f} > optimum "
-          f"{brute_cost:.4f} = pareto, in {elapsed:.2f}s")
+    """Adaptive split index and uniform grant; proportional strictly exceeds
+    the brute-force optimum, which pareto priority attains, < 10 s."""
+    assert_checks_pass("allocate", 10.0)
 
 
 def test_criterion_8_power_split():
-    """Golden-section matches a 1e-3 grid oracle across three grid prices,
-    the split rises with the grid price, and the two anchor points land
-    within 0.1; < 5 s."""
-    t0 = time.perf_counter()
-    g = GameInstance(NormalizedParams(b_n=5.0, cs_n=5.0, phi=1.0, alpha=0.5))
-    f_aux = math.sqrt((2.5 + 2.5 * math.log(3.5)) / (5.0 * 3.5))
-    results = {}
-    for p2 in (5.0, 7.5, 10.0):
-        lam, _ = power_split(g, 1.8, 2.0, 1.0, p2)
-        grid = np.arange(1e-3, min(1.8, 2.0 * (1 - 1e-6)) + 1e-12, 1e-3)
-        phi = 2.0 / grid - 1.0
-        s_vals = (np.sqrt(1 + phi) + f_aux) * math.log(3.5) / (f_aux * phi)
-        costs = s_vals + grid + p2 * (1.8 - grid)
-        best = min(float(costs.min()), p2 * 1.8)
-        lam_grid = 0.0 if p2 * 1.8 <= costs.min() else float(grid[np.argmin(costs)])
-        assert abs(lam - lam_grid) <= 1e-3, (
-            f"P2={p2}: {lam:.5f} vs oracle {lam_grid:.5f}")
-        results[p2] = lam
-    assert results[5.0] <= results[7.5] + 1e-9 <= results[10.0] + 2e-9
-    assert abs(results[5.0] - 0.67) <= 0.1, f"P2=5 anchor {results[5.0]:.3f}"
-    assert abs(results[10.0] - 1.11) <= 0.1, f"P2=10 anchor {results[10.0]:.3f}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0
-    print(f"\nPASS criterion 8: lambda* {results[5.0]:.3f} -> "
-          f"{results[7.5]:.3f} -> {results[10.0]:.3f} across P2, "
-          f"in {elapsed:.2f}s")
+    """Golden-section matches a 1e-3 grid oracle across the grid prices, the
+    split rises with the grid price, and the two anchors hold, < 5 s."""
+    assert_checks_pass("power-split", 5.0)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from greenstock import cli
 from greenstock.cli import main, run_scenario, run_sweep
 
 
@@ -78,9 +79,43 @@ def test_invalid_parameter_exits_2(tmp_path):
     assert main(["central", "--set", "nonsense", "--out", str(out)]) == 2
 
 
-def test_check_mode_exit_codes(tmp_path):
+@pytest.mark.parametrize("argv, valid", [
+    (["central", "--set", "bb=3"], "valid keys for central: b, cs, phi"),
+    (["central", "--set", "b=abc"], "valid keys for central: b, cs, phi"),
+    (["central", "--set", "alpha=0.9"], "valid keys for central: b, cs, phi"),
+    (["sweep", "central", "--sweep", "foo:0:1:0.5"], "valid keys for central: b, cs, phi"),
+    (["queue-validate", "--set", "horizon=1e400"], "valid keys for queue-validate: "),
+])
+def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert valid in captured.err
+
+
+def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "c.csv"
     assert main(["central", "--check", "--out", str(out)]) == 0
+    assert main(["central"]) == 0
+    plain = capsys.readouterr()
+    assert main(["central", "--check"]) == 0
+    checked = capsys.readouterr()
+    # stdout stays the CSV alone; verdicts go to stderr
+    assert checked.out == plain.out == out.read_text(encoding="utf-8")
+    assert checked.err.startswith("PASS: ")
+
+    scenario, _, defaults = cli.SCENARIOS["central"]
+    monkeypatch.setitem(cli.SCENARIOS, "central",
+                        (scenario, lambda seed: [("forced", False, "x")], defaults))
+    assert main(["central", "--check"]) == 3
+    assert "FAIL: forced (x)" in capsys.readouterr().err
+
+
+def test_large_headroom_nash_terminates(deadline):
+    with deadline(5):
+        assert main(["nash", "--set", "b=1e6", "--set", "cs=0.001",
+                     "--set", "phi=1e5"]) == 0
 
 
 def test_sweep_alpha_comparative_statics(tmp_path):

@@ -483,3 +483,12 @@ def test_power_split_matches_grid_oracle():
         k = int(np.argmin(vals))
         assert abs(lam - grid[k]) <= 1e-3, f"p2={p2}: {lam} vs oracle {grid[k]}"
         assert cost <= vals[k] + 1e-9
+
+
+def test_solvers_terminate_below_float_spacing(deadline):
+    # A tolerance below the float spacing of the bracket must not loop forever.
+    with deadline(5):
+        nu = rps_best_response(REF, 5.5065, tol=1e-300)
+        lam, _ = power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=1e-300)
+    assert nu == pytest.approx(rps_best_response(REF, 5.5065), abs=1e-9)
+    assert lam == pytest.approx(power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5)[0], abs=1e-5)
