@@ -478,7 +478,14 @@ def _parse_set(values) -> dict:
     return out
 
 
-def _load_config(path: str | None) -> dict:
+# The documented config-file keys and the JSON type each must hold.
+_CONFIG_SCHEMA = {"scenario": (str, "string"), "params": (dict, "object"),
+                  "sweep": (dict, "object"), "out": (str, "string"), "seed": (int, "integer")}
+
+
+def _load_config(path: str | None, scenario: str) -> dict:
+    """The JSON config at `path`, checked against `_CONFIG_SCHEMA` and
+    against the scenario it is given to (for `sweep`, the swept one)."""
     if path is None:
         return {}
     try:
@@ -488,6 +495,16 @@ def _load_config(path: str | None) -> dict:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_SCHEMA))
+    if unknown:
+        raise ParameterError(f"unknown config key {', '.join(unknown)}; "
+                             f"valid keys: {', '.join(_CONFIG_SCHEMA)}")
+    for key, value in cfg.items():
+        kind, json_name = _CONFIG_SCHEMA[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParameterError(f"config {key!r} must be a JSON {json_name}, got {value!r}")
+    if cfg.get("scenario", scenario) != scenario:
+        raise ParameterError(f"config is for scenario {cfg['scenario']!r}, not {scenario!r}")
     return cfg
 
 
@@ -562,13 +579,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        params = dict(cfg.get("params", {}))
-        params.update(_parse_set(args.set))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        sweeping = args.command == "sweep"
+        cfg = _load_config(args.config, args.scenario if sweeping else args.command)
+        params = {**cfg.get("params", {}), **_parse_set(args.set)}
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out = args.out if args.out is not None else cfg.get("out")
 
-        if args.command == "sweep":
+        if sweeping:
             sweep_spec = cfg.get("sweep", {})
             if args.sweep:
                 try:

@@ -6,16 +6,21 @@ them off one at a time) and derives inventory (s - N)^+ and backlog
 (N - s)^+ from it.  Interarrival and service draws come from pluggable
 distributions so the heavy-traffic approximation can be probed beyond
 the exponential case.  Runs are deterministic for a fixed seed.
+
+Draw-order contract: each `sample(rng, n)` consumes a fixed number of
+variates whatever their values, n for `Exponential` and `TruncatedNormal`
+(inverse CDF, no rejection) and 3n for `HyperExp2`; a run draws every
+interarrival time, then every service time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erfcx, stdtrit
+from scipy.special import erfcx, ndtr, ndtri, stdtrit
 
 from .errors import ParameterError
 
@@ -81,10 +86,6 @@ class HyperExp2:
         )
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _norm_hazard(x: float) -> float:
     # pdf(x)/(1 - cdf(x)); the erfcx form stays accurate deep in the tail,
     # where erfc alone cancels to noise.
@@ -95,22 +96,27 @@ def _norm_hazard(x: float) -> float:
 class TruncatedNormal:
     """Left-truncated normal with the *requested* mean and cv.
 
-    Sampling resamples below the floor (default 1e-6 * mean).  The base
-    normal's parameters are solved so that the law after truncation hits
-    the configured mean and cv exactly; otherwise truncating N(mean,
-    cv*mean) would discard Phi(-1/cv) of its mass and bias the realized
-    moments, which feed the kappa heavy-traffic correction.
+    N(mu0, sigma0^2) conditioned above the floor (default 1e-6 * mean),
+    with (mu0, sigma0) solved once, at construction, so that the truncated
+    law hits the configured mean and cv exactly: truncating N(mean, cv*mean)
+    would bias the moments that feed the kappa heavy-traffic correction.
+    Sampling inverts the truncated CDF at n uniforms.
     """
 
     mean: float
     cv: float = 0.5
     floor: float | None = None
+    _base: tuple = field(init=False, repr=False, compare=False)   # mu0, sigma0, Phi(-a)
 
     def __post_init__(self):
-        if self.mean <= 0 or self.cv <= 0:
-            raise ParameterError("mean and cv must be > 0")
-        if self.floor is not None and self.floor <= 0:
-            raise ParameterError(f"floor must be > 0, got {self.floor}")
+        if not (0 < self.mean < math.inf and 0 < self.cv < math.inf):
+            raise ParameterError(f"mean and cv must be finite and > 0, got {self.mean}, {self.cv}")
+        if self.floor is not None and not 0 < self.floor < math.inf:
+            raise ParameterError(f"floor must be finite and > 0, got {self.floor}")
+        object.__setattr__(self, "_base", self._base_params())
+        mu0, sigma0, tail = self._base
+        if not math.isfinite(mu0 - sigma0 * float(ndtri(2.0**-53 * tail))):   # largest draw
+            raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
 
     @property
     def kind(self) -> str:
@@ -125,14 +131,14 @@ class TruncatedNormal:
     def scv(self) -> float:
         return self.cv * self.cv
 
-    def _base_params(self) -> tuple[float, float]:
+    def _base_params(self) -> tuple[float, float, float]:
         # Solve for (mu0, sigma0) of the base normal: with a the standardized
         # truncation point, hazard h = pdf(a)/(1 - cdf(a)) and
         # delta = h*(h - a), the truncated law has
         #   mean = mu0 + sigma0*h,  var = sigma0^2 * (1 - delta),
         # so (mean - floor)/sd = (h - a)/sqrt(1 - delta), monotone in a.
         floor = self._floor()
-        target = (self.mean - floor) / (self.cv * self.mean)
+        target = (1.0 - floor / self.mean) / self.cv
 
         def spread(a: float) -> float:
             h = _norm_hazard(a)
@@ -150,24 +156,15 @@ class TruncatedNormal:
             else:
                 hi = mid
         a = 0.5 * (lo + hi)
-        if 1.0 - _norm_cdf(a) < 1e-8:
-            raise ParameterError(
-                f"cv={self.cv} needs truncation so deep that rejection "
-                "sampling cannot terminate; lower cv or raise the floor")
         h = _norm_hazard(a)
         delta = h * (h - a)
         sigma0 = self.cv * self.mean / math.sqrt(1.0 - delta)
-        return floor - a * sigma0, sigma0
+        # Phi(-a) rounds to 1 for a < -8.3; kept below 1, ndtri(u*Phi(-a)) stays finite.
+        return floor - a * sigma0, sigma0, min(float(ndtr(-a)), 1.0 - 2.0**-53)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        mu0, sigma0 = self._base_params()
-        floor = self._floor()
-        out = rng.normal(mu0, sigma0, size=n)
-        bad = out <= floor
-        while bad.any():
-            out[bad] = rng.normal(mu0, sigma0, size=int(bad.sum()))
-            bad = out <= floor
-        return out
+        mu0, sigma0, tail = self._base    # Z > a is -ndtri(u*Phi(-a)), u uniform on (0, 1]
+        return mu0 - sigma0 * ndtri((1.0 - rng.random(n)) * tail)
 
 
 DistSpec = Exponential | HyperExp2 | TruncatedNormal
@@ -279,6 +276,8 @@ def simulate(config: SimConfig) -> SimStats:
         ci = float(stdtrit(_BATCHES - 1, 0.975)
                    * batch_means.std(ddof=1) / math.sqrt(_BATCHES))
     else:
+        warnings.warn(f"{state.size} post-warmup intervals are fewer than the "
+                      f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
         ci = math.inf
 
     return SimStats(

@@ -152,6 +152,7 @@ def test_sweep_empty_range_exits_2():
 def test_sweep_from_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
+        "scenario": "central",
         "params": {"b": 10.0, "cs": 5.0},
         "sweep": {"name": "phi", "start": 0.5, "stop": 1.0, "step": 0.25},
     }))
@@ -185,5 +186,24 @@ def test_run_sweep_rows_sorted_by_value():
     assert table.columns[0] == "sweep_phi"
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    assert main(["central", "--config", str(tmp_path / "absent.json")]) == 2
+@pytest.mark.parametrize("command, config", [
+    (["central"], None),
+    (["central"], [1, 2]),
+    (["central"], {"params": "abc"}),
+    (["central"], {"seed": "x"}),
+    (["central"], {"seed": 1.5}),
+    (["central"], {"out": 5}),
+    (["central"], {"parms": {"b": 8.0}}),
+    (["central"], {"scenario": "nash"}),
+    (["sweep", "central"], {"scenario": "nash",
+                            "sweep": {"name": "phi", "start": 0.5, "stop": 1.0, "step": 0.25}}),
+], ids=["missing", "not-object", "params-string", "seed-string", "seed-float", "out-int",
+        "unknown-key", "other-scenario", "sweep-other-scenario"])
+def test_invalid_config_file_exits_2(command, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    assert main(command + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

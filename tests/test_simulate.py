@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenstock import (
     Exponential,
@@ -67,6 +69,44 @@ def test_truncated_normal_respects_floor():
 def test_truncated_normal_rejects_unreachable_cv():
     with pytest.raises(ParameterError):
         TruncatedNormal(mean=1.0, cv=1.5).sample(np.random.default_rng(0), 10)
+    with pytest.raises(ParameterError, match="too large"):
+        TruncatedNormal(mean=1.0, cv=0.995)     # beyond any truncated normal at this floor
+
+
+@pytest.mark.parametrize("cv", [0.97, 0.98])
+def test_truncated_normal_deep_truncation_samples(cv, deadline):
+    """At the default floor cv 0.97 keeps about 2e-7 of the base normal's
+    mass, and cv 0.98 less still; the inverse-CDF sampler draws both at
+    full speed, from exactly n uniforms."""
+    d = TruncatedNormal(mean=1.0, cv=cv)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    with deadline(5):
+        x = d.sample(rng, 400_000)
+    twin.random(400_000)
+    assert rng.random() == twin.random()
+    assert x.min() > 1e-6
+    assert x.mean() == pytest.approx(1.0, rel=0.01)
+    assert x.std() / x.mean() == pytest.approx(cv, rel=0.01)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mean=_positive, cv=_positive, floor=st.none() | _positive)
+def test_truncated_normal_samples_or_refuses(mean, cv, floor, deadline):
+    """Over every (mean, cv, floor) the dataclass accepts, construction
+    raises ParameterError or sampling returns finite draws above the floor."""
+    with deadline(2):
+        try:
+            d = TruncatedNormal(mean=mean, cv=cv, floor=floor)
+        except ParameterError:
+            return
+        x = d.sample(np.random.default_rng(0), 1000)
+    assert x.shape == (1000,)
+    assert np.all(np.isfinite(x))
+    assert x.min() >= d._floor()
 
 
 def test_distribution_validation():
@@ -143,6 +183,10 @@ def test_unstable_configuration_warns_or_refuses():
         warnings.simplefilter("always")
         simulate(cfg)
     assert any("unstable" in str(w.message) for w in caught)
+    short = SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
+                      horizon=10, seed=0)
+    with pytest.warns(UserWarning, match="fewer than the 20 batch means"):
+        assert simulate(short).ci_halfwidth == math.inf
     with pytest.raises(ParameterError):
         simulate(SimConfig(arrival=Exponential(rate=2.0),
                            service=Exponential(rate=1.0),
