@@ -118,11 +118,13 @@ def optimal_demand(
             f"lam must lie in [0, lambda_bar={profile.lambda_bar}], got {lam}")
     if lam == 0.0:
         return 0.0, 0.0, p2 * profile.lambda_bar
-    gamma = math.log1p(profile.b)
-    mu_hat = math.sqrt(lam * gamma / p) + lam
-    s_hat = math.sqrt(p * lam * gamma)
+    s_hat = math.sqrt(p * lam * math.log1p(profile.b))
     cost = 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
-    return mu_hat, s_hat, cost
+    return _mu_on_curve(profile, lam, p), s_hat, cost
+
+
+def _mu_on_curve(profile: BsProfile, lam: float, p: float) -> float:
+    return math.sqrt(lam * math.log1p(profile.b) / p) + lam
 
 
 def breakeven_lambda(profile: BsProfile, p: float, p1: float, p2: float) -> float:
@@ -148,14 +150,7 @@ def breakeven_rate(profile: BsProfile, p: float, p1: float, p2: float) -> float:
     Grants live in supply-rate units, so take-or-leave rejections compare
     against this rate, not against lambda_hat itself.
     """
-    lam_hat = breakeven_lambda(profile, p, p1, p2)
-    if lam_hat == 0.0:
-        return 0.0
-    return _mu_on_curve(profile, lam_hat, p)
-
-
-def _mu_on_curve(profile: BsProfile, lam: float, p: float) -> float:
-    return math.sqrt(lam * math.log1p(profile.b) / p) + lam
+    return _mu_on_curve(profile, breakeven_lambda(profile, p, p1, p2), p)
 
 
 def _lambda_on_curve(profile: BsProfile, rate: float, p: float) -> float:
@@ -312,11 +307,6 @@ def social_cost(market: Market, grants) -> float:
     )
 
 
-def _curve_cost(profile: BsProfile, lam: float, p: float, p1: float, p2: float) -> float:
-    # Planner cost of serving lam renewably at the on-curve rate mu_hat(lam).
-    return optimal_demand(profile, lam, p, p1, p2)[2]
-
-
 def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]:
     """Certified planner optimum by extreme-point enumeration.
 
@@ -335,9 +325,8 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     if n > 12:
         raise ParameterError(f"brute force limited to N <= 12, got {n}")
     p, p1, p2 = market.p, market.p1, market.p2
-    full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) if pr.b > 0 else pr.lambda_bar
-                 for pr in market.profiles]
-    full_cost = [_curve_cost(pr, pr.lambda_bar, p, p1, p2) for pr in market.profiles]
+    full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) for pr in market.profiles]
+    full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
     grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
 
     best_value = math.inf
@@ -374,7 +363,8 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
             if mask >> j & 1 or residual >= full_rate[j]:
                 continue
             lam_j = _lambda_on_curve(market.profiles[j], residual, p)
-            cand = value - grid_cost[j] + _curve_cost(market.profiles[j], lam_j, p, p1, p2)
+            cand = (value - grid_cost[j]
+                    + optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2])
             g = list(grants)
             g[j] = residual
             consider(cand, tuple(g))
@@ -437,8 +427,6 @@ def truthfulness_audit(
             base = bs_cost(i, mechanism(market, OrderVector(tuple(base_orders))))
             scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(
                 market.profiles[i], market.profiles[i].lambda_bar, market.p)
-            if scale <= 0:
-                scale = 1.0
             for k in range(grid.n_points):
                 dev = grid.span * scale * k / (grid.n_points - 1)
                 base_orders[i] = dev

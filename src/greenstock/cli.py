@@ -178,6 +178,9 @@ def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
     """(model, config, rho, kappa) per queue-validate row: M/M/1 at each rho_list
     load with seed seed+k, then hyperexponential arrivals and truncated-normal
     service at h2_rho with the kappa = (c_a^2 + c_s^2)/2 heavy-traffic correction."""
+    loads = [*params["rho_list"], params["h2_rho"]]
+    if not all(0.0 < rho < 1.0 for rho in loads):
+        raise ParameterError(f"every load in rho_list and h2_rho must lie in (0, 1), got {loads}")
     run = {"base_stock": params["base_stock"], "horizon": params["horizon"]}
     cases = [("mm1", SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.0 / rho),
                                seed=seed + k, **run), rho, 1.0)
@@ -436,6 +439,7 @@ SCENARIOS = {
 
 ANALYTIC_SCENARIOS = {"central", "nash", "penalty-contract", "power-split",
                       "allocate"}
+MAX_SWEEP_POINTS = 10_000      # each point runs its scenario once, in milliseconds
 
 
 def resolve_params(name: str, params: dict) -> dict:
@@ -514,15 +518,20 @@ def _sweep_values(spec: dict) -> list[float]:
         start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"sweep block needs name/start/stop/step: {exc}") from exc
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):    # a nan fails here too
         raise ParameterError(f"empty sweep range: start={start}, stop={stop}, step={step}")
+    # Past this check every x += step advances by at least 2/3 of step (at least
+    # one ulp), so the loop below ends within about 1.5 * points iterations.
+    if start + step == start or stop + step == stop:
+        raise ParameterError(f"sweep step {step} is too small to advance from {start} to {stop}")
+    points = (stop - start) / step + 1
+    if points > MAX_SWEEP_POINTS:
+        raise ParameterError(f"sweep asks for {points:.3g} points, more than {MAX_SWEEP_POINTS}")
     values = []
     x = start
     while x <= stop + 1e-12:
         values.append(round(x, 12))
         x += step
-    if not values:
-        raise ParameterError("sweep produced no points")
     return values
 
 

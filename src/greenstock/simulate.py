@@ -197,9 +197,10 @@ class SimConfig:
 class SimStats:
     """Time-weighted long-run averages over the post-warmup horizon.
 
-    mean_outstanding counts every unfinished order (system count);
-    mean_waiting excludes the one in service, so both readings of an
-    "average queue length" are available.
+    Every mean is a functional of `pdf`, the time-weighted pmf of the
+    outstanding count N.  mean_outstanding counts every unfinished order
+    (system count); mean_waiting excludes the one in service, so both
+    readings of an "average queue length" are available.
     """
 
     mean_outstanding: float
@@ -244,27 +245,16 @@ def simulate(config: SimConfig) -> SimStats:
     departures = cum_serv + np.maximum.accumulate(arrivals - (cum_serv - serv))
 
     times = np.concatenate([arrivals, departures])
-    steps = np.concatenate([
-        np.ones(n_cust, dtype=np.int64), -np.ones(n_cust, dtype=np.int64)])
-    order = np.argsort(times, kind="stable")
-    times = times[order][: config.horizon]
-    steps = steps[order][: config.horizon]
+    order = np.argsort(times, kind="stable")[: config.horizon]
+    times = times[order]
+    count = np.cumsum(np.where(order < n_cust, 1, -1))   # order < n_cust: an arrival
 
-    count = np.cumsum(steps)
-    hold = np.diff(times)                 # N is count[k] during [t_k, t_{k+1})
-    state = count[:-1]
     warm = config.effective_warmup()
-    state = state[warm:]
-    hold = hold[warm:]
+    hold = np.diff(times)[warm:]          # N is count[k] during [t_k, t_{k+1})
+    state = count[warm:-1]
     if state.size == 0:
         raise ParameterError("horizon too short: no post-warmup intervals")
-
     total = float(hold.sum())
-    s = config.base_stock
-    mean_out = float((state * hold).sum() / total)
-    mean_wait = float((np.maximum(state - 1, 0) * hold).sum() / total)
-    mean_inv = float((np.maximum(s - state, 0) * hold).sum() / total)
-    mean_back = float((np.maximum(state - s, 0) * hold).sum() / total)
     pdf = np.bincount(state, weights=hold) / total
 
     # Batch means over 20 equal-count interval batches.
@@ -272,23 +262,32 @@ def simulate(config: SimConfig) -> SimStats:
     if usable >= _BATCHES:
         bs_state = (state[:usable] * hold[:usable]).reshape(_BATCHES, -1).sum(axis=1)
         bs_time = hold[:usable].reshape(_BATCHES, -1).sum(axis=1)
-        batch_means = bs_state / bs_time
-        ci = float(stdtrit(_BATCHES - 1, 0.975)
-                   * batch_means.std(ddof=1) / math.sqrt(_BATCHES))
+        ci = _halfwidth(bs_state / bs_time)
     else:
         warnings.warn(f"{state.size} post-warmup intervals are fewer than the "
                       f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
         ci = math.inf
+    return _summary(pdf, config.base_stock, ci, int(state.size), total)
 
+
+def _halfwidth(means: np.ndarray) -> float:
+    """95% t half-width on the average of k independent means."""
+    k = means.size
+    return float(stdtrit(k - 1, 0.975) * means.std(ddof=1) / math.sqrt(k))
+
+
+def _summary(pdf: np.ndarray, s: int, ci: float, events: int, sim_time: float) -> SimStats:
+    """SimStats whose means are the pmf of N dotted with N, (N-1)^+, (s-N)^+ and (N-s)^+."""
+    j = np.arange(pdf.size)
     return SimStats(
-        mean_outstanding=mean_out,
-        mean_waiting=mean_wait,
-        mean_inventory=mean_inv,
-        mean_backlog=mean_back,
+        mean_outstanding=float(pdf @ j),
+        mean_waiting=float(pdf @ np.maximum(j - 1, 0)),
+        mean_inventory=float(pdf @ np.maximum(s - j, 0)),
+        mean_backlog=float(pdf @ np.maximum(j - s, 0)),
         pdf=pdf,
         ci_halfwidth=ci,
-        events=int(state.size),
-        sim_time=total,
+        events=events,
+        sim_time=sim_time,
     )
 
 
@@ -307,10 +306,11 @@ def empirical_pdf_compare(stats: SimStats, rho: float) -> float:
 def replicate(config: SimConfig, n_reps: int) -> SimStats:
     """Pool n_reps independent runs; replicate k uses seed + k.
 
-    Means are averaged with equal weights (equal horizons) and the 95%
-    half-width comes from the spread of replicate means, so it tightens
-    with n_reps.  Aggregation is a symmetric reduction: any execution
-    order yields the same report.  n_reps = 1 returns simulate(config).
+    The pmfs are averaged with equal weights (equal horizons), and the
+    means are read from the pooled pmf; the 95% half-width comes from the
+    spread of replicate means, so it tightens with n_reps.  Aggregation
+    is a symmetric reduction: any execution order yields the same report.
+    n_reps = 1 returns simulate(config).
     """
     if n_reps < 1:
         raise ParameterError(f"n_reps must be >= 1, got {n_reps}")
@@ -318,20 +318,10 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     if n_reps == 1:
         return runs[0]
 
-    outs = np.array([r.mean_outstanding for r in runs])
     width = max(r.pdf.size for r in runs)
     pooled_pdf = np.zeros(width)
     for r in runs:
         pooled_pdf[: r.pdf.size] += r.pdf
-    pooled_pdf /= n_reps
-    ci = float(stdtrit(n_reps - 1, 0.975) * outs.std(ddof=1) / math.sqrt(n_reps))
-    return SimStats(
-        mean_outstanding=float(outs.mean()),
-        mean_waiting=float(np.mean([r.mean_waiting for r in runs])),
-        mean_inventory=float(np.mean([r.mean_inventory for r in runs])),
-        mean_backlog=float(np.mean([r.mean_backlog for r in runs])),
-        pdf=pooled_pdf,
-        ci_halfwidth=ci,
-        events=sum(r.events for r in runs),
-        sim_time=float(sum(r.sim_time for r in runs)),
-    )
+    ci = _halfwidth(np.array([r.mean_outstanding for r in runs]))
+    return _summary(pooled_pdf / n_reps, config.base_stock, ci,
+                    sum(r.events for r in runs), float(sum(r.sim_time for r in runs)))

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -85,9 +86,14 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["central", "--set", "alpha=0.9"], "valid keys for central: b, cs, phi"),
     (["sweep", "central", "--sweep", "foo:0:1:0.5"], "valid keys for central: b, cs, phi"),
     (["queue-validate", "--set", "horizon=1e400"], "valid keys for queue-validate: "),
+    (["queue-validate", "--set", "rho_list=[1.0]"], "in rho_list and h2_rho must lie in (0, 1)"),
+    (["queue-validate", "--set", "rho_list=[0]"], "in rho_list and h2_rho must lie in (0, 1)"),
+    (["queue-validate", "--set", "rho_list=[1.5]"], "in rho_list and h2_rho must lie in (0, 1)"),
+    (["queue-validate", "--set", "h2_rho=1.0"], "in rho_list and h2_rho must lie in (0, 1)"),
 ])
-def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys):
-    assert main(argv) == 2
+def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
+    with deadline(5):
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -149,6 +155,20 @@ def test_sweep_empty_range_exits_2():
     assert main(["sweep", "central", "--sweep", "phi:2.0:1.0:0.1"]) == 2
 
 
+@pytest.mark.parametrize("block, message", [
+    ("b:10:11:1e-20", "too small to advance"),
+    ("b:-inf:1:1", "too small to advance"),
+    ("b:1:1e12:1", "more than 10000"),
+])
+def test_sweep_that_cannot_finish_exits_2(block, message, capsys, deadline):
+    with deadline(5):
+        assert main(["sweep", "central", "--sweep", block]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_sweep_from_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -207,3 +227,28 @@ def test_invalid_config_file_exits_2(command, config, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "central": ["central"],
+    "nash": ["nash"],
+    "penalty-contract": ["penalty-contract"],
+    "power-split": ["power-split"],
+    "allocate": ["allocate"],
+    "sweep-nash": ["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1"],
+    "audit": ["audit", "--set", "grid_points=20", "--set", "n_scenarios=3"],
+    "queue-validate-seed0": ["queue-validate", "--set", "horizon=200000", "--seed", "0"],
+    "queue-validate-seed1": ["queue-validate", "--set", "horizon=200000", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ARGV)
+def test_csv_matches_golden(name, tmp_path, monkeypatch):
+    """Each CSV is byte-identical to tests/golden/<name>.csv, written by
+    `SOURCE_DATE_EPOCH=0 greenstock <argv> --out tests/golden/<name>.csv`;
+    rewrite a golden file only for an intended change of output."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / f"{name}.csv"
+    assert main(GOLDEN_ARGV[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,69 @@ def test_replicate_deterministic():
 def test_replicate_rejects_bad_count():
     with pytest.raises(ParameterError):
         replicate(mm1_config(0.5), 0)
+
+
+# ------------------------------------------- pmf summary over SimConfig
+
+def _direct_means(cfg):
+    """Reference: the four time-weighted sums over the run's events, taken
+    directly from a +/-1 step array instead of through the pmf."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.horizon // 2 + 2
+    arrivals = np.cumsum(cfg.arrival.sample(rng, n))
+    serv = cfg.service.sample(rng, n)
+    cum_serv = np.cumsum(serv)
+    departures = cum_serv + np.maximum.accumulate(arrivals - (cum_serv - serv))
+    times = np.concatenate([arrivals, departures])
+    steps = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
+    order = np.argsort(times, kind="stable")[: cfg.horizon]
+    warm = cfg.effective_warmup()
+    state = np.cumsum(steps[order])[:-1][warm:]
+    hold = np.diff(times[order])[warm:]
+    s, total = cfg.base_stock, hold.sum()
+    return [float((f * hold).sum() / total) for f in (
+        state, np.maximum(state - 1, 0), np.maximum(s - state, 0), np.maximum(state - s, 0))]
+
+
+def _law(kind, mean, shape):
+    """A law of the given kind and mean; `shape` in (0, 1) sets its spread."""
+    if kind == "exponential":
+        return Exponential(rate=1.0 / mean)
+    if kind == "truncnorm":
+        return TruncatedNormal(mean=mean, cv=0.05 + 0.9 * shape)
+    base = HyperExp2(prob=0.05 + 0.9 * shape, rate1=4.0, rate2=0.5)
+    scale = base.mean_time() / mean
+    return HyperExp2(prob=base.prob, rate1=base.rate1 * scale, rate2=base.rate2 * scale)
+
+
+_kinds = st.sampled_from(["exponential", "hyperexp2", "truncnorm"])
+_unit = st.floats(0.0, 1.0)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b) if b else abs(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrival=_kinds, service=_kinds, a_shape=_unit, s_shape=_unit,
+       rho=st.floats(0.05, 0.97, exclude_min=True, exclude_max=True),
+       s=st.integers(0, 12), horizon=st.integers(50, 200_000),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3))
+def test_means_are_functionals_of_the_pmf(arrival, service, a_shape, s_shape, rho, s,
+                                          horizon, seed, k):
+    """Over the SimConfig domain the means read from the pmf equal the direct
+    time-weighted sums, tie out pathwise, and pool across replicates."""
+    cfg = SimConfig(arrival=_law(arrival, 1.0, a_shape), service=_law(service, rho, s_shape),
+                    base_stock=s, horizon=horizon, seed=seed)
+    stats = simulate(cfg)
+    means = [stats.mean_outstanding, stats.mean_waiting, stats.mean_inventory,
+             stats.mean_backlog]
+    assert max(_rel(m, ref) for m, ref in zip(means, _direct_means(cfg))) <= 1e-12
+    assert stats.mean_inventory - stats.mean_backlog == pytest.approx(
+        s - stats.mean_outstanding, abs=1e-9)
+    assert stats.pdf.sum() == pytest.approx(1.0, abs=1e-12)
+    singles = [simulate(replace(cfg, seed=seed + i)).mean_outstanding for i in range(k)]
+    assert _rel(replicate(cfg, k).mean_outstanding, float(np.mean(singles))) <= 1e-12
 
 
 # --------------------------------------------- general-distribution run
