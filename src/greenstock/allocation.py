@@ -16,9 +16,11 @@ break-even rate lambda_hat = 4 p gamma / (p2 - p1 - p)^2.
 The supplier rations capacity mu0 across submitted orders with one of
 three mechanisms: proportional, descending-order priority (with
 below-break-even grants rejected), or the adaptive uniform rule that
-makes truthful ordering a dominant strategy.  A brute-force extreme
-point enumeration of the planner's problem and a deviation-grid audit
-close the loop.
+makes truthful ordering a dominant strategy.  Each mechanism allocates
+one OrderVector or, row by row, a (K, N) order matrix.  A brute-force
+extreme point enumeration of the planner's problem and a deviation-grid
+audit, which hands each mechanism one order matrix per opponent scenario
+and deviating BS, close the loop.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class BsProfile:
     index: int
 
     def __post_init__(self):
-        if self.lambda_bar <= 0:
-            raise ParameterError(f"lambda_bar must be > 0, got {self.lambda_bar}")
-        if self.b < 0:
-            raise ParameterError(f"b must be >= 0, got {self.b}")
+        # Written so that nan fails every range check.
+        if not 0.0 < self.lambda_bar < math.inf:
+            raise ParameterError(f"lambda_bar must be finite and > 0, got {self.lambda_bar}")
+        if not 0.0 <= self.b < math.inf:
+            raise ParameterError(f"b must be finite and >= 0, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,13 @@ class Market:
     def __post_init__(self):
         if len(self.profiles) < 2:
             raise ParameterError("a market needs at least 2 base stations")
-        if self.mu0 <= 0:
-            raise ParameterError(f"mu0 must be > 0, got {self.mu0}")
-        if self.p <= 0:
-            raise ParameterError(f"incentive price p must be > 0, got {self.p}")
-        if self.p1 < 0 or self.p2 < 0:
-            raise ParameterError("energy prices must be >= 0")
+        if not 0.0 < self.mu0 < math.inf:
+            raise ParameterError(f"mu0 must be finite and > 0, got {self.mu0}")
+        if not 0.0 < self.p < math.inf:
+            raise ParameterError(f"incentive price p must be finite and > 0, got {self.p}")
+        if not (0.0 <= self.p1 < math.inf and 0.0 <= self.p2 < math.inf):
+            raise ParameterError(
+                f"energy prices must be finite and >= 0 (p1={self.p1}, p2={self.p2})")
         if self.p2 <= self.p1 + self.p:
             raise ParameterError(
                 f"p2 must exceed p1 + p for nonzero renewable demand "
@@ -87,8 +91,8 @@ class OrderVector:
     orders: tuple[float, ...]
 
     def __post_init__(self):
-        if any(m < 0 for m in self.orders):
-            raise ParameterError("orders must be >= 0")
+        if not all(0.0 <= m < math.inf for m in self.orders):
+            raise ParameterError("orders must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -177,51 +181,90 @@ def truthful_orders(market: Market) -> OrderVector:
     return OrderVector(orders=tuple(orders))
 
 
-def _check_orders(market: Market, orders: OrderVector) -> None:
-    if len(orders.orders) != market.n:
+def _order_matrix(market: Market, orders) -> np.ndarray:
+    """The (K, N) float order matrix of `orders`: one row for an OrderVector."""
+    if isinstance(orders, OrderVector):
+        m = np.array([orders.orders], dtype=float)
+    else:
+        m = np.asarray(orders, dtype=float)
+        if m.ndim != 2:
+            raise ParameterError(f"an order matrix must be 2-D (K, N), got shape {m.shape}")
+        if not ((0.0 <= m) & (m < math.inf)).all():
+            raise ParameterError("orders must be finite and >= 0")
+    if m.shape[1] != market.n:
         raise ParameterError(
-            f"order vector length {len(orders.orders)} != market size {market.n}")
+            f"order vector length {m.shape[1]} != market size {market.n}")
+    return m
 
 
-def proportional_allocation(market: Market, orders: OrderVector) -> AllocationResult:
-    """g_i = min(m_i, mu0 * m_i / sum(m)): everyone gets a pro-rata share."""
-    _check_orders(market, orders)
-    m = orders.orders
-    total = sum(m)
-    if total <= 0.0:
-        return AllocationResult(grants=tuple(0.0 for _ in m))
-    scale = min(1.0, market.mu0 / total)
-    return AllocationResult(grants=tuple(mi * scale for mi in m))
+def _result(orders, grants: np.ndarray, rejected=None, n_hat=None):
+    """The (K, N) grants of a matrix call; for an OrderVector, the
+    AllocationResult of the one row."""
+    if not isinstance(orders, OrderVector):
+        return grants
+    return AllocationResult(
+        grants=tuple(grants[0].tolist()),
+        n_hat=None if n_hat is None else int(n_hat[0]),
+        rejected=frozenset() if rejected is None
+        else frozenset(np.flatnonzero(rejected[0]).tolist()))
 
 
-def _descending(market: Market, orders: OrderVector) -> list[int]:
-    # Descending by order size, ties broken by stable BS index.
-    return sorted(range(market.n), key=lambda i: (-orders.orders[i], i))
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    # Left to right, as Python's sum() adds; np.sum is pairwise for N >= 8.
+    return np.cumsum(m, axis=1)[:, -1]
 
 
-def pareto_priority_allocation(market: Market, orders: OrderVector) -> AllocationResult:
+def _descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per row, positions by descending order size (ties by BS index) and
+    # the orders in that order.
+    idx = np.argsort(-m, axis=1, kind="stable")
+    return idx, np.take_along_axis(m, idx, axis=1)
+
+
+def _unsort(sorted_values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    out = np.empty_like(sorted_values)
+    np.put_along_axis(out, idx, sorted_values, axis=1)
+    return out
+
+
+def _thresholds(market: Market) -> np.ndarray:
+    return np.array([breakeven_rate(pr, market.p, market.p1, market.p2)
+                     for pr in market.profiles])
+
+
+def proportional_allocation(market: Market, orders):
+    """g_i = min(m_i, mu0 * m_i / sum(m)): everyone gets a pro-rata share.
+
+    Like every mechanism here, takes an OrderVector and returns its
+    AllocationResult, or takes a (K, N) order matrix and returns the
+    (K, N) grants, each row allocated on its own.
+    """
+    m = _order_matrix(market, orders)
+    # mu0 / max(total, mu0) is min(1, mu0 / total), and 1 for all-zero rows.
+    scale = market.mu0 / np.maximum(_row_sums(m), market.mu0)
+    return _result(orders, m * scale[:, None])
+
+
+def pareto_priority_allocation(market: Market, orders):
     """Serve orders in descending size until capacity runs out.
 
     A partial grant below the break-even supply rate is rejected (zeroed);
     the freed capacity is not reassigned within the period.
     """
-    _check_orders(market, orders)
-    grants = [0.0] * market.n
-    rejected = set()
-    capacity = market.mu0
-    for i in _descending(market, orders):
-        g = min(orders.orders[i], capacity)
-        capacity -= g
-        grants[i] = g
-        if 0.0 < g < orders.orders[i]:
-            threshold = breakeven_rate(market.profiles[i], market.p, market.p1, market.p2)
-            if g < threshold:
-                grants[i] = 0.0
-                rejected.add(i)
-    return AllocationResult(grants=tuple(grants), rejected=frozenset(rejected))
+    m = _order_matrix(market, orders)
+    idx, s = _descending(m)
+    g = np.empty_like(s)
+    capacity = np.full(len(s), market.mu0)
+    for pos in range(market.n):
+        g[:, pos] = np.minimum(s[:, pos], capacity)
+        capacity -= g[:, pos]
+    g = _unsort(g, idx)
+    rejected = (0.0 < g) & (g < m) & (g < _thresholds(market))
+    g[rejected] = 0.0
+    return _result(orders, g, rejected)
 
 
-def adaptive_uniform_allocation(market: Market, orders: OrderVector) -> AllocationResult:
+def adaptive_uniform_allocation(market: Market, orders):
     """Adaptive uniform rule, the truth-inducing mechanism.
 
     Sort orders in decreasing size.  n_hat is the largest index such that
@@ -231,42 +274,29 @@ def adaptive_uniform_allocation(market: Market, orders: OrderVector) -> Allocati
     the break-even supply rate is then rejected (take-or-leave, a single
     adjustment pass); freed capacity is not redistributed.
     """
-    _check_orders(market, orders)
-    m = orders.orders
-    order_idx = _descending(market, orders)
-    sorted_m = [m[i] for i in order_idx]
+    m = _order_matrix(market, orders)
     n = market.n
-
-    grants_sorted = list(sorted_m)
-    n_hat = n
-    if sum(m) > market.mu0:
-        tail = 0.0
-        n_hat = 1
-        uniform = market.mu0  # n=1 fallback; loop always finds some n
-        for k in range(n, 0, -1):
-            u = (market.mu0 - tail) / k
-            if u <= sorted_m[k - 1] + FEAS_EPS:
-                n_hat, uniform = k, u
-                break
-            tail += sorted_m[k - 1]
-        grants_sorted = [uniform] * n_hat + sorted_m[n_hat:]
-
-    grants = [0.0] * n
-    for pos, i in enumerate(order_idx):
-        grants[i] = grants_sorted[pos]
-
-    rejected = set()
-    for i, g in enumerate(grants):
-        threshold = breakeven_rate(market.profiles[i], market.p, market.p1, market.p2)
-        if 0.0 < g <= threshold:
-            grants[i] = 0.0
-            rejected.add(i)
-    return AllocationResult(grants=tuple(grants), n_hat=n_hat, rejected=frozenset(rejected))
+    idx, s = _descending(m)
+    k = np.arange(1, n + 1)
+    # tail[:, k-1] = sum of the sorted orders past position k, added from
+    # the smallest up.
+    tail = np.zeros_like(s)
+    tail[:, :-1] = np.cumsum(s[:, :0:-1], axis=1)[:, ::-1]
+    uniform = (market.mu0 - tail) / k
+    fits = uniform <= s + FEAS_EPS
+    # n_hat is the largest k whose share fits; if none does, 1 with u = mu0.
+    last = n - 1 - np.argmax(fits[:, ::-1], axis=1)
+    found = fits.any(axis=1)
+    u = np.where(found, uniform[np.arange(len(s)), last], market.mu0)
+    scarce = _row_sums(m) > market.mu0
+    n_hat = np.where(scarce, np.where(found, last + 1, 1), n)
+    g = _unsort(np.where(scarce[:, None] & (k <= n_hat[:, None]), u[:, None], s), idx)
+    rejected = (0.0 < g) & (g <= _thresholds(market))
+    g[rejected] = 0.0
+    return _result(orders, g, rejected, n_hat)
 
 
-def post_allocation_cost(
-    profile: BsProfile, granted_rate: float, p: float, p1: float, p2: float
-) -> tuple[float, float]:
+def post_allocation_cost(profile: BsProfile, granted_rate, p: float, p1: float, p2: float):
     """Best operating point for a BS holding supply rate `granted_rate`.
 
     The BS pays p per unit granted rate regardless of use, then picks the
@@ -276,20 +306,27 @@ def post_allocation_cost(
 
     whose first-order condition gives
     lam(a) = clamp(a - sqrt(a*gamma/(p2 - p1)), 0, min(lambda_bar, a)).
-    Returns (lam, cost); a = 0 returns (0, p2*lambda_bar).
+    Returns (lam, cost); a = 0 returns (0, p2*lambda_bar).  A float rate
+    gives floats, an array of rates gives arrays of the same shape.
     """
-    a = granted_rate
-    if a < 0:
-        raise ParameterError(f"granted rate must be >= 0, got {a}")
-    if a == 0.0:
-        return 0.0, p2 * profile.lambda_bar
-    gamma = math.log1p(profile.b)
-    lam = a - math.sqrt(a * gamma / (p2 - p1)) if p2 > p1 else 0.0
-    lam = min(max(lam, 0.0), min(profile.lambda_bar, a * (1.0 - FEAS_EPS)))
-    cost = p * a + p1 * lam + p2 * (profile.lambda_bar - lam)
-    if lam > 0.0:
-        cost += lam * gamma / (a - lam)
+    lam, cost = _post_allocation(
+        profile.lambda_bar, math.log1p(profile.b), granted_rate, p, p1, p2)
+    if np.ndim(granted_rate) == 0:
+        return float(lam), float(cost)
     return lam, cost
+
+
+def _post_allocation(lambda_bar, gamma, granted_rate, p, p1, p2):
+    """post_allocation_cost, elementwise over rates and profile arrays."""
+    a = np.asarray(granted_rate, dtype=float)
+    if not (a >= 0.0).all():
+        raise ParameterError(f"granted rate must be >= 0, got {granted_rate}")
+    lam = a - np.sqrt(a * gamma / (p2 - p1)) if p2 > p1 else 0.0 * a
+    lam = np.minimum(np.maximum(lam, 0.0), np.minimum(lambda_bar, a * (1.0 - FEAS_EPS)))
+    # lam > 0 implies a - lam >= a * FEAS_EPS > 0; where lam = 0 the last
+    # term is 0 / (a + 1), so it adds exactly 0.
+    return lam, (p * a + p1 * lam + p2 * (lambda_bar - lam)
+                 + lam * gamma / (a - lam + (lam == 0.0)))
 
 
 def social_cost(market: Market, grants) -> float:
@@ -301,10 +338,13 @@ def social_cost(market: Market, grants) -> float:
     total = sum(grants)
     if total > market.mu0 + 1e-6:
         raise ParameterError(f"grants sum {total} exceeds capacity {market.mu0}")
-    return sum(
-        post_allocation_cost(pr, g, market.p, market.p1, market.p2)[1]
-        for pr, g in zip(market.profiles, grants)
-    )
+    profiles = market.profiles
+    _, costs = _post_allocation(
+        np.array([pr.lambda_bar for pr in profiles]),
+        np.array([math.log1p(pr.b) for pr in profiles]),
+        grants, market.p, market.p1, market.p2)
+    # Python's sum adds left to right, as the planner's tie-breaks assume.
+    return sum(costs.tolist())
 
 
 def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]:
@@ -385,6 +425,12 @@ class DeviationGrid:
     def __post_init__(self):
         if self.n_points < 2 or self.n_scenarios < 0:
             raise ParameterError("need n_points >= 2 and n_scenarios >= 0")
+        if not 0.0 < self.span < math.inf:
+            raise ParameterError(f"span must be finite and > 0, got {self.span}")
+        if not 0.0 <= self.perturb_lo <= self.perturb_hi < math.inf:
+            raise ParameterError(
+                f"need finite 0 <= perturb_lo <= perturb_hi, got "
+                f"{self.perturb_lo}, {self.perturb_hi}")
 
 
 @dataclass(frozen=True)
@@ -407,33 +453,30 @@ def truthfulness_audit(
     on the grid, compares the deviator's post-allocation cost against its
     cost under truthful reporting in the same scenario.  The verdict is
     truthful-dominant iff no deviation improves cost by more than 1e-9.
+    `mechanism` is called once per (scenario, BS) on the (n_points + 1, N)
+    order matrix of the truthful row and the deviation rows.
     """
-    m_star = truthful_orders(market).orders
+    m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
     scenarios = [m_star]
     for _ in range(grid.n_scenarios):
-        factors = rng.uniform(grid.perturb_lo, grid.perturb_hi, size=market.n)
-        scenarios.append(tuple(ms * f for ms, f in zip(m_star, factors)))
+        scenarios.append(m_star * rng.uniform(grid.perturb_lo, grid.perturb_hi, size=market.n))
 
-    def bs_cost(i: int, alloc: AllocationResult) -> float:
-        return post_allocation_cost(
-            market.profiles[i], alloc.grants[i], market.p, market.p1, market.p2)[1]
+    # Row 0 of each deviator's column is its truthful order, rows 1.. the grid.
+    columns = []
+    for i, pr in enumerate(market.profiles):
+        scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(pr, pr.lambda_bar, market.p)
+        devs = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
+        columns.append(np.concatenate(([m_star[i]], devs)))
 
     improvements = [0.0] * market.n
     for scen in scenarios:
-        for i in range(market.n):
-            base_orders = list(scen)
-            base_orders[i] = m_star[i]
-            base = bs_cost(i, mechanism(market, OrderVector(tuple(base_orders))))
-            scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(
-                market.profiles[i], market.profiles[i].lambda_bar, market.p)
-            for k in range(grid.n_points):
-                dev = grid.span * scale * k / (grid.n_points - 1)
-                base_orders[i] = dev
-                cost = bs_cost(i, mechanism(market, OrderVector(tuple(base_orders))))
-                gain = base - cost
-                if gain > improvements[i]:
-                    improvements[i] = gain
+        for i, pr in enumerate(market.profiles):
+            rows = np.tile(scen, (grid.n_points + 1, 1))
+            rows[:, i] = columns[i]
+            grants = mechanism(market, rows)
+            _, cost = post_allocation_cost(pr, grants[:, i], market.p, market.p1, market.p2)
+            improvements[i] = max(improvements[i], float(np.max(cost[0] - cost[1:])))
     max_improvement = max(improvements)
     return AuditReport(
         mechanism=getattr(mechanism, "__name__", str(mechanism)),

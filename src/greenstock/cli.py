@@ -520,19 +520,18 @@ def _sweep_values(spec: dict) -> list[float]:
         raise ParameterError(f"sweep block needs name/start/stop/step: {exc}") from exc
     if not (step > 0 and stop >= start):    # a nan fails here too
         raise ParameterError(f"empty sweep range: start={start}, stop={stop}, step={step}")
-    # Past this check every x += step advances by at least 2/3 of step (at least
-    # one ulp), so the loop below ends within about 1.5 * points iterations.
+    # A step lost in rounding at either end would repeat values there.
     if start + step == start or stop + step == stop:
         raise ParameterError(f"sweep step {step} is too small to advance from {start} to {stop}")
-    points = (stop - start) / step + 1
-    if points > MAX_SWEEP_POINTS:
-        raise ParameterError(f"sweep asks for {points:.3g} points, more than {MAX_SWEEP_POINTS}")
-    values = []
-    x = start
-    while x <= stop + 1e-12:
-        values.append(round(x, 12))
-        x += step
-    return values
+    # The end tolerance is relative to the range, so x = stop survives rounding
+    # in (stop - start) / step without admitting a point past it.
+    last = (stop - start) / step * (1.0 + 1e-12)
+    if last + 1 > MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"sweep asks for {last + 1:.3g} points, more than {MAX_SWEEP_POINTS}")
+    # 15 significant digits keep each value's own scale and drop the last-ulp
+    # residue of start + k * step (0.30000000000000004 -> 0.3).
+    return [float(f"{start + k * step:.15g}") for k in range(math.floor(last) + 1)]
 
 
 def run_scenario(name: str, params: dict, seed: int) -> ResultTable:

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenstock import (
     AllGridRegimeError,
+    AllocationResult,
     BsProfile,
     DeviationGrid,
     Market,
@@ -215,10 +218,44 @@ def test_proportional_all_zero_orders():
 
 
 def test_order_vector_rejects_negative_entries():
-    with pytest.raises(ParameterError):
-        OrderVector(orders=(1.0, -0.5))
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            OrderVector(orders=(1.0, bad))
+        with pytest.raises(ParameterError):
+            proportional_allocation(reference_market(), np.full((2, 8), bad))
     with pytest.raises(ParameterError):
         proportional_allocation(reference_market(), OrderVector(orders=(1.0, 2.0)))
+    with pytest.raises(ParameterError):
+        proportional_allocation(reference_market(), np.ones((3, 2)))
+    with pytest.raises(ParameterError):
+        proportional_allocation(reference_market(), np.ones(8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BsProfile(lambda_bar=math.nan, b=2.0, index=0),
+    lambda: BsProfile(lambda_bar=math.inf, b=2.0, index=0),
+    lambda: BsProfile(lambda_bar=1.0, b=math.nan, index=0),
+    lambda: BsProfile(lambda_bar=1.0, b=math.inf, index=0),
+    lambda: reference_market(mu0=math.nan),
+    lambda: reference_market(mu0=math.inf),
+    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=math.nan, p1=1.0, p2=10.0),
+    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=2.0, p1=math.nan, p2=10.0),
+    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=2.0, p1=1.0, p2=math.inf),
+    lambda: DeviationGrid(span=math.nan),
+    lambda: DeviationGrid(span=0.0),
+    lambda: DeviationGrid(span=math.inf),
+    lambda: DeviationGrid(perturb_lo=math.nan),
+    lambda: DeviationGrid(perturb_hi=math.nan),
+    lambda: DeviationGrid(perturb_hi=math.inf),
+    lambda: DeviationGrid(perturb_lo=-0.5),
+    lambda: DeviationGrid(perturb_lo=1.5, perturb_hi=0.5),
+], ids=["lambda_bar-nan", "lambda_bar-inf", "b-nan", "b-inf", "mu0-nan", "mu0-inf",
+        "p-nan", "p1-nan", "p2-inf", "span-nan", "span-zero", "span-inf",
+        "perturb_lo-nan", "perturb_hi-nan", "perturb_hi-inf", "perturb_lo-negative",
+        "perturb-reversed"])
+def test_non_finite_or_out_of_range_inputs_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
 
 
 # ----------------------------------------------------- pareto priority
@@ -248,6 +285,10 @@ def test_pareto_rejects_below_breakeven_partial():
     result = pareto_priority_allocation(market, truthful_orders(market))
     assert result.grants == (0.0,) * 8
     assert 7 in result.rejected          # largest order got the partial
+    # A partial grant exactly at the break-even rate is kept.
+    at_rate = breakeven_rate(market.profiles[7], market.p, market.p1, market.p2)
+    result = pareto_priority_allocation(reference_market(mu0=at_rate), truthful_orders(market))
+    assert result.grants[7] == at_rate and not result.rejected
 
 
 # ---------------------------------------------------- adaptive uniform
@@ -310,6 +351,186 @@ def test_mechanisms_always_feasible():
         for g, m in zip(result.grants, orders.orders):
             assert g <= m + 1e-9
             assert g >= 0.0
+
+
+# ------------------------------- batched kernels vs the scalar references
+#
+# The mechanisms, post_allocation_cost and the audit loop as they were
+# written per order vector, before the (K, N) kernels; each kernel must
+# reproduce them bit for bit.
+
+def _ref_descending(orders):
+    return sorted(range(len(orders)), key=lambda i: (-orders[i], i))
+
+
+def _ref_proportional(market, orders):
+    m = orders.orders
+    total = sum(m)
+    if total <= 0.0:
+        return AllocationResult(grants=tuple(0.0 for _ in m))
+    scale = min(1.0, market.mu0 / total)
+    return AllocationResult(grants=tuple(mi * scale for mi in m))
+
+
+def _ref_pareto(market, orders):
+    grants = [0.0] * market.n
+    rejected = set()
+    capacity = market.mu0
+    for i in _ref_descending(orders.orders):
+        g = min(orders.orders[i], capacity)
+        capacity -= g
+        grants[i] = g
+        if 0.0 < g < orders.orders[i]:
+            if g < breakeven_rate(market.profiles[i], market.p, market.p1, market.p2):
+                grants[i] = 0.0
+                rejected.add(i)
+    return AllocationResult(grants=tuple(grants), rejected=frozenset(rejected))
+
+
+def _ref_adaptive(market, orders):
+    m = orders.orders
+    order_idx = _ref_descending(m)
+    sorted_m = [m[i] for i in order_idx]
+    n = market.n
+    grants_sorted = list(sorted_m)
+    n_hat = n
+    if sum(m) > market.mu0:
+        tail = 0.0
+        n_hat = 1
+        uniform = market.mu0
+        for k in range(n, 0, -1):
+            u = (market.mu0 - tail) / k
+            if u <= sorted_m[k - 1] + 1e-9:
+                n_hat, uniform = k, u
+                break
+            tail += sorted_m[k - 1]
+        grants_sorted = [uniform] * n_hat + sorted_m[n_hat:]
+    grants = [0.0] * n
+    for pos, i in enumerate(order_idx):
+        grants[i] = grants_sorted[pos]
+    rejected = set()
+    for i, g in enumerate(grants):
+        if 0.0 < g <= breakeven_rate(market.profiles[i], market.p, market.p1, market.p2):
+            grants[i] = 0.0
+            rejected.add(i)
+    return AllocationResult(grants=tuple(grants), n_hat=n_hat, rejected=frozenset(rejected))
+
+
+def _ref_cost(profile, a, p, p1, p2):
+    if a == 0.0:
+        return p2 * profile.lambda_bar
+    gamma = math.log1p(profile.b)
+    lam = a - math.sqrt(a * gamma / (p2 - p1)) if p2 > p1 else 0.0
+    lam = min(max(lam, 0.0), min(profile.lambda_bar, a * (1.0 - 1e-9)))
+    cost = p * a + p1 * lam + p2 * (profile.lambda_bar - lam)
+    if lam > 0.0:
+        cost += lam * gamma / (a - lam)
+    return cost
+
+
+def _ref_audit(market, mechanism, grid):
+    m_star = truthful_orders(market).orders
+    rng = np.random.default_rng(grid.seed)
+    scenarios = [m_star]
+    for _ in range(grid.n_scenarios):
+        factors = rng.uniform(grid.perturb_lo, grid.perturb_hi, size=market.n)
+        scenarios.append(tuple(ms * f for ms, f in zip(m_star, factors)))
+
+    def bs_cost(i, alloc):
+        return _ref_cost(market.profiles[i], alloc.grants[i], market.p, market.p1, market.p2)
+
+    improvements = [0.0] * market.n
+    for scen in scenarios:
+        for i, pr in enumerate(market.profiles):
+            base_orders = list(scen)
+            base_orders[i] = m_star[i]
+            base = bs_cost(i, mechanism(market, OrderVector(tuple(base_orders))))
+            scale = m_star[i] if m_star[i] > 0 else optimal_demand(
+                pr, pr.lambda_bar, market.p, market.p1, market.p2)[0]
+            for k in range(grid.n_points):
+                base_orders[i] = grid.span * scale * k / (grid.n_points - 1)
+                gain = base - bs_cost(i, mechanism(market, OrderVector(tuple(base_orders))))
+                if gain > improvements[i]:
+                    improvements[i] = gain
+    return improvements
+
+
+REFERENCES = {
+    proportional_allocation: _ref_proportional,
+    pareto_priority_allocation: _ref_pareto,
+    adaptive_uniform_allocation: _ref_adaptive,
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def markets_with_orders(draw):
+    """A market anywhere in the documented domain (N 2-16, p2 > p1 + p) and
+    a (K, N) order matrix with zeros and ties."""
+    n = draw(st.integers(2, 16))
+    positive = st.floats(0.05, 20.0)
+    profiles = tuple(BsProfile(lambda_bar=draw(positive), b=draw(st.floats(0.0, 10.0)), index=i)
+                     for i in range(n))
+    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
+                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
+    pool = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3))
+    entry = st.one_of(st.just(0.0), st.sampled_from(pool), st.floats(0.0, 30.0))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    return market, np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(markets_with_orders())
+def test_kernels_match_scalar_references_on_the_market_domain(case):
+    market, orders = case
+    for mechanism, reference in REFERENCES.items():
+        grants = mechanism(market, orders)
+        assert grants.shape == orders.shape
+        for row, g in zip(orders, grants):
+            vector = OrderVector(tuple(row.tolist()))
+            one, expected = mechanism(market, vector), reference(market, vector)
+            assert _bits(one.grants) == _bits(g) == _bits(expected.grants)
+            assert (one.n_hat, one.rejected) == (expected.n_hat, expected.rejected)
+            assert np.all(g >= 0.0) and np.all(g <= row + 1e-9)
+            assert sum(g.tolist()) <= market.mu0 + 1e-9
+
+    # Inflating an order rationed to an accepted uniform share never raises
+    # that BS's grant: one matrix row per inflated BS.
+    adaptive = adaptive_uniform_allocation(market, orders)
+    for row, g in zip(orders, adaptive):
+        inflated = np.tile(row, (market.n, 1))
+        inflated[np.diag_indices(market.n)] *= 1.7
+        after = np.diag(adaptive_uniform_allocation(market, inflated))
+        rationed = (0.0 < g) & (g < row - 1e-9)
+        assert np.all(after[rationed] <= g[rationed] + 1e-9)
+
+    pr, column = market.profiles[0], adaptive[:, 0]
+    _, costs = post_allocation_cost(pr, column, market.p, market.p1, market.p2)
+    assert _bits(costs) == _bits([_ref_cost(pr, a, market.p, market.p1, market.p2)
+                                  for a in column.tolist()])
+
+
+def test_audit_matches_scalar_reference_loop():
+    """Bit-equal improvements on the reference market, one with an idle
+    (below-break-even) and a zero-backlog BS, and random markets."""
+    rng = np.random.default_rng(31)
+    edge = (BsProfile(lambda_bar=0.05, b=2.0, index=0),
+            BsProfile(lambda_bar=1.0, b=0.0, index=1),
+            BsProfile(lambda_bar=2.5, b=3.0, index=2))
+    markets = [reference_market(),
+               Market(profiles=edge, mu0=2.0, p=2.0, p1=1.0, p2=10.0),
+               random_market(rng), random_market(rng, n=5)]
+    grid = DeviationGrid(n_points=40, n_scenarios=3, seed=5)
+    for market in markets:
+        for mechanism, reference in REFERENCES.items():
+            report = truthfulness_audit(market, mechanism, grid)
+            expected = _ref_audit(market, reference, grid)
+            assert _bits(report.improvements) == _bits(expected)
+            assert report.truthful_dominant == (max(expected) <= 1e-9)
 
 
 # ------------------------------------------------- post-allocation cost

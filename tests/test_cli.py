@@ -90,6 +90,12 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["queue-validate", "--set", "rho_list=[0]"], "in rho_list and h2_rho must lie in (0, 1)"),
     (["queue-validate", "--set", "rho_list=[1.5]"], "in rho_list and h2_rho must lie in (0, 1)"),
     (["queue-validate", "--set", "h2_rho=1.0"], "in rho_list and h2_rho must lie in (0, 1)"),
+    (["allocate", "--set", "mu0=nan"], "mu0 must be finite and > 0"),
+    (["allocate", "--set", "b=inf"], "b must be finite and >= 0"),
+    (["allocate", "--set", "p2=inf"], "energy prices must be finite and >= 0"),
+    (["allocate", "--set", "lambda_bars=[1, NaN]"], "lambda_bar must be finite and > 0"),
+    (["audit", "--set", "span=nan"], "span must be finite and > 0"),
+    (["audit", "--set", "span=0"], "span must be finite and > 0"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -167,6 +173,21 @@ def test_sweep_that_cannot_finish_exits_2(block, message, capsys, deadline):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("block, expected", [
+    ("phi:1e-14:5e-14:1e-14", [1e-14, 2e-14, 3e-14, 4e-14, 5e-14]),
+    ("b:1:1.000000000001:1e-13", [1 + k * 1e-13 for k in range(11)]),
+])
+def test_sweep_values_keep_their_own_scale(block, expected, capsys):
+    """Small steps and small magnitudes are neither rounded away nor
+    extended past stop."""
+    assert main(["sweep", "central", "--sweep", block]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6 + len(expected)
+    name, start, stop, step = block.split(":")
+    table = run_sweep("central", {}, {"name": name, "start": start, "stop": stop,
+                                      "step": step}, 0)
+    assert [row[0] for row in table.rows] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_sweep_from_config_file(tmp_path):
