@@ -33,6 +33,9 @@ import numpy as np
 from .errors import AllGridRegimeError, ParameterError
 
 FEAS_EPS = 1e-9
+# Largest (n_points + 1, N) float64 order matrix the audit builds; the
+# mechanism kernels hold about ten temporaries of its size.
+MAX_AUDIT_MATRIX_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -454,8 +457,15 @@ def truthfulness_audit(
     cost under truthful reporting in the same scenario.  The verdict is
     truthful-dominant iff no deviation improves cost by more than 1e-9.
     `mechanism` is called once per (scenario, BS) on the (n_points + 1, N)
-    order matrix of the truthful row and the deviation rows.
+    order matrix of the truthful row and the deviation rows; a matrix larger
+    than `MAX_AUDIT_MATRIX_BYTES` is refused before anything is allocated.
     """
+    matrix_bytes = (grid.n_points + 1) * market.n * 8
+    if matrix_bytes > MAX_AUDIT_MATRIX_BYTES:
+        raise ParameterError(
+            f"an audit order matrix of {grid.n_points + 1} x {market.n} floats needs "
+            f"{matrix_bytes / 2**20:.0f} MiB, more than {MAX_AUDIT_MATRIX_BYTES // 2**20} MiB; "
+            f"lower n_points")
     m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
     scenarios = [m_star]

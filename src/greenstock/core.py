@@ -45,18 +45,20 @@ class SystemParams:
     p: float = 0.0      # incentive price per unit supply rate (multi-BS)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be > 0, got {self.lam}")
-        if self.mu0 <= self.lam:
+        # Every check reads `not lo < x < hi`, which a nan fails.
+        if not 0 < self.lam < math.inf:
+            raise ParameterError(f"lam must be finite and > 0, got {self.lam}")
+        if not self.lam < self.mu0 < math.inf:
             raise ParameterError(
-                f"mu0 must exceed lam (no capacity headroom): mu0={self.mu0}, lam={self.lam}")
+                f"mu0 must be finite and exceed lam (no capacity headroom): "
+                f"mu0={self.mu0}, lam={self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.c <= 0:
-            raise ParameterError(f"c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ParameterError(f"c must be finite and > 0, got {self.c}")
         for name in ("b", "cs_raw", "lambda0", "p1", "p2", "p"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,11 @@ class NormalizedParams:
     alpha: float    # backlog cost share
 
     def __post_init__(self):
-        if self.phi <= 0:
-            raise ParameterError(f"phi must be > 0, got {self.phi}")
-        if self.b_n < 0 or self.cs_n < 0:
-            raise ParameterError("b_n and cs_n must be >= 0")
+        if not 0 < self.phi < math.inf:
+            raise ParameterError(f"phi must be finite and > 0, got {self.phi}")
+        for name in ("b_n", "cs_n"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -85,10 +88,10 @@ class StrategyPair:
     nu: float
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ParameterError(f"s must be >= 0, got {self.s}")
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be > 0, got {self.nu}")
+        if not 0 <= self.s < math.inf:
+            raise ParameterError(f"s must be finite and >= 0, got {self.s}")
+        if not 0 < self.nu < math.inf:
+            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
 
 
 def normalize(params: SystemParams) -> NormalizedParams:
@@ -105,9 +108,9 @@ def normalize(params: SystemParams) -> NormalizedParams:
 
 
 def _check_s_nu(s: float, nu: float) -> None:
-    if s < 0:
+    if not s >= 0:
         raise ParameterError(f"s must be >= 0, got {s}")
-    if nu <= DOMAIN_EPS:
+    if not nu > DOMAIN_EPS:
         raise ParameterError(f"nu must be > 0, got {nu}")
 
 

@@ -109,7 +109,7 @@ def auxiliary_f(g: GameInstance) -> float:
 
 def bs_best_response(g: GameInstance, nu: float) -> float:
     """Optimal base stock for a fixed supply rate: s*(nu) = ln(1 + alpha*b)/nu."""
-    if nu <= 0:
+    if not nu > 0:
         raise ParameterError(f"nu must be > 0, got {nu}")
     return math.log1p(g.alpha * g.b) / nu
 
@@ -123,7 +123,7 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
     The left side falls from +inf to a finite value and the right side
     rises to +inf, so bracketed bisection on their difference is safe.
     """
-    if s <= 0:
+    if not s > 0:
         raise ParameterError(f"s must be > 0, got {s}")
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0")
@@ -184,7 +184,7 @@ def best_response_dynamics(
     equilibrium.  Returns the fixed point and the full iterate trace;
     raises ConvergenceError (trace attached) if max_iter is exhausted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
@@ -328,10 +328,12 @@ def power_split(
     coarse presweep plus golden-section refinement (tolerance `tol`),
     compared against both boundary values.  lambda = 0 means all-grid.
     """
-    if total_lambda <= 0:
-        raise ParameterError(f"total_lambda must be > 0, got {total_lambda}")
-    if mu0 <= 0:
-        raise ParameterError(f"mu0 must be > 0, got {mu0}")
+    if not 0 < total_lambda < math.inf:
+        raise ParameterError(f"total_lambda must be finite and > 0, got {total_lambda}")
+    if not 0 < mu0 < math.inf:
+        raise ParameterError(f"mu0 must be finite and > 0, got {mu0}")
+    if not (0 <= p1 < math.inf and 0 <= p2 < math.inf):
+        raise ParameterError(f"energy prices must be finite and >= 0, got p1={p1}, p2={p2}")
     f = auxiliary_f(g)
     log_ab = math.log1p(g.alpha * g.b)
     hi = min(total_lambda, mu0 * (1.0 - 1e-6))

@@ -11,16 +11,22 @@ Draw-order contract: each `sample(rng, n)` consumes a fixed number of
 variates whatever their values, n for `Exponential` and `TruncatedNormal`
 (inverse CDF, no rejection) and 3n for `HyperExp2`; a run draws every
 interarrival time, then every service time.
+
+The module needs numpy alone until the first truncated-normal draw, which
+imports scipy.special for its inverse normal CDF (`ndtri`): the analytic
+scenarios never load scipy.  The scalar normal CDF, hazard and Student-t
+quantile are computed here from `math`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcx, ndtr, ndtri, stdtrit
 
 from .errors import ParameterError
 
@@ -34,8 +40,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ParameterError(f"rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
 
     @property
     def kind(self) -> str:
@@ -62,8 +68,9 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        if self.rate1 <= 0 or self.rate2 <= 0:
-            raise ParameterError("rates must be > 0")
+        if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
+            raise ParameterError(
+                f"rates must be finite and > 0, got {self.rate1}, {self.rate2}")
 
     @property
     def kind(self) -> str:
@@ -86,10 +93,24 @@ class HyperExp2:
         )
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x), for x below
+    about 26; inf where it exceeds float range (x < -26.6)."""
+    try:
+        return math.exp(x * x) * math.erfc(x)
+    except OverflowError:
+        return math.inf
+
+
 def _norm_hazard(x: float) -> float:
-    # pdf(x)/(1 - cdf(x)); the erfcx form stays accurate deep in the tail,
-    # where erfc alone cancels to noise.
-    return math.sqrt(2.0 / math.pi) / float(erfcx(x / math.sqrt(2.0)))
+    # pdf(x)/(1 - cdf(x)); the erfcx form stays accurate deep in the right
+    # tail, where erfc alone cancels to noise.  0 in the far-left tail.
+    return math.sqrt(2.0 / math.pi) / _erfcx(x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -115,7 +136,7 @@ class TruncatedNormal:
             raise ParameterError(f"floor must be finite and > 0, got {self.floor}")
         object.__setattr__(self, "_base", self._base_params())
         mu0, sigma0, tail = self._base
-        if not math.isfinite(mu0 - sigma0 * float(ndtri(2.0**-53 * tail))):   # largest draw
+        if not math.isfinite(mu0 - sigma0 * NormalDist().inv_cdf(2.0**-53 * tail)):   # largest draw
             raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
 
     @property
@@ -160,9 +181,11 @@ class TruncatedNormal:
         delta = h * (h - a)
         sigma0 = self.cv * self.mean / math.sqrt(1.0 - delta)
         # Phi(-a) rounds to 1 for a < -8.3; kept below 1, ndtri(u*Phi(-a)) stays finite.
-        return floor - a * sigma0, sigma0, min(float(ndtr(-a)), 1.0 - 2.0**-53)
+        return floor - a * sigma0, sigma0, min(_ndtr(-a), 1.0 - 2.0**-53)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        from scipy.special import ndtri   # deferred: only a draw needs scipy (see module docstring)
+
         mu0, sigma0, tail = self._base    # Z > a is -ndtri(u*Phi(-a)), u uniform on (0, 1]
         return mu0 - sigma0 * ndtri((1.0 - rng.random(n)) * tail)
 
@@ -273,7 +296,46 @@ def simulate(config: SimConfig) -> SimStats:
 def _halfwidth(means: np.ndarray) -> float:
     """95% t half-width on the average of k independent means."""
     k = means.size
-    return float(stdtrit(k - 1, 0.975) * means.std(ddof=1) / math.sqrt(k))
+    return float(_t_quantile(k - 1, 0.975) * means.std(ddof=1) / math.sqrt(k))
+
+
+def _t_two_sided(df: int, theta: float) -> tuple[float, float]:
+    """P(|T| < t) for Student's t with integer df, at theta = atan(t / sqrt(df)),
+    and its derivative in theta, proportional to cos(theta)^(df - 1): the
+    finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    c, s = math.cos(theta), math.sin(theta)
+    c2 = c * c
+    if df % 2 == 0:     # sin(th) (1 + 1/2 c^2 + 1*3/(2*4) c^4 + ... up to c^(df-2))
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= c2 * (2 * k - 1) / (2 * k)
+            total += term
+        return s * total, (df - 1) * term * c
+    if df == 1:
+        return 2.0 / math.pi * theta, 2.0 / math.pi
+    term = total = c    # 2/pi (th + sin(th) (c + 2/3 c^3 + ... up to c^(df-2)))
+    for k in range(1, (df - 1) // 2):
+        term *= c2 * (2 * k) / (2 * k + 1)
+        total += term
+    return 2.0 / math.pi * (theta + s * total), 2.0 / math.pi * (df - 1) * term * c
+
+
+@functools.cache
+def _t_quantile(df: int, p: float) -> float:
+    """Student-t quantile at integer df and p > 1/2 (df is batches - 1 or
+    replicates - 1, so each is solved once).  Newton's method in theta on the
+    closed-form CDF; the two-sided probability is concave in theta, so
+    starting from the normal quantile, which lies below the t quantile,
+    the iterates rise monotonically to the root."""
+    target = 2.0 * p - 1.0
+    theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
+    for _ in range(100):
+        prob, slope = _t_two_sided(df, theta)
+        step = (target - prob) / slope
+        if not theta + step > theta:
+            break
+        theta += step
+    return math.sqrt(df) * math.tan(theta)
 
 
 def _summary(pdf: np.ndarray, s: int, ci: float, events: int, sim_time: float) -> SimStats:

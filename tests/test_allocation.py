@@ -33,6 +33,7 @@ from greenstock import (
     truthful_orders,
     truthfulness_audit,
 )
+from greenstock.allocation import MAX_AUDIT_MATRIX_BYTES
 
 
 def reference_market(mu0=20.0):
@@ -256,6 +257,15 @@ def test_order_vector_rejects_negative_entries():
 def test_non_finite_or_out_of_range_inputs_rejected(make):
     with pytest.raises(ParameterError):
         make()
+
+
+def test_audit_refuses_oversized_grids_before_allocating(deadline):
+    market = reference_market()
+    smallest_refused = MAX_AUDIT_MATRIX_BYTES // (8 * market.n)
+    for n_points in (smallest_refused, 100_000_000):
+        with deadline(1), pytest.raises(ParameterError, match="lower n_points"):
+            truthfulness_audit(market, adaptive_uniform_allocation,
+                               DeviationGrid(n_points=n_points))
 
 
 # ----------------------------------------------------- pareto priority

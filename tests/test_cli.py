@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import greenstock
 from greenstock import cli
 from greenstock.cli import main, run_scenario, run_sweep
 
@@ -96,6 +99,16 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["allocate", "--set", "lambda_bars=[1, NaN]"], "lambda_bar must be finite and > 0"),
     (["audit", "--set", "span=nan"], "span must be finite and > 0"),
     (["audit", "--set", "span=0"], "span must be finite and > 0"),
+    (["audit", "--set", "grid_points=100000000"], "lower n_points"),
+    (["central", "--set", "phi=nan"], "phi must be finite and > 0"),
+    (["central", "--set", "b=inf"], "b_n must be finite and >= 0"),
+    (["nash", "--set", "cs=nan"], "cs_n must be finite and >= 0"),
+    (["nash", "--set", "tol=nan"], "tol must be > 0"),
+    (["nash", "--set", "start_s=nan"], "s must be finite and >= 0"),
+    (["penalty-contract", "--set", "b=nan"], "b_n must be finite and >= 0"),
+    (["power-split", "--set", "total_lambda=nan"], "total_lambda must be finite and > 0"),
+    (["power-split", "--set", "p2_list=[5, NaN]"], "energy prices must be finite and >= 0"),
+    (["queue-validate", "--set", "h2_rate1=nan"], "rates must be finite and > 0"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -273,3 +286,24 @@ def test_csv_matches_golden(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     assert main(GOLDEN_ARGV[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+_COLD_PATH = """
+import contextlib, io, sys
+import greenstock
+from greenstock.cli import main
+for name in ("central", "nash", "penalty-contract", "power-split", "allocate", "audit"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([name]) == 0, name
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_analytic_scenarios_never_import_scipy():
+    """Only the truncated-normal sampler may load scipy; a fresh interpreter
+    that imports the package and runs every analytic scenario must not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(greenstock.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _COLD_PATH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from greenstock import (
+    NormalizedParams,
     ParameterError,
+    StrategyPair,
     SystemParams,
     approximation_error,
     exact_backlog_discrete,
@@ -83,6 +85,34 @@ def test_alpha_outside_unit_interval_rejected():
     with pytest.raises(ParameterError):
         SystemParams(lam=1.0, mu0=2.0, b=0.01, c=0.001,
                      cs_raw=0.01, lambda0=1.0, alpha=1.2)
+
+
+_RAW = dict(lam=1.0, mu0=2.0, b=0.01, c=0.001, cs_raw=0.01, lambda0=1.0, alpha=0.5)
+
+
+@pytest.mark.parametrize("field", ["lam", "mu0", "b", "c", "cs_raw", "lambda0", "alpha",
+                                   "p1", "p2", "p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_system_params_rejected(field, bad):
+    with pytest.raises(ParameterError, match=field):
+        SystemParams(**{**_RAW, field: bad})
+
+
+@pytest.mark.parametrize("field", ["b_n", "cs_n", "phi", "alpha"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_normalized_params_rejected(field, bad):
+    with pytest.raises(ParameterError, match=field):
+        NormalizedParams(**{**dict(b_n=10.0, cs_n=5.0, phi=1.0, alpha=0.5), field: bad})
+
+
+@pytest.mark.parametrize("s, nu", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
+                                   (1.0, math.inf)])
+def test_non_finite_strategy_rejected(s, nu):
+    with pytest.raises(ParameterError):
+        StrategyPair(s=s, nu=nu)
+    if math.isnan(s) or math.isnan(nu):
+        with pytest.raises(ParameterError):
+            mean_inventory(s, nu)
 
 
 # -------------------------------------------------------- mean inventory

@@ -388,6 +388,30 @@ def test_epsilon_participation_inequalities():
         assert (1 - eps) * c <= cost_bs(g, ne) + 1e-9
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, -0.1, 1.1])
+def test_transfer_contract_rejects_nan_and_out_of_range(epsilon):
+    with pytest.raises(ParameterError, match="epsilon"):
+        TransferContract(epsilon)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 2.0, 1.0, 10.0), "total_lambda"),
+    ((math.inf, 2.0, 1.0, 10.0), "total_lambda"),
+    ((1.8, math.nan, 1.0, 10.0), "mu0"),
+    ((1.8, 2.0, math.nan, 10.0), "energy prices"),
+    ((1.8, 2.0, 1.0, math.nan), "energy prices"),
+    ((1.8, 2.0, 1.0, -1.0), "energy prices"),
+])
+def test_power_split_rejects_non_finite_arguments(args, name):
+    with pytest.raises(ParameterError, match=name):
+        power_split(SPLIT_GAME, *args)
+
+
+def test_dynamics_reject_nan_tolerance():
+    with pytest.raises(ParameterError, match="tol"):
+        best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=math.nan)
+
+
 def test_acceptable_contract_validation():
     lo, hi = epsilon_range(REF)
     assert acceptable_contract(REF, 0.5 * (lo + hi)).epsilon == 0.5 * (lo + hi)

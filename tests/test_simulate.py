@@ -1,5 +1,6 @@
 """Event simulator vs the closed-form queue laws."""
 
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -21,6 +22,10 @@ from greenstock import (
     replicate,
     simulate,
 )
+
+
+# The package exports the function `simulate` under the module's name.
+sim_module = importlib.import_module("greenstock.simulate")
 
 
 def mm1_config(rho, s=0, horizon=400_000, seed=7):
@@ -119,6 +124,12 @@ def test_distribution_validation():
         HyperExp2(prob=0.5, rate1=-1.0, rate2=2.0)
     with pytest.raises(ParameterError):
         TruncatedNormal(mean=1.0, cv=0.0)
+    for make in (lambda: Exponential(rate=math.nan), lambda: Exponential(rate=math.inf),
+                 lambda: HyperExp2(prob=math.nan, rate1=1.0, rate2=2.0),
+                 lambda: HyperExp2(prob=0.5, rate1=math.nan, rate2=2.0),
+                 lambda: HyperExp2(prob=0.5, rate1=1.0, rate2=math.inf)):
+        with pytest.raises(ParameterError):
+            make()
 
 
 # ------------------------------------------------------------- simulation
@@ -325,3 +336,28 @@ def test_h2_truncnorm_within_kappa_band():
     kappa = (arr.scv() + 0.25) / 2.0
     target = kappa * rho / (1 - rho)
     assert stats.mean_outstanding == pytest.approx(target, rel=0.15)
+
+
+# ------------------------------------------- scalar special functions
+
+def test_t_quantile_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    df = np.arange(1, 2001)
+    ours = np.array([sim_module._t_quantile(int(k), 0.975) for k in df])
+    np.testing.assert_allclose(ours, special.stdtrit(df, 0.975), rtol=1e-12, atol=0)
+    assert sim_module._t_quantile(1, 0.975) == pytest.approx(12.7062047361747, rel=1e-13)
+    assert sim_module._t_quantile(19, 0.975) == pytest.approx(2.09302405440831, rel=1e-13)
+
+
+def test_normal_cdf_and_hazard_match_scipy():
+    """Over the hazard bisection's bracket, a in [-target - 6, 12], ndtr and
+    erfcx agree with scipy; further left the hazard is exactly 0."""
+    special = pytest.importorskip("scipy.special")
+    a = np.linspace(-37.0, 12.0, 4001)    # erfcx(a / sqrt 2) is finite above -37.6
+    x = a / math.sqrt(2.0)
+    ndtr = np.array([sim_module._ndtr(v) for v in -a])
+    erfcx = np.array([sim_module._erfcx(v) for v in x])
+    np.testing.assert_allclose(ndtr, special.ndtr(-a), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(erfcx, special.erfcx(x), rtol=1e-13, atol=0)
+    for a in (-38.0, -1e3, -1e200, -math.inf):
+        assert sim_module._norm_hazard(a) == 0.0
