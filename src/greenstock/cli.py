@@ -444,7 +444,8 @@ MAX_SWEEP_POINTS = 10_000      # each point runs its scenario once, in milliseco
 
 def resolve_params(name: str, params: dict) -> dict:
     """The scenario's defaults overridden by `params`, each converted to its
-    default's type; undeclared keys and unconvertible values raise."""
+    default's type; undeclared keys, unconvertible values and fractions for
+    an int raise."""
     defaults = _defaults(name)
     valid = f"valid keys for {name}: {', '.join(sorted(defaults))}"
     unknown = sorted(set(params) - set(defaults))
@@ -454,6 +455,8 @@ def resolve_params(name: str, params: dict) -> dict:
     for key, value in params.items():
         kind = type(defaults[key])
         try:
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(value)
             resolved[key] = [float(v) for v in value] if kind is list else kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ParameterError(

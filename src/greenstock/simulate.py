@@ -7,10 +7,18 @@ them off one at a time) and derives inventory (s - N)^+ and backlog
 distributions so the heavy-traffic approximation can be probed beyond
 the exponential case.  Runs are deterministic for a fixed seed.
 
-Draw-order contract: each `sample(rng, n)` consumes a fixed number of
-variates whatever their values, n for `Exponential` and `TruncatedNormal`
-(inverse CDF, no rejection) and 3n for `HyperExp2`; a run draws every
-interarrival time, then every service time.
+Draw contract: `sample(rng, a)` followed by `sample(rng, b)` draws exactly
+what `sample(rng, a + b)` draws, from a fixed number of variates whatever
+their values: n for `Exponential` and `TruncatedNormal` (inverse CDF, no
+rejection) and 2n uniforms for `HyperExp2`.  A run's stream is every
+interarrival time, then every service time.  `simulate` streams customers
+in chunks of `_CHUNK`: pass 1 draws the interarrival chunks only to
+advance the generator, saving its state at each chunk start, and pass 2
+replays each from its state beside the service chunk, so the times are
+bit-equal to one whole-run draw.  Memory is O(chunk + outstanding orders):
+a stable run's horizon is bounded by time alone, while an unstable run's
+pending departures and pmf grow with its backlog, and it stays capped at
+1e8 events.
 
 The module needs numpy alone until the first truncated-normal draw, which
 imports scipy.special for its inverse normal CDF (`ndtri`): the analytic
@@ -31,6 +39,7 @@ import numpy as np
 from .errors import ParameterError
 
 _BATCHES = 20
+_CHUNK = 1 << 16        # customers per chunk
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,11 @@ class HyperExp2:
         return (m2 - m1 * m1) / (m1 * m1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        choose = rng.random(n) < self.prob
-        return np.where(
-            choose,
-            rng.exponential(1.0 / self.rate1, size=n),
-            rng.exponential(1.0 / self.rate2, size=n),
-        )
+        # Row k of one (n, 2) block is draw k's phase and its inverse-CDF time,
+        # so the draws of n = a + b are those of a, then b.
+        u = rng.random((n, 2))
+        rate = np.where(u[:, 0] < self.prob, self.rate1, self.rate2)
+        return -np.log1p(-u[:, 1]) / rate
 
 
 def _ndtr(x: float) -> float:
@@ -193,6 +201,17 @@ class TruncatedNormal:
 DistSpec = Exponential | HyperExp2 | TruncatedNormal
 
 
+def _whole(name: str, value, low: int) -> int:
+    """`value` as an int >= low; ParameterError for nan, inf, fractions and non-numbers."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: distributions, base stock, horizon in events."""
@@ -205,10 +224,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_stock < 0 or int(self.base_stock) != self.base_stock:
-            raise ParameterError(f"base_stock must be a nonnegative integer, got {self.base_stock}")
+        for name in ("arrival", "service"):
+            if not isinstance(getattr(self, name), DistSpec):
+                raise ParameterError(f"{name} must be an Exponential, HyperExp2 or "
+                                     f"TruncatedNormal law, got {getattr(self, name)!r}")
+        for name in ("base_stock", "horizon", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 0))
+        if self.warmup is not None:
+            object.__setattr__(self, "warmup", _whole("warmup", self.warmup, 0))
         warm = self.effective_warmup()
-        if not 0 <= warm < self.horizon:
+        if not warm < self.horizon:
             raise ParameterError(
                 f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={warm}")
 
@@ -236,6 +261,30 @@ class SimStats:
     sim_time: float
 
 
+def _customer_chunks(config: SimConfig, n: int):
+    """(interarrival, service, last) draws for n customers in chunks of _CHUNK,
+    equal to one draw of n interarrivals followed by one of n services.
+
+    Pass 1 draws the interarrival chunks only to advance the generator,
+    saving its state at each chunk start; pass 2 replays each one from its
+    saved state beside the service chunk, and keeps pass 1's last chunk.
+    A one-chunk run draws exactly what a single draw of each would."""
+    rng = np.random.default_rng(config.seed)
+    sizes = [min(_CHUNK, n - k) for k in range(0, n, _CHUNK)]
+    states = []
+    for size in sizes:
+        if len(sizes) > 1:
+            states.append(rng.bit_generator.state)
+        inter = config.arrival.sample(rng, size)
+    replay = np.random.default_rng(config.seed) if len(sizes) > 1 else None
+    for k, size in enumerate(sizes):
+        last = k == len(sizes) - 1
+        if not last:
+            replay.bit_generator.state = states[k]
+        yield (inter if last else config.arrival.sample(replay, size),
+               config.service.sample(rng, size), last)
+
+
 def simulate(config: SimConfig) -> SimStats:
     """Run one event-driven simulation of the make-to-stock queue.
 
@@ -255,48 +304,85 @@ def simulate(config: SimConfig) -> SimStats:
             f"unstable configuration: arrival rate {lam_rate:.6g} >= "
             f"service rate {mu_rate:.6g}; long-run averages will not settle",
             stacklevel=2)
-
-    rng = np.random.default_rng(config.seed)
-    n_cust = config.horizon // 2 + 2
-    inter = config.arrival.sample(rng, n_cust)
-    serv = config.service.sample(rng, n_cust)
-
-    arrivals = np.cumsum(inter)
-    cum_serv = np.cumsum(serv)
-    # Departure recursion D_k = S_k + max(T_k, D_{k-1}) collapses to a
-    # running maximum: D = cumsum(S) + max_{j<=k} (T_j - cumsum(S)_{j-1}).
-    departures = cum_serv + np.maximum.accumulate(arrivals - (cum_serv - serv))
-
-    times = np.concatenate([arrivals, departures])
-    order = np.argsort(times, kind="stable")[: config.horizon]
-    times = times[order]
-    count = np.cumsum(np.where(order < n_cust, 1, -1))   # order < n_cust: an arrival
-
-    warm = config.effective_warmup()
-    hold = np.diff(times)[warm:]          # N is count[k] during [t_k, t_{k+1})
-    state = count[warm:-1]
-    if state.size == 0:
+    horizon, warm = config.horizon, config.effective_warmup()
+    intervals = horizon - 1 - warm        # N is count[k] during [t_k, t_{k+1}), k >= warm
+    if intervals <= 0:
         raise ParameterError("horizon too short: no post-warmup intervals")
-    total = float(hold.sum())
-    pdf = np.bincount(state, weights=hold) / total
-
-    # Batch means over 20 equal-count interval batches.
-    usable = (state.size // _BATCHES) * _BATCHES
-    if usable >= _BATCHES:
-        bs_state = (state[:usable] * hold[:usable]).reshape(_BATCHES, -1).sum(axis=1)
-        bs_time = hold[:usable].reshape(_BATCHES, -1).sum(axis=1)
-        ci = _halfwidth(bs_state / bs_time)
-    else:
-        warnings.warn(f"{state.size} post-warmup intervals are fewer than the "
+    per_batch = intervals // _BATCHES     # batch means over 20 equal-count interval batches
+    if not per_batch:
+        warnings.warn(f"{intervals} post-warmup intervals are fewer than the "
                       f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
-        ci = math.inf
-    return _summary(pdf, config.base_stock, ci, int(state.size), total)
+    usable = per_batch * _BATCHES
+
+    a_last = cs_last = 0.0                # carried: last arrival, last cumulative service,
+    run_max = -math.inf                   # the recursion's running maximum,
+    pending = np.empty(0)                 # departures not before the last arrival,
+    head = np.empty(0)                    # the last event's time (slot 0 of the next merge)
+    n_out = emitted = 0                   # and N after it; events so far
+    pmf, total = np.zeros(0), 0.0
+    batch_area, batch_time = np.zeros(_BATCHES), np.zeros(_BATCHES)   # sums of N * hold, hold
+    for inter, serv, last in _customer_chunks(config, horizon // 2 + 2):
+        inter[0] += a_last                # left-to-right sums, bit-equal to one cumsum
+        arrivals = np.cumsum(inter, out=inter)
+        first, serv[0] = serv[0], serv[0] + cs_last
+        cum_serv = np.cumsum(serv)
+        serv[0] = first
+        # Departure recursion D_k = S_k + max(T_k, D_{k-1}) collapses to a
+        # running maximum: D = cumsum(S) + max_{j<=k} (T_j - cumsum(S)_{j-1}).
+        lead = arrivals - (cum_serv - serv)
+        lead[0] = max(lead[0], run_max)
+        np.maximum.accumulate(lead, out=lead)
+        departures = cum_serv + lead
+        a_last, cs_last, run_max = arrivals[-1], cum_serv[-1], lead[-1]
+
+        # Departures before the last arrival precede every later event; the
+        # stable merge puts arrivals first on ties, as one whole-run sort would.
+        if pending.size:
+            departures = np.concatenate([pending, departures])
+        cut = departures.size if last else int(np.searchsorted(departures, a_last))
+        pending = departures[cut:]
+        times = np.concatenate([head, arrivals, departures[:cut]])
+        order = np.argsort(times, kind="stable")[: head.size + horizon - emitted]
+        times = times[order]
+        count = np.where(order < head.size + arrivals.size, 1, -1)
+        if head.size:
+            count[0] = n_out
+        np.cumsum(count, out=count)
+
+        start = emitted - head.size       # event index of times[0]
+        skip = max(warm - start, 0)
+        hold = times[skip + 1:] - times[skip:-1]
+        state = count[skip:-1]
+        emitted = start + times.size
+        head, n_out = times[-1:], count[-1]
+        if hold.size:
+            weights = np.bincount(state, weights=hold)
+            if weights.size > pmf.size:
+                weights[: pmf.size] += pmf
+                pmf = weights
+            else:
+                pmf[: weights.size] += weights
+            total += float(hold.sum())
+            j0 = start + skip - warm      # post-warmup index of hold[0]
+            if j0 < usable:
+                m = min(hold.size, usable - j0)
+                edges = np.arange(-(j0 % per_batch), m, per_batch)
+                edges[0] = 0
+                q0 = j0 // per_batch
+                batch_area[q0:q0 + edges.size] += np.add.reduceat(state[:m] * hold[:m], edges)
+                batch_time[q0:q0 + edges.size] += np.add.reduceat(hold[:m], edges)
+        if emitted == horizon:
+            break
+    ci = _halfwidth(batch_area / batch_time) if per_batch else math.inf
+    return _summary(pmf / total, config.base_stock, ci, intervals, total)
 
 
 def _halfwidth(means: np.ndarray) -> float:
     """95% t half-width on the average of k independent means."""
-    k = means.size
-    return float(_t_quantile(k - 1, 0.975) * means.std(ddof=1) / math.sqrt(k))
+    xs = means.tolist()
+    k, mean = len(xs), math.fsum(xs) / len(xs)
+    sd = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (k - 1))
+    return _t_quantile(k - 1, 0.975) * sd / math.sqrt(k)
 
 
 def _t_two_sided(df: int, theta: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import pytest
 
 import greenstock
 from greenstock import cli
-from greenstock.cli import main, run_scenario, run_sweep
+from greenstock.cli import main, resolve_params, run_scenario, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +109,10 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["power-split", "--set", "total_lambda=nan"], "total_lambda must be finite and > 0"),
     (["power-split", "--set", "p2_list=[5, NaN]"], "energy prices must be finite and >= 0"),
     (["queue-validate", "--set", "h2_rate1=nan"], "rates must be finite and > 0"),
+    (["queue-validate", "--set", "base_stock=1.5", "--set", "horizon=1000"],
+     "base_stock=1.5 is not a valid int"),
+    (["queue-validate", "--set", "horizon=1000.5"], "horizon=1000.5 is not a valid int"),
+    (["audit", "--set", "grid_points=20.7"], "grid_points=20.7 is not a valid int"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -117,6 +121,11 @@ def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert valid in captured.err
+
+
+def test_integral_float_for_an_int_parameter_is_accepted():
+    assert resolve_params("queue-validate", {"horizon": 2e6})["horizon"] == 2_000_000
+    assert type(resolve_params("audit", {"grid_points": 20.0})["grid_points"]) is int
 
 
 def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -115,6 +116,22 @@ def test_truncated_normal_samples_or_refuses(mean, cv, floor, deadline):
     assert x.min() >= d._floor()
 
 
+_laws = st.sampled_from([Exponential(rate=2.5), HyperExp2(prob=0.3, rate1=2.3, rate2=0.4),
+                         TruncatedNormal(mean=0.7, cv=0.5), TruncatedNormal(mean=1.0, cv=0.97)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_laws, a=st.integers(0, 3000), b=st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_draws_split_at_any_point(law, a, b, seed):
+    """The draw contract the chunked simulator relies on: sample(rng, a)
+    then sample(rng, b) is bit-equal to sample(rng, a + b)."""
+    rng = np.random.default_rng(seed)
+    split = np.concatenate([law.sample(rng, a), law.sample(rng, b)])
+    whole = law.sample(np.random.default_rng(seed), a + b)
+    assert np.array_equal(split, whole)
+
+
 def test_distribution_validation():
     with pytest.raises(ParameterError):
         Exponential(rate=0.0)
@@ -206,12 +223,22 @@ def test_unstable_configuration_warns_or_refuses():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
-                  horizon=100, warmup=100)
-    with pytest.raises(ParameterError):
-        SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
-                  base_stock=-1)
+    """Every bad field is a ParameterError at construction, not a failure in simulate."""
+    for bad in ({"horizon": 100, "warmup": 100}, {"base_stock": -1}, {"base_stock": math.nan},
+                {"base_stock": math.inf}, {"base_stock": 1.5}, {"horizon": 1000.5},
+                {"horizon": math.inf}, {"horizon": "1000"}, {"warmup": 2.5}, {"warmup": -1},
+                {"warmup": math.nan}, {"seed": -1}, {"seed": 0.5}, {"seed": None},
+                {"arrival": None}, {"service": 2.0}):
+        fields = {"arrival": Exponential(rate=1.0), "service": Exponential(rate=2.0), **bad}
+        with pytest.raises(ParameterError):
+            SimConfig(**fields)
+
+
+def test_config_accepts_integral_floats():
+    cfg = SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
+                    base_stock=3.0, horizon=2e3, warmup=100.0, seed=np.int64(4))
+    assert (cfg.base_stock, cfg.horizon, cfg.warmup, cfg.seed) == (3, 2000, 100, 4)
+    assert all(type(v) is int for v in (cfg.base_stock, cfg.horizon, cfg.warmup, cfg.seed))
 
 
 # -------------------------------------------------------------- epdf check
@@ -321,6 +348,55 @@ def test_means_are_functionals_of_the_pmf(arrival, service, a_shape, s_shape, rh
     assert stats.pdf.sum() == pytest.approx(1.0, abs=1e-12)
     singles = [simulate(replace(cfg, seed=seed + i)).mean_outstanding for i in range(k)]
     assert _rel(replicate(cfg, k).mean_outstanding, float(np.mean(singles))) <= 1e-12
+
+
+# ------------------------------------------------------- chunked stream
+
+def _edge_configs():
+    """Chunk boundaries, a one-interval window, an unstable load and
+    general laws, over short horizons."""
+    h2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
+    laws = {"mm1": (Exponential(rate=1.0), Exponential(rate=1.0 / 0.8)),
+            "unstable": (Exponential(rate=1.0), Exponential(rate=1.0 / 1.2)),
+            "h2": (h2, TruncatedNormal(mean=h2.mean_time() * 0.8, cv=0.5))}
+    for name, (arrival, service) in laws.items():
+        for horizon in (21, 22, 2_001, 3_000):
+            for warmup in (None, 0, horizon - 2):
+                yield name, SimConfig(arrival=arrival, service=service, base_stock=2,
+                                      horizon=horizon, warmup=warmup, seed=horizon)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_chunk_size_does_not_change_the_run(chunk, monkeypatch):
+    """Any chunk size reproduces the default run: same events and pmf support,
+    means and half-width within 1e-12."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference = [simulate(cfg) for _, cfg in _edge_configs()]
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+        chunked = [simulate(cfg) for _, cfg in _edge_configs()]
+    for (name, cfg), ref, got in zip(_edge_configs(), reference, chunked):
+        assert (got.events, got.pdf.size) == (ref.events, ref.pdf.size), (name, cfg)
+        for field in ("mean_outstanding", "mean_waiting", "mean_inventory", "mean_backlog",
+                      "sim_time", "ci_halfwidth"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a == b or _rel(a, b) <= 1e-12, (name, cfg, field, a, b)
+
+
+@pytest.mark.parametrize("horizon", [1_000_000, 4_000_000])
+def test_memory_does_not_grow_with_the_horizon(horizon):
+    """The traced peak of a run is bounded by the chunk, not the horizon:
+    under 24 MiB at 1M and at 4M events (a whole-run path needs about
+    59 B/event, 56 MiB at 1M)."""
+    cfg = mm1_config(0.9, horizon=horizon, seed=3)
+    tracemalloc.start()
+    try:
+        stats = simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.events == horizon - 1 - horizon // 10
+    assert peak < 24 * 2**20
 
 
 # --------------------------------------------- general-distribution run
