@@ -351,7 +351,7 @@ def social_cost(market: Market, grants) -> float:
 
 
 def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]:
-    """Certified planner optimum by extreme-point enumeration.
+    """Optimum of the planner objective, by extreme-point enumeration.
 
     The planner objective (every served BS operating on its optimal-demand
     curve mu = mu_hat(lambda)) is concave in the lambdas, so the optimum
@@ -362,7 +362,9 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     residual (its p2*lambda_bar term cancels), so ties are broken by the
     post-allocation social cost of the grants; the winner is returned
     with that social_cost so the figure is comparable with mechanism
-    outputs.  Refuses N > 12 (combinatorial).
+    outputs.  That figure is not a lower bound on social_cost: at the
+    reference market (mu0 = 20), Nelder-Mead over the grants reaches
+    101.30 against its 105.61.  Refuses N > 12 (combinatorial).
     """
     n = market.n
     if n > 12:

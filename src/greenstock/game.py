@@ -103,7 +103,8 @@ def auxiliary_f(g: GameInstance) -> float:
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0 for the auxiliary function")
     ab = g.alpha * g.b
-    residual = g.b - ab
+    # Not b - ab, which cancels to a wrong residual as alpha -> 1.
+    residual = (1.0 - g.alpha) * g.b
     return math.sqrt(residual * (1.0 + math.log1p(ab)) / (g.cs * (1.0 + ab)))
 
 
@@ -120,11 +121,34 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
 
         (1-alpha)*b * e^{-nu s} (nu s + 1) / nu^2 = c_s (1 + phi) / (phi - nu)^2.
 
-    The left side falls from +inf to a finite value and the right side
-    rises to +inf, so bracketed bisection on their difference is safe.
+    Both sides are positive, so the root is the zero of their log ratio
+
+        h(nu) = ln((1-alpha)b / (c_s(1+phi))) - nu s + ln(1 + nu s) + 2 ln((phi-nu)/nu),
+        h'(nu) = -s * nu s/(1 + nu s) - 2/nu - 2/(phi-nu) < 0,
+
+    which falls from +inf to -inf.  Guarded Newton (`rtsafe`, Press et al.,
+    Numerical Recipes, 9.4) starts at the midpoint of the bracket
+    [DOMAIN_EPS, phi - DOMAIN_EPS], and each evaluation of h moves one end
+    of the bracket to the iterate by the sign of h.  The next iterate is
+    the Newton point, or the midpoint when the Newton point leaves the
+    bracket or is not at most half the step before last.  A Newton step
+    shorter than `tol` becomes a probe `tol` past the iterate toward the
+    root, which closes the bracket when the root is that near; when it is
+    not, the midpoint follows.  Once the bracket is at most `tol` (floored
+    at 4 ulps), or the Newton step rounds away, the Newton point is
+    returned: within `tol` of the root, in practice exact to rounding, and
+    strictly inside (0, phi).
+
+    Termination: the bracket never grows and every midpoint halves it, so
+    there are at most about log2(phi/tol) midpoints.  Between two of them,
+    Newton steps at least halve every second evaluation, so within about
+    2*log2(phi/tol) evaluations a step falls below `tol`, and its probe
+    either closes the bracket or is followed by a midpoint.
     """
-    if not s > 0:
-        raise ParameterError(f"s must be > 0, got {s}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0 < s < math.inf:
+        raise ParameterError(f"s must be finite and > 0, got {s}")
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0")
     residual_b = (1.0 - g.alpha) * g.b
@@ -132,22 +156,45 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         raise DegenerateGameError(
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
-
-    def foc(nu: float) -> float:
-        left = residual_b * math.exp(-nu * s) * (nu * s + 1.0) / (nu * nu)
-        right = g.cs * (1.0 + g.phi) / (g.phi - nu) ** 2
-        return left - right
-
-    lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
-    # Below a few ulps of the bracket the midpoint stops moving.
+    phi = g.phi
+    lo, hi = DOMAIN_EPS, phi - DOMAIN_EPS
+    if not lo < hi:
+        raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
+    # Below a few ulps of the bracket the iterate stops moving.
     tol = max(tol, 4.0 * math.ulp(hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if foc(mid) > 0.0:
-            lo = mid
+    # Three logs, not one of the quotient, which can underflow to 0.
+    level = math.log(residual_b) - math.log(g.cs) - math.log1p(phi)
+    nu = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    probed = False
+    while True:
+        ns = nu * s
+        gap = phi - nu
+        h = level - ns + math.log1p(ns) + 2.0 * math.log(gap / nu)
+        if h > 0.0:
+            lo = nu
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = nu
+        newton = nu + h / (s * (ns / (1.0 + ns)) + 2.0 / nu + 2.0 / gap)
+        if newton == nu:
+            return nu   # the step rounds away: nu is the root to working precision
+        if hi - lo <= tol:
+            # Rounding can put Newton's point on an end, and hi may be phi itself.
+            return newton if lo <= newton <= hi < phi else nu
+        step_old, step = step, abs(newton - nu)
+        accept = lo < newton < hi and step <= 0.5 * step_old and not probed
+        # A Newton step under tol does not show that the root is within tol
+        # (the slope can change that fast near a pole): probe tol past nu
+        # instead, which closes the bracket if it is.
+        probe = nu + math.copysign(tol, h)
+        probed = accept and step < tol and lo < probe < hi
+        if probed:
+            nu = probe
+        elif accept:
+            nu = newton
+        else:
+            step = 0.5 * (hi - lo)
+            nu = lo + step
 
 
 def nash_equilibrium(g: GameInstance) -> StrategyPair:
@@ -328,6 +375,8 @@ def power_split(
     coarse presweep plus golden-section refinement (tolerance `tol`),
     compared against both boundary values.  lambda = 0 means all-grid.
     """
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     if not 0 < total_lambda < math.inf:
         raise ParameterError(f"total_lambda must be finite and > 0, got {total_lambda}")
     if not 0 < mu0 < math.inf:

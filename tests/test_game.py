@@ -1,18 +1,23 @@
 """Supply-inventory game: equilibrium, benchmark and contract machinery.
 
 Closed forms are cross-checked against independent grid/refinement
-oracles; property checks draw random valid instances from a seeded rng.
+oracles; property checks draw random valid instances from a seeded rng,
+or from the whole `NormalizedParams` domain with hypothesis.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenstock import (
+    DOMAIN_EPS,
     ConvergenceError,
     DegenerateGameError,
     GameInstance,
+    GreenstockError,
     NormalizedParams,
     ParameterError,
     StrategyPair,
@@ -161,6 +166,117 @@ def test_rps_best_response_falls_with_supply_cost():
     assert nus[0] > nus[1] > nus[2] > 0.0
 
 
+def test_rps_best_response_rejects_an_empty_bracket():
+    for phi in (1e-13, 2 * DOMAIN_EPS):
+        with pytest.raises(ParameterError, match="no room"):
+            rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
+    for phi in (3e-12, 1e-9, 1e-6):
+        nu = rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
+        assert 0.0 < nu < phi
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rps_best_response(REF, 5.5065, tol=math.nan),
+    lambda: rps_best_response(REF, 5.5065, tol=0.0),
+    lambda: rps_best_response(REF, math.inf),
+    lambda: power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=math.nan),
+    lambda: power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=-1e-6),
+], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf", "split-tol-nan", "split-tol-negative"])
+def test_solvers_reject_bad_tolerance_and_stock(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+# ----------------------------- supplier best response on the whole domain
+
+def _ref_rps_best_response(g, s, tol=1e-10):
+    """The bisection that guarded Newton replaced, kept as its reference."""
+    residual_b = (1.0 - g.alpha) * g.b
+
+    def foc(nu: float) -> float:
+        left = residual_b * math.exp(-nu * s) * (nu * s + 1.0) / (nu * nu)
+        right = g.cs * (1.0 + g.phi) / (g.phi - nu) ** 2
+        return left - right
+
+    lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
+    # Below a few ulps of the bracket the midpoint stops moving.
+    tol = max(tol, 4.0 * math.ulp(hi))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if foc(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def log_foc(g, s, nu):
+    """ln of the supplier FOC's left side over its right side, +-inf past (0, phi)."""
+    if nu <= 0.0:
+        return math.inf
+    if nu >= g.phi:
+        return -math.inf
+    return (math.log((1.0 - g.alpha) * g.b) - math.log(g.cs) - math.log1p(g.phi)
+            - nu * s + math.log1p(nu * s) + 2.0 * math.log((g.phi - nu) / nu))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+domain_games = st.builds(
+    make_game, log_uniform(1e-3, 1e6), log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e6),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+on_the_domain = settings(max_examples=300, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def within(deadline, call):
+    """The call's result, or the GreenstockError it raised, inside 5 s."""
+    with deadline(5):
+        try:
+            return call()
+        except GreenstockError as err:
+            return err
+
+
+@on_the_domain
+@given(domain_games, log_uniform(1e-4, 1e6), log_uniform(1e-14, 1e-4))
+def test_rps_best_response_on_the_parameter_domain(deadline, g, s, tol):
+    nu = within(deadline, lambda: rps_best_response(g, s, tol=tol))
+    lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
+    t = max(tol, 4.0 * math.ulp(hi))
+    assert 0.0 < nu < g.phi
+    # The FOC changes sign within tol of nu, unless its root lies beyond an
+    # end of the bracket and nu is within tol of that end.
+    assert nu - t <= lo or log_foc(g, s, nu - t) >= 0.0
+    assert nu + t >= hi or log_foc(g, s, nu + t) <= 0.0
+    assert abs(nu - _ref_rps_best_response(g, s, tol=tol)) <= 2.0 * t
+
+
+@on_the_domain
+@given(domain_games, log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3),
+       st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+def test_game_solvers_on_the_parameter_domain(deadline, g, total_lambda, mu0, p1, p2):
+    ne = within(deadline, lambda: nash_equilibrium(g))
+    assert ne.nu * ne.s == pytest.approx(math.log1p(g.alpha * g.b), abs=1e-9)
+    assert abs(log_foc(g, ne.s, ne.nu)) <= 1e-9
+
+    dynamics = within(deadline, lambda: best_response_dynamics(
+        g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9))
+    if not isinstance(dynamics, ConvergenceError):
+        fixed, _ = dynamics
+        # The dynamics solve each nu to an absolute 1e-12, so s = ln(1+ab)/nu
+        # carries up to 1e-12/nu* relative error on top: as alpha -> 1, nu*
+        # falls below 1e-10 and s* passes 1e10.
+        assert abs(fixed.nu - ne.nu) <= 1e-6 * max(1.0, ne.nu)
+        assert abs(fixed.s - ne.s) <= (1e-6 + 1e-12 / ne.nu) * max(1.0, ne.s)
+
+    lam, _ = within(deadline, lambda: power_split(g, total_lambda, mu0, p1, p2))
+    assert 0.0 <= lam <= min(total_lambda, mu0 * (1.0 - 1e-6))
+
+
 # ------------------------------------------------------- Nash equilibrium
 
 def test_nash_reference_point():
@@ -181,6 +297,14 @@ def test_nash_first_order_identities():
         ne = nash_equilibrium(g)
         assert ne.nu * ne.s == pytest.approx(math.log1p(g.alpha * g.b), abs=1e-9)
         assert cost_bs(g, ne) == pytest.approx(ne.s, abs=1e-9)
+
+
+def test_nash_first_order_conditions_hold_as_alpha_nears_one():
+    # b - alpha*b cancels to 1.776e-15 here, against (1 - alpha)*b = 2.22e-15.
+    g = make_game(10.0, 1.0, 1.0, 1.0 - 2.0 ** -52)
+    ne = nash_equilibrium(g)
+    assert ne.nu * ne.s == pytest.approx(math.log1p(g.alpha * g.b), abs=1e-9)
+    assert abs(log_foc(g, ne.s, ne.nu)) <= 1e-9
 
 
 def test_nash_degenerate_cases_raise():
@@ -229,6 +353,21 @@ def test_dynamics_nonconvergence_carries_trace():
         best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=1e-9,
                                max_iter=3)
     assert len(err.value.trace) == 4
+
+
+def test_dynamics_look_up_the_supplier_best_response_once_per_step(monkeypatch):
+    """perfbench's `game.rps_best_response` span wraps the module global, so
+    the dynamics must call it through the module, once per iterate."""
+    from greenstock import game
+    solver, calls = game.rps_best_response, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(game, "rps_best_response", counting)
+    _, trace = best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=1e-9)
+    assert len(calls) == len(trace) - 1 > 1
 
 
 def test_reaction_curves_are_decreasing():
