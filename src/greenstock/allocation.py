@@ -36,6 +36,8 @@ FEAS_EPS = 1e-9
 # Largest (n_points + 1, N) float64 order matrix the audit builds; the
 # mechanism kernels hold about ten temporaries of its size.
 MAX_AUDIT_MATRIX_BYTES = 2**25
+# Each audit scenario scales every truthful order by a factor uniform on this range.
+OPPONENT_PERTURBATION = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,6 @@ def optimal_demand(
     if not 0.0 <= lam <= profile.lambda_bar + FEAS_EPS:
         raise ParameterError(
             f"lam must lie in [0, lambda_bar={profile.lambda_bar}], got {lam}")
-    if lam == 0.0:
-        return 0.0, 0.0, p2 * profile.lambda_bar
     s_hat = math.sqrt(p * lam * math.log1p(profile.b))
     cost = 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
     return _mu_on_curve(profile, lam, p), s_hat, cost
@@ -423,8 +423,6 @@ class DeviationGrid:
     n_points: int = 200
     span: float = 2.5            # grid covers [0, span * truthful order]
     n_scenarios: int = 20        # random opponent perturbations beyond truthful
-    perturb_lo: float = 0.5
-    perturb_hi: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
@@ -432,10 +430,6 @@ class DeviationGrid:
             raise ParameterError("need n_points >= 2 and n_scenarios >= 0")
         if not 0.0 < self.span < math.inf:
             raise ParameterError(f"span must be finite and > 0, got {self.span}")
-        if not 0.0 <= self.perturb_lo <= self.perturb_hi < math.inf:
-            raise ParameterError(
-                f"need finite 0 <= perturb_lo <= perturb_hi, got "
-                f"{self.perturb_lo}, {self.perturb_hi}")
 
 
 @dataclass(frozen=True)
@@ -454,10 +448,11 @@ def truthfulness_audit(
     """Check whether truthful ordering is a dominant equilibrium.
 
     For every BS, every opponent scenario (truthful orders plus
-    `n_scenarios` random multiplicative perturbations) and every deviation
-    on the grid, compares the deviator's post-allocation cost against its
-    cost under truthful reporting in the same scenario.  The verdict is
-    truthful-dominant iff no deviation improves cost by more than 1e-9.
+    `n_scenarios` random multiplicative perturbations, each factor uniform
+    on `OPPONENT_PERTURBATION`) and every deviation on the grid, compares
+    the deviator's post-allocation cost against its cost under truthful
+    reporting in the same scenario.  The verdict is truthful-dominant iff
+    no deviation improves cost by more than 1e-9.
     `mechanism` is called once per (scenario, BS) on the (n_points + 1, N)
     order matrix of the truthful row and the deviation rows; a matrix larger
     than `MAX_AUDIT_MATRIX_BYTES` is refused before anything is allocated.
@@ -472,7 +467,7 @@ def truthfulness_audit(
     rng = np.random.default_rng(grid.seed)
     scenarios = [m_star]
     for _ in range(grid.n_scenarios):
-        scenarios.append(m_star * rng.uniform(grid.perturb_lo, grid.perturb_hi, size=market.n))
+        scenarios.append(m_star * rng.uniform(*OPPONENT_PERTURBATION, size=market.n))
 
     # Row 0 of each deviator's column is its truthful order, rows 1.. the grid.
     columns = []

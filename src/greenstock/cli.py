@@ -37,11 +37,10 @@ from .game import (
     best_response_dynamics,
     centralized_cost,
     centralized_optimum,
-    competition_penalty,
     coordinated_costs,
     cost_bs,
     cost_rps,
-    epsilon_range,
+    equilibrium_report,
     nash_equilibrium,
     power_split,
 )
@@ -135,18 +134,16 @@ def scenario_nash(params: dict, seed: int) -> ResultTable:
 
 def scenario_penalty_contract(params: dict, seed: int) -> ResultTable:
     g = _game(params)
-    ne = nash_equilibrium(g)
-    rng = epsilon_range(g)
-    lo, hi = (rng if rng is not None else (math.nan, math.nan))
+    report = equilibrium_report(g)
+    lo, hi = report.epsilon_range or (math.nan, math.nan)
     eps = 0.5 * (lo + hi) if math.isnan(params["epsilon"]) else params["epsilon"]
-    opt = centralized_optimum(g)
-    bs_coord, rps_coord = coordinated_costs(g, TransferContract(eps), opt)
+    bs_coord, rps_coord = coordinated_costs(g, TransferContract(eps), report.central)
     return ResultTable(
         columns=["b", "cs", "phi", "alpha", "penalty", "eps_lo", "eps_hi",
                  "epsilon", "cost_central", "cost_bs_ne", "cost_rps_ne",
                  "cost_bs_coord", "cost_rps_coord"],
-        rows=[[g.b, g.cs, g.phi, g.alpha, competition_penalty(g), lo, hi,
-               eps, centralized_cost(g), cost_bs(g, ne), cost_rps(g, ne),
+        rows=[[g.b, g.cs, g.phi, g.alpha, report.penalty, lo, hi,
+               eps, report.cost_central, report.cost_bs_ne, report.cost_rps_ne,
                bs_coord, rps_coord]],
     )
 
@@ -301,8 +298,9 @@ def check_nash(seed: int):
 
 def check_penalty_contract(seed: int):
     g = _game(_defaults("penalty-contract"))
-    lo, hi = epsilon_range(g)
-    opt = centralized_optimum(g)
+    report = equilibrium_report(g)
+    lo, hi = report.epsilon_range
+    opt = report.central
     n = 300
     s_axis = 4.0 * opt.s * np.arange(1, n + 1) / n
     nu_axis = g.phi * np.arange(1, n + 1) / (n + 1)
@@ -323,7 +321,7 @@ def check_penalty_contract(seed: int):
     aligned = all(np.unravel_index(np.argmin(share * total), total.shape) == k_central
                   for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
     return [
-        _near("penalty", competition_penalty(g), 0.0407, 0.0005),
+        _near("penalty", report.penalty, 0.0407, 0.0005),
         ("vectorized cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
          f"{surface_err:.2e}"),
         ("central gridpoint within 3 cells of (s_bar, nu_bar)", near,

@@ -276,8 +276,7 @@ def competition_penalty(g: GameInstance) -> float:
     Equilibrium costs come from direct substitution of the NE into the two
     cost functions, never from a re-derived closed form.
     """
-    ne = nash_equilibrium(g)
-    return (cost_bs(g, ne) + cost_rps(g, ne)) / centralized_cost(g) - 1.0
+    return equilibrium_report(g).penalty
 
 
 def epsilon_range(g: GameInstance) -> tuple[float, float] | None:
@@ -287,28 +286,26 @@ def epsilon_range(g: GameInstance) -> tuple[float, float] | None:
 
     None when the intersection is empty.
     """
-    ne = nash_equilibrium(g)
-    c_central = centralized_cost(g)
-    ratio = cost_rps(g, ne) / c_central
-    lo = max(ratio - competition_penalty(g), 0.0)
-    hi = min(ratio, 1.0)
-    if lo > hi:
-        return None
-    return lo, hi
+    return equilibrium_report(g).epsilon_range
 
 
 def equilibrium_report(g: GameInstance) -> EquilibriumReport:
-    """Bundle NE, centralized benchmark, penalty and contract range."""
+    """Bundle NE, centralized benchmark, penalty and contract range, the one
+    place they are computed: from one NE and one centralized cost."""
     ne = nash_equilibrium(g)
-    central = centralized_optimum(g)
+    bs, rps = cost_bs(g, ne), cost_rps(g, ne)
+    c_central = centralized_cost(g)
+    penalty = (bs + rps) / c_central - 1.0
+    ratio = rps / c_central
+    lo, hi = max(ratio - penalty, 0.0), min(ratio, 1.0)
     return EquilibriumReport(
         ne=ne,
-        cost_bs_ne=cost_bs(g, ne),
-        cost_rps_ne=cost_rps(g, ne),
-        central=central,
-        cost_central=centralized_cost(g),
-        penalty=competition_penalty(g),
-        epsilon_range=epsilon_range(g),
+        cost_bs_ne=bs,
+        cost_rps_ne=rps,
+        central=centralized_optimum(g),
+        cost_central=c_central,
+        penalty=penalty,
+        epsilon_range=None if lo > hi else (lo, hi),
     )
 
 

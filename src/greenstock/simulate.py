@@ -13,12 +13,12 @@ their values: n for `Exponential` and `TruncatedNormal` (inverse CDF, no
 rejection) and 2n uniforms for `HyperExp2`.  A run's stream is every
 interarrival time, then every service time.  `simulate` streams customers
 in chunks of `_CHUNK`: pass 1 draws the interarrival chunks only to
-advance the generator, saving its state at each chunk start, and pass 2
-replays each from its state beside the service chunk, so the times are
-bit-equal to one whole-run draw.  Memory is O(chunk + outstanding orders):
-a stable run's horizon is bounded by time alone, while an unstable run's
-pending departures and pmf grow with its backlog, and it stays capped at
-1e8 events.
+advance the generator to the service draws, and pass 2 redraws them, in
+the same sizes and order, from a second generator with the same seed
+beside the service chunks, so the times are bit-equal to one whole-run
+draw.  Memory is O(chunk + outstanding orders): a stable run's horizon
+is bounded by time alone, while an unstable run's pending departures and
+pmf grow with its backlog, and it stays capped at 1e8 events.
 
 The module needs numpy alone until the first truncated-normal draw, which
 imports scipy.special for its inverse normal CDF (`ndtri`): the analytic
@@ -52,10 +52,6 @@ class Exponential:
         if not 0 < self.rate < math.inf:
             raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
 
-    @property
-    def kind(self) -> str:
-        return "exponential"
-
     def mean_time(self) -> float:
         return 1.0 / self.rate
 
@@ -80,10 +76,6 @@ class HyperExp2:
         if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
             raise ParameterError(
                 f"rates must be finite and > 0, got {self.rate1}, {self.rate2}")
-
-    @property
-    def kind(self) -> str:
-        return "hyperexp2"
 
     def mean_time(self) -> float:
         return self.prob / self.rate1 + (1.0 - self.prob) / self.rate2
@@ -146,10 +138,6 @@ class TruncatedNormal:
         mu0, sigma0, tail = self._base
         if not math.isfinite(mu0 - sigma0 * NormalDist().inv_cdf(2.0**-53 * tail)):   # largest draw
             raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
-
-    @property
-    def kind(self) -> str:
-        return "truncated-normal"
 
     def _floor(self) -> float:
         return self.floor if self.floor is not None else 1e-6 * self.mean
@@ -265,22 +253,18 @@ def _customer_chunks(config: SimConfig, n: int):
     """(interarrival, service, last) draws for n customers in chunks of _CHUNK,
     equal to one draw of n interarrivals followed by one of n services.
 
-    Pass 1 draws the interarrival chunks only to advance the generator,
-    saving its state at each chunk start; pass 2 replays each one from its
-    saved state beside the service chunk, and keeps pass 1's last chunk.
-    A one-chunk run draws exactly what a single draw of each would."""
+    Pass 1 draws the interarrival chunks only to advance the generator;
+    pass 2 redraws them from a fresh generator with the same seed, which
+    the same chunk sizes in the same order bring to each chunk's start,
+    beside the service chunk, and keeps pass 1's last chunk.  A one-chunk
+    run draws exactly what a single draw of each would."""
     rng = np.random.default_rng(config.seed)
     sizes = [min(_CHUNK, n - k) for k in range(0, n, _CHUNK)]
-    states = []
     for size in sizes:
-        if len(sizes) > 1:
-            states.append(rng.bit_generator.state)
         inter = config.arrival.sample(rng, size)
     replay = np.random.default_rng(config.seed) if len(sizes) > 1 else None
     for k, size in enumerate(sizes):
         last = k == len(sizes) - 1
-        if not last:
-            replay.bit_generator.state = states[k]
         yield (inter if last else config.arrival.sample(replay, size),
                config.service.sample(rng, size), last)
 

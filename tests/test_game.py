@@ -566,6 +566,28 @@ def test_equilibrium_report_bundles_consistently():
     assert rep.penalty >= 0.0
 
 
+def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
+    """The penalty and sharing range are read from one equilibrium report,
+    so each of these solves the game exactly once."""
+    from greenstock import cli, game
+    solver, calls = game.nash_equilibrium, []
+
+    def counting(g):
+        calls.append(g)
+        return solver(g)
+
+    monkeypatch.setattr(game, "nash_equilibrium", counting)
+    monkeypatch.setattr(cli, "nash_equilibrium", counting)   # cli binds its own name
+    params = cli.SCENARIOS["penalty-contract"][2]
+    for run in (lambda: equilibrium_report(REF), lambda: epsilon_range(REF),
+                lambda: competition_penalty(REF),
+                lambda: cli.scenario_penalty_contract(params, 0),
+                lambda: cli.check_penalty_contract(0)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_coordinated_costs_telescope():
     contract = TransferContract(epsilon=0.7)
     rng = np.random.default_rng(23)
