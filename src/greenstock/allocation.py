@@ -19,8 +19,8 @@ below-break-even grants rejected), or the adaptive uniform rule that
 makes truthful ordering a dominant strategy.  Each mechanism allocates
 one OrderVector or, row by row, a (K, N) order matrix.  A brute-force
 extreme point enumeration of the planner's problem and a deviation-grid
-audit, which hands each mechanism one order matrix per opponent scenario
-and deviating BS, close the loop.
+audit, which hands each mechanism the deviating stations' order blocks of
+one opponent scenario stacked into a few matrices, close the loop.
 """
 
 from __future__ import annotations
@@ -33,9 +33,13 @@ import numpy as np
 from .errors import AllGridRegimeError, ParameterError
 
 FEAS_EPS = 1e-9
-# Largest (n_points + 1, N) float64 order matrix the audit builds; the
-# mechanism kernels hold about ten temporaries of its size.
+# Largest (n_points + 1, N) float64 block of one deviator's orders the
+# audit accepts; a grid past it is refused before anything is allocated.
+# The mechanism kernels hold about ten temporaries of a call's matrix.
 MAX_AUDIT_MATRIX_BYTES = 2**25
+# Orders per audit mechanism call: as many whole deviator blocks of one
+# scenario as fit in this many bytes, and at least one.
+_AUDIT_CALL_BYTES = 2**17
 # Each audit scenario scales every truthful order by a factor uniform on this range.
 OPPONENT_PERTURBATION = (0.5, 1.5)
 
@@ -365,6 +369,13 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     outputs.  That figure is not a lower bound on social_cost: at the
     reference market (mu0 = 20), Nelder-Mead over the grants reaches
     101.30 against its 105.61.  Refuses N > 12 (combinatorial).
+
+    The loop below visits only the masks that `_masks_to_visit` finds, in
+    one numpy pass over all 2^N, can change the result: 70 of 4,096 for
+    lambda_bar = 0.5, 1.0, ..., 6.0, b = 2 and mu0 = 30.  Every other mask
+    would return from each `consider` at its first comparison, so the
+    result and the sequence of social_cost calls are those of a walk over
+    every mask.
     """
     n = market.n
     if n > 12:
@@ -388,7 +399,7 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
             best_social = social
             best_grants = grants
 
-    for mask in range(1 << n):
+    for mask in _masks_to_visit(market, full_rate, full_cost, grid_cost):
         used = 0.0
         value = 0.0
         for i in range(n):
@@ -414,6 +425,51 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
             g[j] = residual
             consider(cand, tuple(g))
     return best_grants, best_social
+
+
+def _masks_to_visit(market: Market, full_rate, full_cost, grid_cost) -> list[int]:
+    """The masks of social_optimum_bruteforce's loop that `consider` can act on.
+
+    Repeats the loop's arithmetic over all 2^N masks at once: each mask's
+    used rate, planner value and residual candidates, every sum added in
+    the loop's left-to-right order so that it keeps its bits.  A mask's best
+    candidate is the least of its value and its candidates.  `consider`
+    keeps its best value within 1e-9 (plus rounding) of the least value it
+    has seen, so it returns at once for every candidate of a mask whose best
+    lies more than 2e-9 (plus four ulps, for that rounding) above the
+    earlier masks' least best candidate.  The other masks are returned, in
+    enumeration order.
+    """
+    n, p, p1, p2 = market.n, market.p, market.p1, market.p2
+    served = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    used = np.zeros(1 << n)
+    value = np.zeros(1 << n)
+    for i in range(n):
+        used += np.where(served[:, i], full_rate[i], 0.0)
+        value += np.where(served[:, i], full_cost[i], grid_cost[i])
+    feasible = used <= market.mu0 + FEAS_EPS
+    best = np.where(feasible, value, math.inf)
+    residual = market.mu0 - used
+    has_residual = feasible & (residual > FEAS_EPS)
+    for j, pr in enumerate(market.profiles):
+        # Only where the loop tries BS j, so no sqrt sees an infeasible mask.
+        takes = has_residual & ~served[:, j] & (residual < full_rate[j])
+        rate = residual[takes]
+        # _lambda_on_curve and optimal_demand's cost, operation by operation.
+        gamma = math.log1p(pr.b)
+        if gamma == 0.0:
+            lam = rate
+        else:
+            g = math.sqrt(gamma / p)
+            t = 0.5 * (-g + np.sqrt(g * g + 4.0 * rate))
+            lam = t * t
+        cost = 2.0 * np.sqrt(p * lam * gamma) + (p + p1) * lam + p2 * (pr.lambda_bar - lam)
+        best[takes] = np.minimum(best[takes], value[takes] - grid_cost[j] + cost)
+    # Mask 0 serves nobody, so it is feasible and its best is finite.
+    earlier = np.concatenate(([best[0]], np.minimum.accumulate(best)[:-1]))
+    bound = earlier + 2e-9
+    bound += 4.0 * np.spacing(bound)
+    return np.flatnonzero(best <= bound).tolist()
 
 
 @dataclass(frozen=True)
@@ -453,37 +509,56 @@ def truthfulness_audit(
     the deviator's post-allocation cost against its cost under truthful
     reporting in the same scenario.  The verdict is truthful-dominant iff
     no deviation improves cost by more than 1e-9.
-    `mechanism` is called once per (scenario, BS) on the (n_points + 1, N)
-    order matrix of the truthful row and the deviation rows; a matrix larger
-    than `MAX_AUDIT_MATRIX_BYTES` is refused before anything is allocated.
+
+    Each deviator's orders in one scenario form an (n_points + 1, N)
+    block: the truthful row, then the deviation rows.  `mechanism` is
+    called on the blocks of consecutive deviators stacked into one order
+    matrix, as many whole blocks as fit in `_AUDIT_CALL_BYTES` (128 KiB)
+    and at least one, so a scenario takes ceil(N / blocks per call) calls:
+    one at N = 8 and 200 points.  Each deviator's own grant column is
+    copied out, and its costs come from one `post_allocation_cost` call
+    over all scenarios.  A block larger than `MAX_AUDIT_MATRIX_BYTES` is
+    refused before anything is allocated.
     """
-    matrix_bytes = (grid.n_points + 1) * market.n * 8
-    if matrix_bytes > MAX_AUDIT_MATRIX_BYTES:
+    n, rows = market.n, grid.n_points + 1
+    block_bytes = rows * n * 8
+    if block_bytes > MAX_AUDIT_MATRIX_BYTES:
         raise ParameterError(
-            f"an audit order matrix of {grid.n_points + 1} x {market.n} floats needs "
-            f"{matrix_bytes / 2**20:.0f} MiB, more than {MAX_AUDIT_MATRIX_BYTES // 2**20} MiB; "
+            f"an audit order matrix of {rows} x {n} floats needs "
+            f"{block_bytes / 2**20:.0f} MiB, more than {MAX_AUDIT_MATRIX_BYTES // 2**20} MiB; "
             f"lower n_points")
     m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
     scenarios = [m_star]
     for _ in range(grid.n_scenarios):
-        scenarios.append(m_star * rng.uniform(*OPPONENT_PERTURBATION, size=market.n))
+        scenarios.append(m_star * rng.uniform(*OPPONENT_PERTURBATION, size=n))
 
     # Row 0 of each deviator's column is its truthful order, rows 1.. the grid.
-    columns = []
+    columns = np.empty((n, rows))
     for i, pr in enumerate(market.profiles):
         scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(pr, pr.lambda_bar, market.p)
-        devs = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
-        columns.append(np.concatenate(([m_star[i]], devs)))
+        columns[i, 0] = m_star[i]
+        columns[i, 1:] = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
 
-    improvements = [0.0] * market.n
-    for scen in scenarios:
-        for i, pr in enumerate(market.profiles):
-            rows = np.tile(scen, (grid.n_points + 1, 1))
-            rows[:, i] = columns[i]
-            grants = mechanism(market, rows)
-            _, cost = post_allocation_cost(pr, grants[:, i], market.p, market.p1, market.p2)
-            improvements[i] = max(improvements[i], float(np.max(cost[0] - cost[1:])))
+    per_call = max(1, _AUDIT_CALL_BYTES // block_bytes)
+    # own[i, k] is deviator i's grant column in scenario k; a copy, so that
+    # no call's whole grant matrix outlives it.
+    own = np.empty((n, len(scenarios), rows))
+    for k, scen in enumerate(scenarios):
+        for first in range(0, n, per_call):
+            devs = np.arange(first, min(first + per_call, n))
+            block = np.arange(len(devs))
+            orders = np.tile(scen, (len(devs) * rows, 1))
+            orders.reshape(len(devs), rows, n)[block, :, devs] = columns[devs]
+            grants = mechanism(market, orders).reshape(len(devs), rows, n)
+            own[devs, k] = grants[block, :, devs]
+
+    improvements = []
+    for i, pr in enumerate(market.profiles):
+        _, cost = post_allocation_cost(pr, own[i], market.p, market.p1, market.p2)
+        # Per scenario, as a running max from 0.0 over the scenarios in order.
+        gains = np.max(cost[:, :1] - cost[:, 1:], axis=1)
+        improvements.append(max([0.0, *gains.tolist()]))
     max_improvement = max(improvements)
     return AuditReport(
         mechanism=getattr(mechanism, "__name__", str(mechanism)),

@@ -111,7 +111,7 @@ def _check_s_nu(s: float, nu: float) -> None:
     if not s >= 0:
         raise ParameterError(f"s must be >= 0, got {s}")
     if not nu > DOMAIN_EPS:
-        raise ParameterError(f"nu must be > 0, got {nu}")
+        raise ParameterError(f"nu must be > DOMAIN_EPS={DOMAIN_EPS}, got {nu}")
 
 
 def mean_inventory(s: float, nu: float) -> float:

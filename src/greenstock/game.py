@@ -137,7 +137,10 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
     not, the midpoint follows.  Once the bracket is at most `tol` (floored
     at 4 ulps), or the Newton step rounds away, the Newton point is
     returned: within `tol` of the root, in practice exact to rounding, and
-    strictly inside (0, phi).
+    strictly inside (0, phi).  When the root lies below DOMAIN_EPS, every
+    evaluation moves the upper end down, and the iterate ends within `tol`
+    of DOMAIN_EPS; h(DOMAIN_EPS) < 0 shows that case, evaluated only on
+    such an exit, and raises DegenerateGameError.
 
     Termination: the bracket never grows and every midpoint halves it, so
     there are at most about log2(phi/tol) midpoints.  Between two of them,
@@ -177,10 +180,12 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
             hi = nu
         newton = nu + h / (s * (ns / (1.0 + ns)) + 2.0 / nu + 2.0 / gap)
         if newton == nu:
-            return nu   # the step rounds away: nu is the root to working precision
+            break   # the step rounds away: nu is the root to working precision
         if hi - lo <= tol:
             # Rounding can put Newton's point on an end, and hi may be phi itself.
-            return newton if lo <= newton <= hi < phi else nu
+            if lo <= newton <= hi < phi:
+                nu = newton
+            break
         step_old, step = step, abs(newton - nu)
         accept = lo < newton < hi and step <= 0.5 * step_old and not probed
         # A Newton step under tol does not show that the root is within tol
@@ -195,6 +200,16 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         else:
             step = 0.5 * (hi - lo)
             nu = lo + step
+    if nu - DOMAIN_EPS <= tol:
+        # Near the lower end, h there tells a root inside the bracket from
+        # one below it, which no nu in the bracket approximates.
+        ns = DOMAIN_EPS * s
+        if level - ns + math.log1p(ns) + 2.0 * math.log((phi - DOMAIN_EPS) / DOMAIN_EPS) < 0.0:
+            raise DegenerateGameError(
+                f"the supplier's best response lies below the bracket "
+                f"[{DOMAIN_EPS}, {phi - DOMAIN_EPS}] for nu (s={s}): the first-order "
+                f"condition is negative at nu={DOMAIN_EPS}")
+    return nu
 
 
 def nash_equilibrium(g: GameInstance) -> StrategyPair:

@@ -7,6 +7,7 @@ mechanism; fuzz checks draw random markets from seeded rngs.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,14 @@ from greenstock import (
     truthful_orders,
     truthfulness_audit,
 )
-from greenstock.allocation import MAX_AUDIT_MATRIX_BYTES
+from greenstock import allocation
+from greenstock.allocation import (
+    _AUDIT_CALL_BYTES,
+    FEAS_EPS,
+    MAX_AUDIT_MATRIX_BYTES,
+    _lambda_on_curve,
+    _mu_on_curve,
+)
 
 
 def reference_market(mu0=20.0):
@@ -536,6 +544,72 @@ def test_audit_matches_scalar_reference_loop():
             assert report.truthful_dominant == (max(expected) <= 1e-9)
 
 
+@st.composite
+def tied_profiles(draw, n):
+    """n stations whose lambda_bar and b often repeat, with some b = 0."""
+    lambda_bars = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3))
+    bs = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+    return tuple(
+        BsProfile(lambda_bar=draw(st.one_of(st.sampled_from(lambda_bars), st.floats(0.05, 20.0))),
+                  b=draw(st.one_of(st.just(0.0), st.sampled_from(bs), st.floats(0.0, 10.0))),
+                  index=i)
+        for i in range(n))
+
+
+@st.composite
+def audit_cases(draw):
+    """A market on the documented domain (N 2-16) with tied and zero
+    orders (tied lambda_bar and b, b = 0 and below-break-even stations), a
+    small grid, and a per-call budget from under one block to all of them."""
+    n = draw(st.integers(2, 16))
+    profiles = draw(tied_profiles(n))
+    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
+                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
+    grid = DeviationGrid(n_points=draw(st.integers(2, 8)), span=draw(st.floats(0.1, 4.0)),
+                         n_scenarios=draw(st.integers(0, 3)), seed=draw(st.integers(0, 2**32 - 1)))
+    block_bytes = (grid.n_points + 1) * n * 8
+    return market, grid, draw(st.integers(1, (n + 1) * block_bytes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(audit_cases())
+def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
+    market, grid, budget = case
+    with mock.patch.object(allocation, "_AUDIT_CALL_BYTES", budget):
+        for mechanism, reference in REFERENCES.items():
+            report = truthfulness_audit(market, mechanism, grid)
+            expected = _ref_audit(market, reference, grid)
+            assert _bits(report.improvements) == _bits(expected)
+            assert report.max_improvement == max(expected)
+
+
+@pytest.mark.parametrize("n, n_points, n_scenarios, calls", [
+    (8, 200, 20, 21),       # every block of a scenario in one call
+    (32, 50, 5, 24),        # 10 blocks a call: 4 calls a scenario
+    (8, 3000, 1, 16),       # one block is past the budget: one call each
+])
+def test_audit_calls_stay_within_the_budget(n, n_points, n_scenarios, calls):
+    profiles = tuple(BsProfile(lambda_bar=0.5 * (i + 1), b=2.0, index=i) for i in range(n))
+    market = Market(profiles=profiles, mu0=2.5 * n, p=2.0, p1=1.0, p2=10.0)
+    grid = DeviationGrid(n_points=n_points, n_scenarios=n_scenarios, seed=3)
+    rows = n_points + 1
+    shapes = []
+
+    def recording(market, orders):
+        shapes.append(orders.shape)
+        return adaptive_uniform_allocation(market, orders)
+
+    report = truthfulness_audit(market, recording, grid)
+    per_call = max(1, _AUDIT_CALL_BYTES // (rows * n * 8))
+    assert len(shapes) == calls == (n_scenarios + 1) * -(-n // per_call)
+    for k, width in shapes:
+        assert width == n and k % rows == 0
+        assert k * n * 8 <= _AUDIT_CALL_BYTES or k == rows
+    plain = truthfulness_audit(market, adaptive_uniform_allocation, grid)
+    assert _bits(report.improvements) == _bits(plain.improvements)
+
+
 # ------------------------------------------------- post-allocation cost
 
 def test_post_allocation_zero_grant():
@@ -616,6 +690,87 @@ def test_bruteforce_refuses_large_markets():
     market = Market(profiles=profiles, mu0=5.0, p=2.0, p1=1.0, p2=10.0)
     with pytest.raises(ParameterError):
         social_optimum_bruteforce(market)
+
+
+def _ref_bruteforce(market):
+    """social_optimum_bruteforce's loop over every mask, as it was before
+    the masks were prefiltered; social_cost is looked up on the module so
+    that a patched recorder sees its calls."""
+    n = market.n
+    p, p1, p2 = market.p, market.p1, market.p2
+    full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) for pr in market.profiles]
+    full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
+    grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
+
+    best_value = math.inf
+    best_social = math.inf
+    best_grants = tuple(0.0 for _ in range(n))
+
+    def consider(value, grants):
+        nonlocal best_value, best_social, best_grants
+        if value > best_value + 1e-9:
+            return
+        social = allocation.social_cost(market, grants)
+        if value < best_value - 1e-9 or social < best_social - 1e-12:
+            best_value = min(best_value, value)
+            best_social = social
+            best_grants = grants
+
+    for mask in range(1 << n):
+        used = 0.0
+        value = 0.0
+        for i in range(n):
+            if mask >> i & 1:
+                used += full_rate[i]
+                value += full_cost[i]
+            else:
+                value += grid_cost[i]
+        if used > market.mu0 + FEAS_EPS:
+            continue
+        grants = tuple(full_rate[i] if mask >> i & 1 else 0.0 for i in range(n))
+        consider(value, grants)
+        residual = market.mu0 - used
+        if residual <= FEAS_EPS:
+            continue
+        for j in range(n):
+            if mask >> j & 1 or residual >= full_rate[j]:
+                continue
+            lam_j = _lambda_on_curve(market.profiles[j], residual, p)
+            cand = (value - grid_cost[j]
+                    + optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2])
+            g = list(grants)
+            g[j] = residual
+            consider(cand, tuple(g))
+    return best_grants, best_social
+
+
+@st.composite
+def planner_markets(draw):
+    """N 2-12 with tied lambda_bar and b, b = 0 stations, and mu0 from a
+    sliver of the full-service demand to well past it."""
+    profiles = draw(tied_profiles(draw(st.integers(2, 12))))
+    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    full = sum(_mu_on_curve(pr, pr.lambda_bar, p) for pr in profiles)
+    return Market(profiles=profiles, mu0=max(draw(st.floats(0.0, 1.5)) * full, 1e-3),
+                  p=p, p1=p1, p2=p1 + p + draw(st.floats(0.01, 20.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planner_markets())
+def test_bruteforce_matches_the_full_mask_loop(market):
+    original = allocation.social_cost
+    seen = {}
+    for name, solve in (("pruned", social_optimum_bruteforce), ("full", _ref_bruteforce)):
+        calls = seen[name] = []
+
+        def recording(market, grants, calls=calls):
+            calls.append(grants)
+            return original(market, grants)
+
+        with mock.patch.object(allocation, "social_cost", recording):
+            seen[name + " result"] = solve(market)
+    assert repr(seen["pruned result"]) == repr(seen["full result"])
+    assert repr(seen["pruned"]) == repr(seen["full"])
 
 
 def test_bruteforce_beats_proportional_with_strict_gap_somewhere():

@@ -175,6 +175,19 @@ def test_rps_best_response_rejects_an_empty_bracket():
         assert 0.0 < nu < phi
 
 
+def test_rps_best_response_refuses_a_root_below_the_bracket():
+    # nu* = 3.3e-13 < DOMAIN_EPS: the dynamics reported the "fixed point"
+    # nu = 1.93e-12, s = 5.2e8 here, against the closed form's s* = 3.0e9.
+    g = make_game(1e-3, 1.0, 1e-3, 1.0 - 1.1e-16)
+    assert nash_equilibrium(g).nu < DOMAIN_EPS
+    with pytest.raises(DegenerateGameError, match=r"below the bracket \[1e-12, "):
+        rps_best_response(g, 1.0)
+    with pytest.raises(DegenerateGameError, match="below the bracket"):
+        best_response_dynamics(g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9)
+    with pytest.raises(ParameterError, match=r"nu must be > DOMAIN_EPS=1e-12, got 3\.33"):
+        cost_bs(g, nash_equilibrium(g))
+
+
 @pytest.mark.parametrize("call", [
     lambda: rps_best_response(REF, 5.5065, tol=math.nan),
     lambda: rps_best_response(REF, 5.5065, tol=0.0),
@@ -247,10 +260,14 @@ def test_rps_best_response_on_the_parameter_domain(deadline, g, s, tol):
     nu = within(deadline, lambda: rps_best_response(g, s, tol=tol))
     lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
     t = max(tol, 4.0 * math.ulp(hi))
+    if log_foc(g, s, lo) < 0.0:
+        # The root lies below the bracket: no nu in it is a best response.
+        assert isinstance(nu, DegenerateGameError), nu
+        return
     assert 0.0 < nu < g.phi
-    # The FOC changes sign within tol of nu, unless its root lies beyond an
-    # end of the bracket and nu is within tol of that end.
-    assert nu - t <= lo or log_foc(g, s, nu - t) >= 0.0
+    # The FOC changes sign within tol of nu, unless its root lies past the
+    # upper end of the bracket and nu is within tol of that end.
+    assert log_foc(g, s, max(nu - t, lo)) >= 0.0
     assert nu + t >= hi or log_foc(g, s, nu + t) <= 0.0
     assert abs(nu - _ref_rps_best_response(g, s, tol=tol)) <= 2.0 * t
 
@@ -265,7 +282,11 @@ def test_game_solvers_on_the_parameter_domain(deadline, g, total_lambda, mu0, p1
 
     dynamics = within(deadline, lambda: best_response_dynamics(
         g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9))
-    if not isinstance(dynamics, ConvergenceError):
+    if isinstance(dynamics, DegenerateGameError):
+        # From nu = phi/2 > nu* every iterate's nu stays above nu*, so a best
+        # response below the bracket means nu* is below it too.
+        assert ne.nu <= 1.01 * DOMAIN_EPS
+    elif not isinstance(dynamics, ConvergenceError):
         fixed, _ = dynamics
         # The dynamics solve each nu to an absolute 1e-12, so s = ln(1+ab)/nu
         # carries up to 1e-12/nu* relative error on top: as alpha -> 1, nu*
