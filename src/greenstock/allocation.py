@@ -17,10 +17,10 @@ The supplier rations capacity mu0 across submitted orders with one of
 three mechanisms: proportional, descending-order priority (with
 below-break-even grants rejected), or the adaptive uniform rule that
 makes truthful ordering a dominant strategy.  Each mechanism allocates
-one OrderVector or, row by row, a (K, N) order matrix.  A brute-force
-extreme point enumeration of the planner's problem and a deviation-grid
-audit, which hands each mechanism the deviating stations' order blocks of
-one opponent scenario stacked into a few matrices, close the loop.
+one OrderVector or, row by row, a (K, N) order matrix.  The planner's
+optimum comes from one numpy pass over every extreme point of its problem,
+and a deviation-grid audit hands each mechanism the deviating stations'
+order blocks of one opponent scenario stacked into a few matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllGridRegimeError, ParameterError
+from .errors import AllGridRegimeError, ParameterError, _whole
 
 FEAS_EPS = 1e-9
 # Largest (n_points + 1, N) float64 block of one deviator's orders the
@@ -129,9 +129,14 @@ def optimal_demand(
     if not 0.0 <= lam <= profile.lambda_bar + FEAS_EPS:
         raise ParameterError(
             f"lam must lie in [0, lambda_bar={profile.lambda_bar}], got {lam}")
-    s_hat = math.sqrt(p * lam * math.log1p(profile.b))
-    cost = 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
-    return _mu_on_curve(profile, lam, p), s_hat, cost
+    s_hat, cost = _on_curve(profile, lam, p, p1, p2)
+    return _mu_on_curve(profile, lam, p), float(s_hat), float(cost)
+
+
+def _on_curve(profile: BsProfile, lam, p: float, p1: float, p2: float):
+    """optimal_demand's (s_hat, cost), elementwise over a rate or an array of rates."""
+    s_hat = np.sqrt(p * lam * math.log1p(profile.b))
+    return s_hat, 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
 
 
 def _mu_on_curve(profile: BsProfile, lam: float, p: float) -> float:
@@ -164,14 +169,14 @@ def breakeven_rate(profile: BsProfile, p: float, p1: float, p2: float) -> float:
     return _mu_on_curve(profile, breakeven_lambda(profile, p, p1, p2), p)
 
 
-def _lambda_on_curve(profile: BsProfile, rate: float, p: float) -> float:
-    """Invert mu_hat(lambda) = rate: with g = sqrt(gamma/p), lambda = t^2 for
-    t the positive root of t^2 + g t - rate = 0."""
+def _lambda_on_curve(profile: BsProfile, rate, p: float):
+    """Invert mu_hat(lambda) = rate, elementwise: with g = sqrt(gamma/p),
+    lambda = t^2 for t the positive root of t^2 + g t - rate = 0."""
     gamma = math.log1p(profile.b)
     if gamma == 0.0:
         return rate
     g = math.sqrt(gamma / p)
-    t = 0.5 * (-g + math.sqrt(g * g + 4.0 * rate))
+    t = 0.5 * (-g + np.sqrt(g * g + 4.0 * rate))
     return t * t
 
 
@@ -370,12 +375,16 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     reference market (mu0 = 20), Nelder-Mead over the grants reaches
     101.30 against its 105.61.  Refuses N > 12 (combinatorial).
 
-    The loop below visits only the masks that `_masks_to_visit` finds, in
-    one numpy pass over all 2^N, can change the result: 70 of 4,096 for
-    lambda_bar = 0.5, 1.0, ..., 6.0, b = 2 and mu0 = 30.  Every other mask
-    would return from each `consider` at its first comparison, so the
-    result and the sequence of social_cost calls are those of a walk over
-    every mask.
+    One numpy pass over the 2^N served sets (masks) fills a (2^N, N + 1)
+    value matrix, every sum added left to right as a loop over the stations
+    adds it: column 0 holds each mask's planner value (inf if infeasible),
+    column 1 + j its value with BS j taking the residual (inf if it cannot).
+    `consider` keeps its best within 1e-9 of the least value seen, so only
+    the masks whose least value is within 2e-9 (plus four ulps) of the
+    earlier masks' least reach it, in enumeration order: 70 of 4,096,
+    making 76 social_cost calls, for lambda_bar = 0.5, 1.0, ..., 6.0, b = 2
+    and mu0 = 30.  The result and the social_cost calls are those of a walk
+    over every mask.
     """
     n = market.n
     if n > 12:
@@ -385,8 +394,27 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
     grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
 
-    best_value = math.inf
-    best_social = math.inf
+    # served[i] flags the masks serving BS i; `values` is stored by column for speed.
+    served = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(bool)
+    used = sum(np.where(served[i], full_rate[i], 0.0) for i in range(n))
+    value = sum(np.where(served[i], full_cost[i], grid_cost[i]) for i in range(n))
+    feasible = used <= market.mu0 + FEAS_EPS
+    residual = market.mu0 - used
+    has_residual = feasible & (residual > FEAS_EPS)
+    values = np.full((1 << n, n + 1), math.inf, order="F")
+    values[feasible, 0] = value[feasible]
+    for j, pr in enumerate(market.profiles):
+        # Only where BS j can take the residual, so no sqrt sees an infeasible mask.
+        takes = np.flatnonzero(has_residual & ~served[j] & (residual < full_rate[j]))
+        lam = _lambda_on_curve(pr, residual[takes], p)
+        values[takes, 1 + j] = value[takes] - grid_cost[j] + _on_curve(pr, lam, p, p1, p2)[1]
+    # Mask 0 serves nobody, so it is feasible and its least value is finite.
+    least = values.min(axis=1)
+    bound = np.concatenate(([least[0]], np.minimum.accumulate(least)[:-1])) + 2e-9
+    bound += 4.0 * np.spacing(bound)
+    visit = np.flatnonzero(least <= bound)
+
+    best_value = best_social = math.inf
     best_grants: tuple[float, ...] = tuple(0.0 for _ in range(n))
 
     def consider(value: float, grants: tuple[float, ...]) -> None:
@@ -399,77 +427,13 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
             best_social = social
             best_grants = grants
 
-    for mask in _masks_to_visit(market, full_rate, full_cost, grid_cost):
-        used = 0.0
-        value = 0.0
-        for i in range(n):
-            if mask >> i & 1:
-                used += full_rate[i]
-                value += full_cost[i]
-            else:
-                value += grid_cost[i]
-        if used > market.mu0 + FEAS_EPS:
-            continue
+    for mask, row, left in zip(visit.tolist(), values[visit].tolist(), residual[visit].tolist()):
         grants = tuple(full_rate[i] if mask >> i & 1 else 0.0 for i in range(n))
-        consider(value, grants)
-        residual = market.mu0 - used
-        if residual <= FEAS_EPS:
-            continue
+        consider(row[0], grants)
         for j in range(n):
-            if mask >> j & 1 or residual >= full_rate[j]:
-                continue
-            lam_j = _lambda_on_curve(market.profiles[j], residual, p)
-            cand = (value - grid_cost[j]
-                    + optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2])
-            g = list(grants)
-            g[j] = residual
-            consider(cand, tuple(g))
+            if row[1 + j] < math.inf:
+                consider(row[1 + j], grants[:j] + (left,) + grants[j + 1:])
     return best_grants, best_social
-
-
-def _masks_to_visit(market: Market, full_rate, full_cost, grid_cost) -> list[int]:
-    """The masks of social_optimum_bruteforce's loop that `consider` can act on.
-
-    Repeats the loop's arithmetic over all 2^N masks at once: each mask's
-    used rate, planner value and residual candidates, every sum added in
-    the loop's left-to-right order so that it keeps its bits.  A mask's best
-    candidate is the least of its value and its candidates.  `consider`
-    keeps its best value within 1e-9 (plus rounding) of the least value it
-    has seen, so it returns at once for every candidate of a mask whose best
-    lies more than 2e-9 (plus four ulps, for that rounding) above the
-    earlier masks' least best candidate.  The other masks are returned, in
-    enumeration order.
-    """
-    n, p, p1, p2 = market.n, market.p, market.p1, market.p2
-    served = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    used = np.zeros(1 << n)
-    value = np.zeros(1 << n)
-    for i in range(n):
-        used += np.where(served[:, i], full_rate[i], 0.0)
-        value += np.where(served[:, i], full_cost[i], grid_cost[i])
-    feasible = used <= market.mu0 + FEAS_EPS
-    best = np.where(feasible, value, math.inf)
-    residual = market.mu0 - used
-    has_residual = feasible & (residual > FEAS_EPS)
-    for j, pr in enumerate(market.profiles):
-        # Only where the loop tries BS j, so no sqrt sees an infeasible mask.
-        takes = has_residual & ~served[:, j] & (residual < full_rate[j])
-        rate = residual[takes]
-        # _lambda_on_curve and optimal_demand's cost, operation by operation.
-        gamma = math.log1p(pr.b)
-        if gamma == 0.0:
-            lam = rate
-        else:
-            g = math.sqrt(gamma / p)
-            t = 0.5 * (-g + np.sqrt(g * g + 4.0 * rate))
-            lam = t * t
-        cost = 2.0 * np.sqrt(p * lam * gamma) + (p + p1) * lam + p2 * (pr.lambda_bar - lam)
-        best[takes] = np.minimum(best[takes], value[takes] - grid_cost[j] + cost)
-    # Mask 0 serves nobody, so it is feasible and its best is finite.
-    earlier = np.concatenate(([best[0]], np.minimum.accumulate(best)[:-1]))
-    bound = earlier + 2e-9
-    bound += 4.0 * np.spacing(bound)
-    return np.flatnonzero(best <= bound).tolist()
 
 
 @dataclass(frozen=True)
@@ -482,8 +446,8 @@ class DeviationGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_points < 2 or self.n_scenarios < 0:
-            raise ParameterError("need n_points >= 2 and n_scenarios >= 0")
+        for name, low in (("n_points", 2), ("n_scenarios", 0), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
         if not 0.0 < self.span < math.inf:
             raise ParameterError(f"span must be finite and > 0, got {self.span}")
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import NormalizedParams, StrategyPair
-from .errors import GreenstockError, ParameterError
+from .errors import GreenstockError, ParameterError, _whole
 from .game import (
     GameInstance,
     TransferContract,
@@ -591,7 +591,7 @@ def main(argv=None) -> int:
         sweeping = args.command == "sweep"
         cfg = _load_config(args.config, args.scenario if sweeping else args.command)
         params = {**cfg.get("params", {}), **_parse_set(args.set)}
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = _whole("seed", args.seed if args.seed is not None else cfg.get("seed", 0), 0)
         out = args.out if args.out is not None else cfg.get("out")
 
         if sweeping:

@@ -1,4 +1,4 @@
-"""Typed errors shared across the toolkit."""
+"""Typed errors shared across the toolkit, and the integer check that raises one."""
 
 
 class GreenstockError(Exception):
@@ -23,3 +23,14 @@ class ConvergenceError(GreenstockError):
 
 class AllGridRegimeError(GreenstockError):
     """Grid power dominates at any demand level (p2 <= p1 + p)."""
+
+
+def _whole(name: str, value, low: int) -> int:
+    """`value` as an int >= low; ParameterError for nan, inf, fractions and non-numbers."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return whole

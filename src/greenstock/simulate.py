@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _whole
 
 _BATCHES = 20
 _CHUNK = 1 << 16        # customers per chunk
@@ -187,17 +187,6 @@ class TruncatedNormal:
 
 
 DistSpec = Exponential | HyperExp2 | TruncatedNormal
-
-
-def _whole(name: str, value, low: int) -> int:
-    """`value` as an int >= low; ParameterError for nan, inf, fractions and non-numbers."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or whole < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    return whole
 
 
 @dataclass(frozen=True)

@@ -253,8 +253,14 @@ def test_order_vector_rejects_negative_entries():
     lambda: DeviationGrid(span=math.nan),
     lambda: DeviationGrid(span=0.0),
     lambda: DeviationGrid(span=math.inf),
+    lambda: DeviationGrid(n_points=1),
+    lambda: DeviationGrid(n_points=200.5),
+    lambda: DeviationGrid(n_scenarios=2.5),
+    lambda: DeviationGrid(seed=math.nan),
+    lambda: DeviationGrid(seed=-1),
 ], ids=["lambda_bar-nan", "lambda_bar-inf", "b-nan", "b-inf", "mu0-nan", "mu0-inf",
-        "p-nan", "p1-nan", "p2-inf", "span-nan", "span-zero", "span-inf"])
+        "p-nan", "p1-nan", "p2-inf", "span-nan", "span-zero", "span-inf",
+        "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative"])
 def test_non_finite_or_out_of_range_inputs_rejected(make):
     with pytest.raises(ParameterError):
         make()
@@ -771,6 +777,31 @@ def test_bruteforce_matches_the_full_mask_loop(market):
             seen[name + " result"] = solve(market)
     assert repr(seen["pruned result"]) == repr(seen["full result"])
     assert repr(seen["pruned"]) == repr(seen["full"])
+
+
+def test_bruteforce_walk_at_the_twelve_station_market():
+    """The planner's social_cost calls at the 12-station benchmark market,
+    the count perfbench's traced audit reports."""
+    profiles = tuple(BsProfile(lambda_bar=0.5 * i, b=2.0, index=i - 1) for i in range(1, 13))
+    market = Market(profiles=profiles, mu0=30.0, p=2.0, p1=1.0, p2=10.0)
+    with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
+        social_optimum_bruteforce(market)
+    assert calls.call_count == 76
+
+
+def test_bruteforce_costs_a_later_mask_within_the_tie_tolerance():
+    """Serving the second station fully costs 7e-12 more than serving the
+    first: far more than rounding, within consider's 1e-9 tolerance.  The
+    full walk costs that mask, so the planner must reach it too."""
+    profiles = (BsProfile(lambda_bar=2.0, b=2.0, index=0),
+                BsProfile(lambda_bar=2.0 - 1e-11, b=2.0, index=1))
+    market = Market(profiles=profiles, mu0=5.0, p=2.0, p1=1.0, p2=10.0)
+    seen = []
+    for solve in (social_optimum_bruteforce, _ref_bruteforce):
+        with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
+            seen.append((repr(solve(market)), calls.call_args_list))
+    assert seen[0] == seen[1]
+    assert len(seen[0][1]) == 4
 
 
 def test_bruteforce_beats_proportional_with_strict_gap_somewhere():

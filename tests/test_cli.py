@@ -113,6 +113,8 @@ def test_invalid_parameter_exits_2(tmp_path):
      "base_stock=1.5 is not a valid int"),
     (["queue-validate", "--set", "horizon=1000.5"], "horizon=1000.5 is not a valid int"),
     (["audit", "--set", "grid_points=20.7"], "grid_points=20.7 is not a valid int"),
+    (["audit", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["nash", "--check", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -255,13 +257,14 @@ def test_run_sweep_rows_sorted_by_value():
     (["central"], {"params": "abc"}),
     (["central"], {"seed": "x"}),
     (["central"], {"seed": 1.5}),
+    (["audit"], {"seed": -1}),
     (["central"], {"out": 5}),
     (["central"], {"parms": {"b": 8.0}}),
     (["central"], {"scenario": "nash"}),
     (["sweep", "central"], {"scenario": "nash",
                             "sweep": {"name": "phi", "start": 0.5, "stop": 1.0, "step": 0.25}}),
-], ids=["missing", "not-object", "params-string", "seed-string", "seed-float", "out-int",
-        "unknown-key", "other-scenario", "sweep-other-scenario"])
+], ids=["missing", "not-object", "params-string", "seed-string", "seed-float", "seed-negative",
+        "out-int", "unknown-key", "other-scenario", "sweep-other-scenario"])
 def test_invalid_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     if config is not None:
