@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -363,16 +363,24 @@ def check_queue_validate(seed: int):
     params = _defaults("queue-validate")
     checks = [_near("h2 interarrival scv", _h2_interarrival(params).scv(), 1.0856, 1e-4)]
     for model, cfg, rho, kappa in _queue_cases(params, seed, seed + 11):
+        if model == "mm1":
+            # Run long enough that 5% is >= 4 sd, so no seed decides it: the mean's relative
+            # asymptotic variance is 2 (1 + rho) / (rho (1 - rho)^2) per unit time (Whitt
+            # 1989), and H events span ~0.45 H post-warmup interarrival times, rho times fewer
+            # than Whitt's service-time units, so this errs long: 12.05M events at rho = 0.93.
+            needed = 2.0 * (1.0 + rho) / (rho * (1.0 - rho) ** 2) / (0.45 * (0.05 / 4) ** 2)
+            cfg = replace(cfg, horizon=max(cfg.horizon, math.ceil(needed)))
+        # h2/truncnorm keeps 2M: over seeds 11-210 its error is 9.7% +/- 0.8%, 6.6 sd inside 15%.
         stats = simulate(cfg)
         target = kappa * rho / (1 - rho)
-        rel = abs(stats.mean_outstanding - target) / target
+        rel, ran = abs(stats.mean_outstanding - target) / target, f"horizon={cfg.horizon}"
         if model == "mm1":
             sup = empirical_pdf_compare(stats, rho)
-            checks.append((f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}"))
-            checks.append((f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}"))
+            checks += [(f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}, {ran}"),
+                       (f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}, {ran}")]
         else:
             checks.append((f"h2/truncnorm rho={rho}: mean within 15% of kappa formula",
-                           rel <= 0.15, f"rel={rel:.4f}"))
+                           rel <= 0.15, f"rel={rel:.4f}, {ran}"))
     return checks
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
-from .errors import ConvergenceError, DegenerateGameError, ParameterError
+from .errors import ConvergenceError, DegenerateGameError, ParameterError, _whole
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -248,6 +248,7 @@ def best_response_dynamics(
     """
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    max_iter = _whole("max_iter", max_iter, 1)
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
     s_cur, nu_cur = start.s, start.nu

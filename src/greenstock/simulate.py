@@ -10,15 +10,14 @@ the exponential case.  Runs are deterministic for a fixed seed.
 Draw contract: `sample(rng, a)` followed by `sample(rng, b)` draws exactly
 what `sample(rng, a + b)` draws, from a fixed number of variates whatever
 their values: n for `Exponential` and `TruncatedNormal` (inverse CDF, no
-rejection) and 2n uniforms for `HyperExp2`.  A run's stream is every
-interarrival time, then every service time.  `simulate` streams customers
-in chunks of `_CHUNK`: pass 1 draws the interarrival chunks only to
-advance the generator to the service draws, and pass 2 redraws them, in
-the same sizes and order, from a second generator with the same seed
-beside the service chunks, so the times are bit-equal to one whole-run
-draw.  Memory is O(chunk + outstanding orders): a stable run's horizon
-is bounded by time alone, while an unstable run's pending departures and
-pmf grow with its backlog, and it stays capped at 1e8 events.
+rejection) and 2n uniforms for `HyperExp2`.  Interarrival times draw from
+child 0 of `np.random.SeedSequence(seed)` and service times from child 1,
+and `simulate` draws both in chunks of `_CHUNK` customers, so by the
+contract each law's times are bit-equal to one whole-run draw from its
+generator, whatever the chunk size.  Memory is O(chunk + outstanding
+orders): a stable run's horizon is bounded by time alone, while an
+unstable run's pending departures and pmf grow with its backlog, and it
+stays capped at 1e8 events.
 
 The module needs numpy alone until the first truncated-normal draw, which
 imports scipy.special for its inverse normal CDF (`ndtri`): the analytic
@@ -240,22 +239,16 @@ class SimStats:
 
 def _customer_chunks(config: SimConfig, n: int):
     """(interarrival, service, last) draws for n customers in chunks of _CHUNK,
-    equal to one draw of n interarrivals followed by one of n services.
-
-    Pass 1 draws the interarrival chunks only to advance the generator;
-    pass 2 redraws them from a fresh generator with the same seed, which
-    the same chunk sizes in the same order bring to each chunk's start,
-    beside the service chunk, and keeps pass 1's last chunk.  A one-chunk
-    run draws exactly what a single draw of each would."""
-    rng = np.random.default_rng(config.seed)
-    sizes = [min(_CHUNK, n - k) for k in range(0, n, _CHUNK)]
-    for size in sizes:
-        inter = config.arrival.sample(rng, size)
-    replay = np.random.default_rng(config.seed) if len(sizes) > 1 else None
-    for k, size in enumerate(sizes):
-        last = k == len(sizes) - 1
-        yield (inter if last else config.arrival.sample(replay, size),
-               config.service.sample(rng, size), last)
+    equal to one draw of n interarrivals and one of n services, each from
+    its law's own generator."""
+    # What default_rng builds on child k of SeedSequence(seed).spawn(2), made directly.
+    arrival_rng, service_rng = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(k,))))
+        for k in (0, 1))
+    for start in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - start)
+        yield (config.arrival.sample(arrival_rng, size),
+               config.service.sample(service_rng, size), start + size == n)
 
 
 def simulate(config: SimConfig) -> SimStats:
@@ -264,7 +257,7 @@ def simulate(config: SimConfig) -> SimStats:
     Arrivals place orders; a single server completes them FIFO.  The
     outstanding count N(t) is piecewise constant between events, so all
     averages are exact time-weighted sums over the post-warmup window.
-    Deterministic for a fixed config (single RNG stream, fixed draw order).
+    Deterministic for a fixed config (one generator per law, fixed draw order).
     """
     lam_rate = 1.0 / config.arrival.mean_time()
     mu_rate = 1.0 / config.service.mean_time()
@@ -433,14 +426,12 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     is a symmetric reduction: any execution order yields the same report.
     n_reps = 1 returns simulate(config).
     """
-    if n_reps < 1:
-        raise ParameterError(f"n_reps must be >= 1, got {n_reps}")
+    n_reps = _whole("n_reps", n_reps, 1)
     runs = [simulate(replace(config, seed=config.seed + k)) for k in range(n_reps)]
     if n_reps == 1:
         return runs[0]
 
-    width = max(r.pdf.size for r in runs)
-    pooled_pdf = np.zeros(width)
+    pooled_pdf = np.zeros(max(r.pdf.size for r in runs))
     for r in runs:
         pooled_pdf[: r.pdf.size] += r.pdf
     ci = _halfwidth(np.array([r.mean_outstanding for r in runs]))

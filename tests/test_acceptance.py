@@ -1,10 +1,11 @@
 """Acceptance criteria, one test per criterion.
 
 The pinned criteria live in one place: each scenario's `--check` function
-in `greenstock.cli`.  The tests below run those functions at seed 0,
-require every returned check to pass, print its PASS lines (visible under
-pytest -s) and enforce the runtime budget.  Criterion 5 has no scenario
-and is pinned here.  Run with:  pytest tests/test_acceptance.py -v -s
+in `greenstock.cli`.  The tests below run those functions at seed 0
+(queue-validate also at seed 24), require every returned check to pass,
+print its PASS lines (visible under pytest -s) and enforce the runtime
+budget.  Criterion 5 has no scenario and is pinned here.  Run with:
+pytest tests/test_acceptance.py -v -s
 """
 
 import sys
@@ -14,9 +15,9 @@ from greenstock import approximation_error
 from greenstock.cli import run_checks
 
 
-def assert_checks_pass(scenario: str, budget_s: float) -> None:
+def assert_checks_pass(scenario: str, budget_s: float, seed: int = 0) -> None:
     t0 = time.perf_counter()
-    results = run_checks(scenario, 0, sys.stdout)
+    results = run_checks(scenario, seed, sys.stdout)
     elapsed = time.perf_counter() - t0
     failed = [f"{label} ({detail})" for label, ok, detail in results if not ok]
     assert results and not failed, failed
@@ -42,8 +43,11 @@ def test_criterion_3_penalty_and_contract():
 
 def test_criterion_4_queue_validation():
     """M/M/1 means and pmfs at four loads; H2/truncated-normal mean against
-    the kappa-corrected formula, < 60 s."""
-    assert_checks_pass("queue-validate", 60.0)
+    the kappa-corrected formula, < 60 s.  The check sizes its runs so that
+    no seed decides it; seed 24 missed the rho = 0.93 bound (rel 0.0763)
+    when every load ran 2M events."""
+    for seed in (0, 24):
+        assert_checks_pass("queue-validate", 60.0, seed)
 
 
 def test_criterion_5_continuous_approximation():

@@ -572,6 +572,12 @@ def test_dynamics_reject_nan_tolerance():
         best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=math.nan)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, math.nan, math.inf, "5", None])
+def test_dynamics_reject_a_bad_iteration_cap(max_iter):
+    with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+        best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), max_iter=max_iter)
+
+
 def test_acceptable_contract_validation():
     lo, hi = epsilon_range(REF)
     assert acceptable_contract(REF, 0.5 * (lo + hi)).epsilon == 0.5 * (lo + hi)

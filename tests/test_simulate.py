@@ -283,19 +283,30 @@ def test_replicate_deterministic():
 
 
 def test_replicate_rejects_bad_count():
-    with pytest.raises(ParameterError):
-        replicate(mm1_config(0.5), 0)
+    for n_reps in (0, -1, 2.5, math.nan, math.inf, "3", None):
+        with pytest.raises(ParameterError, match="n_reps must be an integer >= 1"):
+            replicate(mm1_config(0.5), n_reps)
+
+
+def test_replicate_accepts_an_integral_float():
+    cfg = mm1_config(0.6, horizon=20_000, seed=9)
+    assert np.array_equal(replicate(cfg, 2.0).pdf, replicate(cfg, 2).pdf)
 
 
 # ------------------------------------------- pmf summary over SimConfig
 
+def _law_generators(seed):
+    """The arrival and service generators of a run: SeedSequence(seed)'s two children."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+
+
 def _direct_means(cfg):
     """Reference: the four time-weighted sums over the run's events, taken
     directly from a +/-1 step array instead of through the pmf."""
-    rng = np.random.default_rng(cfg.seed)
+    arrival_rng, service_rng = _law_generators(cfg.seed)
     n = cfg.horizon // 2 + 2
-    arrivals = np.cumsum(cfg.arrival.sample(rng, n))
-    serv = cfg.service.sample(rng, n)
+    arrivals = np.cumsum(cfg.arrival.sample(arrival_rng, n))
+    serv = cfg.service.sample(service_rng, n)
     cum_serv = np.cumsum(serv)
     departures = cum_serv + np.maximum.accumulate(arrivals - (cum_serv - serv))
     times = np.concatenate([arrivals, departures])
@@ -381,6 +392,27 @@ def test_chunk_size_does_not_change_the_run(chunk, monkeypatch):
                       "sim_time", "ci_halfwidth"):
             a, b = getattr(got, field), getattr(ref, field)
             assert a == b or _rel(a, b) <= 1e-12, (name, cfg, field, a, b)
+
+
+def test_each_law_draws_from_its_own_generator(monkeypatch):
+    """Over many chunks, the arrivals are one draw of the arrival law from
+    child 0 of the seed's SeedSequence and the services one draw of the
+    service law from child 1, so changing the service law leaves every
+    interarrival time bit-equal."""
+    monkeypatch.setattr(sim_module, "_CHUNK", 7)
+    h2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
+    n, seed = 100, 2024
+    arrivals = []
+    for service in (Exponential(rate=1.5), TruncatedNormal(mean=0.5, cv=0.5)):
+        cfg = SimConfig(arrival=h2, service=service, horizon=1_000, seed=seed)
+        chunks = list(sim_module._customer_chunks(cfg, n))
+        assert [last for _, _, last in chunks] == [False] * 14 + [True]
+        arrival_rng, service_rng = _law_generators(seed)
+        arrivals.append(np.concatenate([inter for inter, _, _ in chunks]))
+        assert np.array_equal(arrivals[-1], h2.sample(arrival_rng, n))
+        assert np.array_equal(np.concatenate([serv for _, serv, _ in chunks]),
+                              service.sample(service_rng, n))
+    assert np.array_equal(*arrivals)
 
 
 @pytest.mark.parametrize("horizon", [1_000_000, 4_000_000])
