@@ -4,6 +4,10 @@ Closed-form equilibria and centralized benchmarks for the single
 BS/supplier game, transfer-payment coordination, renewable/grid load
 splitting, truthful multi-BS capacity allocation mechanisms, and a
 deterministic event simulator that validates the queue analytics.
+
+Importing the package loads no numpy: the simulator imports it when it
+runs, and the allocation mechanisms' names load their module, which needs
+numpy, on first use.
 """
 
 __version__ = "0.1.0"
@@ -47,25 +51,6 @@ from .game import (
     rps_best_response,
     total_cost,
 )
-from .allocation import (
-    AllocationResult,
-    AuditReport,
-    BsProfile,
-    DeviationGrid,
-    Market,
-    OrderVector,
-    adaptive_uniform_allocation,
-    breakeven_lambda,
-    breakeven_rate,
-    optimal_demand,
-    pareto_priority_allocation,
-    post_allocation_cost,
-    proportional_allocation,
-    social_cost,
-    social_optimum_bruteforce,
-    truthful_orders,
-    truthfulness_audit,
-)
 from .simulate import (
     Exponential,
     HyperExp2,
@@ -76,3 +61,24 @@ from .simulate import (
     replicate,
     simulate,
 )
+
+# allocation's names, served by __getattr__ (PEP 562) so that numpy loads
+# on first use.  Nothing is cached: each lookup reads the module's binding.
+_ALLOCATION = frozenset({
+    "AllocationResult", "AuditReport", "BsProfile", "DeviationGrid", "Market", "OrderVector",
+    "adaptive_uniform_allocation", "breakeven_lambda", "breakeven_rate", "optimal_demand",
+    "pareto_priority_allocation", "post_allocation_cost", "proportional_allocation",
+    "social_cost", "social_optimum_bruteforce", "truthful_orders", "truthfulness_audit",
+})
+__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_ALLOCATION)
+
+
+def __getattr__(name: str):
+    if name in _ALLOCATION:
+        from . import allocation
+        return getattr(allocation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ALLOCATION})

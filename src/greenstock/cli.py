@@ -24,8 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import NormalizedParams, StrategyPair
@@ -44,19 +43,10 @@ from .game import (
     nash_equilibrium,
     power_split,
 )
-from .allocation import (
-    BsProfile,
-    DeviationGrid,
-    Market,
-    adaptive_uniform_allocation,
-    pareto_priority_allocation,
-    proportional_allocation,
-    social_cost,
-    social_optimum_bruteforce,
-    truthful_orders,
-    truthfulness_audit,
-)
 from .simulate import Exponential, HyperExp2, SimConfig, TruncatedNormal, empirical_pdf_compare, simulate
+
+if TYPE_CHECKING:   # numpy and the allocation layer load inside the functions that use them
+    from .allocation import DeviationGrid, Market
 
 
 @dataclass
@@ -189,10 +179,23 @@ def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
     return cases
 
 
+# SimConfig -> SimStats within one `main` call, shared by a scenario and its checks.
+_runs: dict | None = None
+
+
+def _simulate(cfg: SimConfig):
+    """simulate(cfg), run once per config within one `main` call."""
+    if _runs is None:
+        return simulate(cfg)
+    if cfg not in _runs:
+        _runs[cfg] = simulate(cfg)
+    return _runs[cfg]
+
+
 def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
     rows = []
     for model, cfg, rho, kappa in _queue_cases(params, seed, seed + len(params["rho_list"])):
-        stats = simulate(cfg)
+        stats = _simulate(cfg)
         rows.append([model, rho, rho / (1 - rho), kappa * rho / (1 - rho),
                      stats.mean_outstanding, stats.mean_waiting, stats.ci_halfwidth,
                      empirical_pdf_compare(stats, rho), cfg.horizon, cfg.seed])
@@ -205,6 +208,7 @@ def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
 
 
 def _market(params: dict) -> Market:
+    from .allocation import BsProfile, Market
     # An empty lambda_bars means n_bs stations at lambda_step * (1..n_bs).
     lambda_bars = params["lambda_bars"] or [
         params["lambda_step"] * i for i in range(1, params["n_bs"] + 1)]
@@ -215,6 +219,8 @@ def _market(params: dict) -> Market:
 
 
 def scenario_allocate(params: dict, seed: int) -> ResultTable:
+    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
+                             proportional_allocation, truthful_orders)
     market = _market(params)
     orders = truthful_orders(market)
     prop = proportional_allocation(market, orders)
@@ -233,11 +239,14 @@ def scenario_allocate(params: dict, seed: int) -> ResultTable:
 
 
 def _deviation_grid(params: dict, seed: int) -> DeviationGrid:
+    from .allocation import DeviationGrid
     return DeviationGrid(n_points=params["grid_points"], n_scenarios=params["n_scenarios"],
                          span=params["span"], seed=seed)
 
 
 def scenario_audit(params: dict, seed: int) -> ResultTable:
+    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
+                             proportional_allocation, truthfulness_audit)
     market = _market(params)
     grid = _deviation_grid(params, seed)
     rows = []
@@ -278,6 +287,7 @@ def check_central(seed: int):
 
 
 def check_nash(seed: int):
+    import numpy as np
     params = _defaults("nash")
     rng = np.random.default_rng(seed)
     worst_gap = worst_foc = worst_id = 0.0
@@ -297,6 +307,7 @@ def check_nash(seed: int):
 
 
 def check_penalty_contract(seed: int):
+    import numpy as np
     g = _game(_defaults("penalty-contract"))
     report = equilibrium_report(g)
     lo, hi = report.epsilon_range
@@ -331,21 +342,27 @@ def check_penalty_contract(seed: int):
     ]
 
 
+def _split_grid(g: GameInstance, total_lambda: float, mu0: float, p1: float, p2: float):
+    """power_split's 1e-3 grid oracle: the points k * 1e-3 of its interval, as
+    np.arange spaces them, and the cost at each; lambda = 0 is all-grid."""
+    stop = min(total_lambda, mu0 * (1 - 1e-6)) + 1e-9
+    grid = [k * 1e-3 for k in range(math.ceil(stop / 1e-3))]
+    f, gamma = auxiliary_f(g), math.log1p(g.alpha * g.b)
+    costs = [p2 * total_lambda] + [
+        (math.sqrt(1.0 + phi) + f) * gamma / (f * phi) + p1 * lam + p2 * (total_lambda - lam)
+        for lam, phi in ((lam, mu0 / lam - 1.0) for lam in grid[1:])]
+    return grid, costs
+
+
 def check_power_split(seed: int):
     params = _defaults("power-split")
     g = _split_game(params)
     total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
-    # 1e-3 grid oracle over the same interval; lambda = 0 is all-grid.
-    grid = np.arange(0.0, min(total_lambda, mu0 * (1 - 1e-6)) + 1e-9, 1e-3)
-    phi = mu0 / grid[1:] - 1.0
-    f = auxiliary_f(g)
-    s_star = (np.sqrt(1.0 + phi) + f) * math.log1p(g.alpha * g.b) / (f * phi)
     checks, lams = [], []
     for p2 in params["p2_list"]:
         lam, _ = power_split(g, total_lambda, mu0, p1, p2)
-        costs = np.concatenate(([p2 * total_lambda],
-                                s_star + p1 * grid[1:] + p2 * (total_lambda - grid[1:])))
-        lam_grid = grid[int(np.argmin(costs))]
+        grid, costs = _split_grid(g, total_lambda, mu0, p1, p2)
+        lam_grid = grid[costs.index(min(costs))]    # the first minimum, as np.argmin takes it
         lams.append(lam)
         checks.append((f"P2={p2}: golden-section matches 1e-3 grid",
                        abs(lam - lam_grid) <= 1e-3, f"{lam:.4f} vs {lam_grid:.4f}"))
@@ -371,7 +388,7 @@ def check_queue_validate(seed: int):
             needed = 2.0 * (1.0 + rho) / (rho * (1.0 - rho) ** 2) / (0.45 * (0.05 / 4) ** 2)
             cfg = replace(cfg, horizon=max(cfg.horizon, math.ceil(needed)))
         # h2/truncnorm keeps 2M: over seeds 11-210 its error is 9.7% +/- 0.8%, 6.6 sd inside 15%.
-        stats = simulate(cfg)
+        stats = _simulate(cfg)
         target = kappa * rho / (1 - rho)
         rel, ran = abs(stats.mean_outstanding - target) / target, f"horizon={cfg.horizon}"
         if model == "mm1":
@@ -385,6 +402,9 @@ def check_queue_validate(seed: int):
 
 
 def check_allocate(seed: int):
+    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
+                             proportional_allocation, social_cost,
+                             social_optimum_bruteforce, truthful_orders)
     market = _market(_defaults("allocate"))
     orders = truthful_orders(market)
     uniform = adaptive_uniform_allocation(market, orders)
@@ -404,6 +424,8 @@ def check_allocate(seed: int):
 
 
 def check_audit(seed: int):
+    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
+                             truthfulness_audit)
     params = _defaults("audit")
     market = _market(params)
     grid = _deviation_grid(params, seed)
@@ -595,6 +617,8 @@ def main(argv=None) -> int:
     sw.add_argument("--sweep", default=None, metavar="NAME:START:STOP:STEP")
 
     args = parser.parse_args(argv)
+    global _runs
+    _runs = {}
     try:
         sweeping = args.command == "sweep"
         cfg = _load_config(args.config, args.scenario if sweeping else args.command)
@@ -631,6 +655,8 @@ def main(argv=None) -> int:
     except GreenstockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _runs = None
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ orders): a stable run's horizon is bounded by time alone, while an
 unstable run's pending departures and pmf grow with its backlog, and it
 stays capped at 1e8 events.
 
-The module needs numpy alone until the first truncated-normal draw, which
-imports scipy.special for its inverse normal CDF (`ndtri`): the analytic
-scenarios never load scipy.  The scalar normal CDF, hazard and Student-t
-quantile are computed here from `math`.
+Importing the module loads neither numpy nor scipy.  Each function that
+draws or simulates imports numpy when it runs, and the first truncated-normal
+draw imports scipy.special for its inverse normal CDF (`ndtri`), so the
+analytic scenarios load neither.  The scalar normal CDF, hazard and
+Student-t quantile are computed here from `math`.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, _whole
 
+if TYPE_CHECKING:           # for annotations; each function that needs numpy imports it
+    import numpy as np
 _BATCHES = 20
 _CHUNK = 1 << 16        # customers per chunk
 
@@ -85,6 +87,7 @@ class HyperExp2:
         return (m2 - m1 * m1) / (m1 * m1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
         # Row k of one (n, 2) block is draw k's phase and its inverse-CDF time,
         # so the draws of n = a + b are those of a, then b.
         u = rng.random((n, 2))
@@ -241,6 +244,7 @@ def _customer_chunks(config: SimConfig, n: int):
     """(interarrival, service, last) draws for n customers in chunks of _CHUNK,
     equal to one draw of n interarrivals and one of n services, each from
     its law's own generator."""
+    import numpy as np
     # What default_rng builds on child k of SeedSequence(seed).spawn(2), made directly.
     arrival_rng, service_rng = (
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(k,))))
@@ -259,6 +263,7 @@ def simulate(config: SimConfig) -> SimStats:
     averages are exact time-weighted sums over the post-warmup window.
     Deterministic for a fixed config (one generator per law, fixed draw order).
     """
+    import numpy as np
     lam_rate = 1.0 / config.arrival.mean_time()
     mu_rate = 1.0 / config.service.mean_time()
     if lam_rate >= mu_rate:
@@ -392,6 +397,7 @@ def _t_quantile(df: int, p: float) -> float:
 
 def _summary(pdf: np.ndarray, s: int, ci: float, events: int, sim_time: float) -> SimStats:
     """SimStats whose means are the pmf of N dotted with N, (N-1)^+, (s-N)^+ and (N-s)^+."""
+    import numpy as np
     j = np.arange(pdf.size)
     return SimStats(
         mean_outstanding=float(pdf @ j),
@@ -412,6 +418,7 @@ def empirical_pdf_compare(stats: SimStats, rho: float) -> float:
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
     if stats.pdf.size == 0:
         raise ParameterError("empty run: no empirical distribution to compare")
+    import numpy as np
     j = np.arange(stats.pdf.size)
     geometric = (1.0 - rho) * rho ** j
     return float(np.abs(stats.pdf - geometric).max())
@@ -426,6 +433,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     is a symmetric reduction: any execution order yields the same report.
     n_reps = 1 returns simulate(config).
     """
+    import numpy as np
     n_reps = _whole("n_reps", n_reps, 1)
     runs = [simulate(replace(config, seed=config.seed + k)) for k in range(n_reps)]
     if n_reps == 1:

@@ -1,16 +1,22 @@
 """Experiment runner: scenarios, sweeps, CSV contract, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenstock
 from greenstock import cli
 from greenstock.cli import main, resolve_params, run_scenario, run_sweep
+from greenstock.game import auxiliary_f
 
 
 @pytest.fixture(autouse=True)
@@ -319,3 +325,62 @@ def test_analytic_scenarios_never_import_scipy():
     done = subprocess.run([sys.executable, "-c", _COLD_PATH], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_NUMPY_FREE_PATH = """
+import contextlib, io, sys
+import greenstock
+from greenstock.cli import main
+for argv in (["central"], ["nash"], ["penalty-contract"], ["power-split"], ["central", "--check"],
+             ["power-split", "--check"], ["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("greenstock"))
+"""
+
+
+def test_analytic_cold_path_never_imports_numpy():
+    """The closed-form scenarios, their grid checks and an analytic sweep run in
+    a fresh interpreter without loading numpy; allocation and simulation load it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(greenstock.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_PATH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_queue_validate_check_reuses_the_scenario_runs(monkeypatch, capsys):
+    """The scenario's five runs and the check's five share three M/M/1 configs,
+    so one call simulates seven, none twice; the next call simulates them anew."""
+    real, runs = cli.simulate, []
+
+    def counted(cfg):
+        runs.append(cfg)
+        return real(replace(cfg, horizon=20_000))    # counted, not checked: short runs
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    assert main(["queue-validate", "--check"]) in (0, 3)
+    assert len(runs) == 7 and len(set(runs)) == 7
+    assert main(["queue-validate", "--check"]) in (0, 3)
+    assert runs[7:] == runs[:7]
+
+
+_lambdas = st.floats(1e-4, 4.0) | st.integers(1, 4000).map(lambda k: k / 1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(total_lambda=_lambdas, mu0=_lambdas.map(lambda x: x + 0.01), p2=st.floats(1.0, 20.0))
+def test_split_grid_matches_numpy_arange_and_argmin(total_lambda, mu0, p2):
+    """power-split's math grid oracle is the numpy one bit for bit: the same
+    points, the same costs and the same first argmin."""
+    params = cli._defaults("power-split")
+    g, p1 = cli._split_game(params), params["p1"]
+    grid, costs = cli._split_grid(g, total_lambda, mu0, p1, p2)
+    ref = np.arange(0.0, min(total_lambda, mu0 * (1 - 1e-6)) + 1e-9, 1e-3)
+    phi = mu0 / ref[1:] - 1.0
+    f = auxiliary_f(g)
+    s_star = (np.sqrt(1.0 + phi) + f) * math.log1p(g.alpha * g.b) / (f * phi)
+    ref_costs = np.concatenate(([p2 * total_lambda],
+                                s_star + p1 * ref[1:] + p2 * (total_lambda - ref[1:])))
+    assert grid == ref.tolist()
+    assert costs == ref_costs.tolist()
+    assert costs.index(min(costs)) == int(np.argmin(ref_costs))
