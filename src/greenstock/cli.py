@@ -106,7 +106,8 @@ def scenario_central(params: dict, seed: int) -> ResultTable:
 def _dynamics(g: GameInstance, params: dict) -> tuple[StrategyPair, int, float]:
     """Closed-form NE, best-response iterations and their final gap to it."""
     ne = nash_equilibrium(g)
-    start = StrategyPair(s=params["start_s"], nu=params["start_nu_frac"] * g.phi)
+    # s = 1.0 is arbitrary: the first step is bs_best_response(g, start.nu).
+    start = StrategyPair(s=1.0, nu=params["start_nu_frac"] * g.phi)
     fixed, trace = best_response_dynamics(g, start, tol=params["tol"])
     return ne, len(trace) - 1, max(abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
 
@@ -168,13 +169,14 @@ def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
     loads = [*params["rho_list"], params["h2_rho"]]
     if not all(0.0 < rho < 1.0 for rho in loads):
         raise ParameterError(f"every load in rho_list and h2_rho must lie in (0, 1), got {loads}")
-    run = {"base_stock": params["base_stock"], "horizon": params["horizon"]}
+    horizon = params["horizon"]
     cases = [("mm1", SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.0 / rho),
-                               seed=seed + k, **run), rho, 1.0)
+                               horizon=horizon, seed=seed + k), rho, 1.0)
              for k, rho in enumerate(params["rho_list"])]
     h2, rho, cv = _h2_interarrival(params), params["h2_rho"], params["service_cv"]
     service = TruncatedNormal(mean=h2.mean_time() * rho, cv=cv)
-    cases.append(("h2-truncnorm", SimConfig(arrival=h2, service=service, seed=h2_seed, **run),
+    cases.append(("h2-truncnorm",
+                  SimConfig(arrival=h2, service=service, horizon=horizon, seed=h2_seed),
                   rho, (h2.scv() + cv * cv) / 2.0))
     return cases
 
@@ -448,7 +450,7 @@ _MARKET = {"n_bs": 8, "lambda_step": 0.5, "lambda_bars": [], "b": 2.0,
 SCENARIOS = {
     "central": (scenario_central, check_central, _CENTRAL),
     "nash": (scenario_nash, check_nash,
-             {**_GAME, "start_s": 1.0, "start_nu_frac": 0.5, "tol": 1e-9}),
+             {**_GAME, "start_nu_frac": 0.5, "tol": 1e-9}),
     # epsilon nan: the midpoint of the acceptable sharing range.
     "penalty-contract": (scenario_penalty_contract, check_penalty_contract,
                          {**_GAME, "epsilon": math.nan}),
@@ -456,8 +458,7 @@ SCENARIOS = {
                     {"b": 5.0, "cs": 5.0, "alpha": 0.5, "mu0": 2.0,
                      "total_lambda": 1.8, "p1": 1.0, "p2_list": [5.0, 7.5, 10.0]}),
     "queue-validate": (scenario_queue_validate, check_queue_validate,
-                       {"horizon": 2_000_000, "base_stock": 0,
-                        "rho_list": [0.39, 0.70, 0.80, 0.93],
+                       {"horizon": 2_000_000, "rho_list": [0.39, 0.70, 0.80, 0.93],
                         "h2_prob": 0.5, "h2_rate1": 2.3, "h2_rate2": 3.5,
                         "h2_rho": 0.80, "service_cv": 0.5}),
     "allocate": (scenario_allocate, check_allocate, _MARKET),
@@ -472,8 +473,8 @@ MAX_SWEEP_POINTS = 10_000      # each point runs its scenario once, in milliseco
 
 def resolve_params(name: str, params: dict) -> dict:
     """The scenario's defaults overridden by `params`, each converted to its
-    default's type; undeclared keys, unconvertible values and fractions for
-    an int raise."""
+    default's type; undeclared keys, unconvertible values, JSON booleans, a
+    non-list for a list and fractions for an int raise."""
     defaults = _defaults(name)
     valid = f"valid keys for {name}: {', '.join(sorted(defaults))}"
     unknown = sorted(set(params) - set(defaults))
@@ -482,7 +483,12 @@ def resolve_params(name: str, params: dict) -> dict:
     resolved = dict(defaults)
     for key, value in params.items():
         kind = type(defaults[key])
+        entries = value if isinstance(value, list) else [value]
         try:
+            # float(true) is 1.0 and a string would iterate into characters: both are invalid.
+            wrong_shape = isinstance(value, list) != (kind is list)
+            if wrong_shape or any(isinstance(v, bool) for v in entries):
+                raise TypeError(value)
             if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError(value)
             resolved[key] = [float(v) for v in value] if kind is list else kind(value)

@@ -29,8 +29,7 @@ DOMAIN_EPS = 1e-12
 class SystemParams:
     """Raw physical/economic parameters of one base-station / supplier pair.
 
-    Units are documentation-level contracts: rates are per unit time,
-    costs per unit time, prices per connection-unit.
+    Units are documentation-level contracts: rates and costs are per unit time.
     """
 
     lam: float          # connection arrival rate
@@ -40,9 +39,6 @@ class SystemParams:
     cs_raw: float       # supplier cost per unit load-factor increase
     lambda0: float      # external demand rate at the supplier
     alpha: float        # backlog cost share charged to the BS
-    p1: float = 0.0     # renewable energy price per connection-unit
-    p2: float = 0.0     # grid energy price per connection-unit
-    p: float = 0.0      # incentive price per unit supply rate (multi-BS)
 
     def __post_init__(self):
         # Every check reads `not lo < x < hi`, which a nan fails.
@@ -56,7 +52,7 @@ class SystemParams:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 < self.c < math.inf:
             raise ParameterError(f"c must be finite and > 0, got {self.c}")
-        for name in ("b", "cs_raw", "lambda0", "p1", "p2", "p"):
+        for name in ("b", "cs_raw", "lambda0"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 

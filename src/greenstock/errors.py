@@ -26,9 +26,9 @@ class AllGridRegimeError(GreenstockError):
 
 
 def _whole(name: str, value, low: int) -> int:
-    """`value` as an int >= low; ParameterError for nan, inf, fractions and non-numbers."""
+    """`value` as an int >= low; ParameterError for nan, inf, fractions, bools and non-numbers."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value or whole < low:

@@ -374,7 +374,6 @@ def power_split(
     mu0: float,
     p1: float,
     p2: float,
-    tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Split `total_lambda` between renewable service (rate lambda) and grid.
 
@@ -385,11 +384,9 @@ def power_split(
         C_ls(lambda) = s*(lambda) + p1*lambda + p2*(total_lambda - lambda).
 
     Minimized over lambda in [0, min(total_lambda, mu0*(1-1e-6))] by a
-    coarse presweep plus golden-section refinement (tolerance `tol`),
+    coarse presweep plus golden-section refinement (tolerance 1e-6),
     compared against both boundary values.  lambda = 0 means all-grid.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
     if not 0 < total_lambda < math.inf:
         raise ParameterError(f"total_lambda must be finite and > 0, got {total_lambda}")
     if not 0 < mu0 < math.inf:
@@ -416,7 +413,7 @@ def power_split(
     k_best = min(range(len(grid)), key=values.__getitem__)
     lo_b = grid[max(k_best - 1, 0)]
     hi_b = grid[min(k_best + 1, n_coarse)]
-    lam_star = _golden_section(cost, lo_b, hi_b, tol)
+    lam_star = _golden_section(cost, lo_b, hi_b, 1e-6)
 
     candidates = [(cost(0.0), 0.0), (cost(hi), hi), (cost(lam_star), lam_star)]
     best_cost, best_lam = min(candidates)

@@ -119,30 +119,24 @@ def _norm_hazard(x: float) -> float:
 class TruncatedNormal:
     """Left-truncated normal with the *requested* mean and cv.
 
-    N(mu0, sigma0^2) conditioned above the floor (default 1e-6 * mean),
-    with (mu0, sigma0) solved once, at construction, so that the truncated
-    law hits the configured mean and cv exactly: truncating N(mean, cv*mean)
+    N(mu0, sigma0^2) conditioned above the floor 1e-6 * mean, with
+    (mu0, sigma0) solved once, at construction, so that the truncated law
+    hits the configured mean and cv exactly: truncating N(mean, cv*mean)
     would bias the moments that feed the kappa heavy-traffic correction.
     Sampling inverts the truncated CDF at n uniforms.
     """
 
     mean: float
     cv: float = 0.5
-    floor: float | None = None
     _base: tuple = field(init=False, repr=False, compare=False)   # mu0, sigma0, Phi(-a)
 
     def __post_init__(self):
         if not (0 < self.mean < math.inf and 0 < self.cv < math.inf):
             raise ParameterError(f"mean and cv must be finite and > 0, got {self.mean}, {self.cv}")
-        if self.floor is not None and not 0 < self.floor < math.inf:
-            raise ParameterError(f"floor must be finite and > 0, got {self.floor}")
         object.__setattr__(self, "_base", self._base_params())
         mu0, sigma0, tail = self._base
         if not math.isfinite(mu0 - sigma0 * NormalDist().inv_cdf(2.0**-53 * tail)):   # largest draw
             raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
-
-    def _floor(self) -> float:
-        return self.floor if self.floor is not None else 1e-6 * self.mean
 
     def mean_time(self) -> float:
         return self.mean
@@ -156,7 +150,7 @@ class TruncatedNormal:
         # delta = h*(h - a), the truncated law has
         #   mean = mu0 + sigma0*h,  var = sigma0^2 * (1 - delta),
         # so (mean - floor)/sd = (h - a)/sqrt(1 - delta), monotone in a.
-        floor = self._floor()
+        floor = 1e-6 * self.mean
         target = (1.0 - floor / self.mean) / self.cv
 
         def spread(a: float) -> float:
@@ -193,13 +187,13 @@ DistSpec = Exponential | HyperExp2 | TruncatedNormal
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: distributions, base stock, horizon in events."""
+    """One simulation run: distributions, base stock, horizon in events, of
+    which the first horizon // 10 are warmup."""
 
     arrival: DistSpec
     service: DistSpec
     base_stock: int = 0
     horizon: int = 2_000_000
-    warmup: int | None = None      # defaults to horizon // 10
     seed: int = 0
 
     def __post_init__(self):
@@ -207,17 +201,8 @@ class SimConfig:
             if not isinstance(getattr(self, name), DistSpec):
                 raise ParameterError(f"{name} must be an Exponential, HyperExp2 or "
                                      f"TruncatedNormal law, got {getattr(self, name)!r}")
-        for name in ("base_stock", "horizon", "seed"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), 0))
-        if self.warmup is not None:
-            object.__setattr__(self, "warmup", _whole("warmup", self.warmup, 0))
-        warm = self.effective_warmup()
-        if not warm < self.horizon:
-            raise ParameterError(
-                f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={warm}")
-
-    def effective_warmup(self) -> int:
-        return self.horizon // 10 if self.warmup is None else self.warmup
+        for name, low in (("base_stock", 0), ("horizon", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +260,7 @@ def simulate(config: SimConfig) -> SimStats:
             f"unstable configuration: arrival rate {lam_rate:.6g} >= "
             f"service rate {mu_rate:.6g}; long-run averages will not settle",
             stacklevel=2)
-    horizon, warm = config.horizon, config.effective_warmup()
+    horizon, warm = config.horizon, config.horizon // 10
     intervals = horizon - 1 - warm        # N is count[k] during [t_k, t_{k+1}), k >= warm
     if intervals <= 0:
         raise ParameterError("horizon too short: no post-warmup intervals")

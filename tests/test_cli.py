@@ -110,17 +110,21 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["central", "--set", "b=inf"], "b_n must be finite and >= 0"),
     (["nash", "--set", "cs=nan"], "cs_n must be finite and >= 0"),
     (["nash", "--set", "tol=nan"], "tol must be > 0"),
-    (["nash", "--set", "start_s=nan"], "s must be finite and >= 0"),
+    (["nash", "--set", "start_s=nan"], "unknown parameter start_s"),
     (["penalty-contract", "--set", "b=nan"], "b_n must be finite and >= 0"),
     (["power-split", "--set", "total_lambda=nan"], "total_lambda must be finite and > 0"),
     (["power-split", "--set", "p2_list=[5, NaN]"], "energy prices must be finite and >= 0"),
     (["queue-validate", "--set", "h2_rate1=nan"], "rates must be finite and > 0"),
-    (["queue-validate", "--set", "base_stock=1.5", "--set", "horizon=1000"],
-     "base_stock=1.5 is not a valid int"),
+    (["queue-validate", "--set", "base_stock=1.5"], "unknown parameter base_stock"),
     (["queue-validate", "--set", "horizon=1000.5"], "horizon=1000.5 is not a valid int"),
     (["audit", "--set", "grid_points=20.7"], "grid_points=20.7 is not a valid int"),
     (["audit", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     (["nash", "--check", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["nash", "--set", "start_nu_frac=nan"], "nu must be finite and > 0"),
+    (["central", "--set", "b=true"], "b=True is not a valid float"),
+    (["power-split", "--set", "p2_list=[true, 10]"], "p2_list=[True, 10] is not a valid list"),
+    (["queue-validate", "--set", "horizon=false"], "horizon=False is not a valid int"),
+    (["power-split", "--set", 'p2_list="59"'], "p2_list='59' is not a valid list"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -129,6 +133,33 @@ def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert valid in captured.err
+
+
+def _nudged(value):
+    """A different value of the same declared type."""
+    if isinstance(value, list):
+        return [*value[:-1], value[-1] * 1.05] if value else [1.0, 2.0]
+    if isinstance(value, int):
+        return value + 1
+    return 0.3 if math.isnan(value) else value * 1.1 + 0.05
+
+
+# Cheap bases for the scenarios whose defaults take seconds.
+_CHEAP = {"queue-validate": {"horizon": 20_000}, "audit": {"grid_points": 20, "n_scenarios": 2}}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, (_, _, defaults) in
+                                       cli.SCENARIOS.items() for key in defaults])
+def test_every_declared_parameter_reaches_the_output(name, key):
+    """A scenario declares only what reaches its output: changing any one
+    declared parameter changes the CSV's data rows."""
+    def data_rows(params):
+        text = cli.render_csv(run_scenario(name, params, 0))
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    base = _CHEAP.get(name, {})
+    value = base.get(key, cli.SCENARIOS[name][2][key])
+    assert data_rows({**base, key: _nudged(value)}) != data_rows(base)
 
 
 def test_integral_float_for_an_int_parameter_is_accepted():

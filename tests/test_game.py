@@ -192,9 +192,7 @@ def test_rps_best_response_refuses_a_root_below_the_bracket():
     lambda: rps_best_response(REF, 5.5065, tol=math.nan),
     lambda: rps_best_response(REF, 5.5065, tol=0.0),
     lambda: rps_best_response(REF, math.inf),
-    lambda: power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=math.nan),
-    lambda: power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=-1e-6),
-], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf", "split-tol-nan", "split-tol-negative"])
+], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf"])
 def test_solvers_reject_bad_tolerance_and_stock(call):
     with pytest.raises(ParameterError):
         call()
@@ -697,10 +695,26 @@ def test_power_split_matches_grid_oracle():
         assert cost <= vals[k] + 1e-9
 
 
-def test_solvers_terminate_below_float_spacing(deadline):
+def test_solvers_terminate_below_float_spacing(deadline, monkeypatch):
     # A tolerance below the float spacing of the bracket must not loop forever.
+    from greenstock import game
     with deadline(5):
         nu = rps_best_response(REF, 5.5065, tol=1e-300)
-        lam, _ = power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5, tol=1e-300)
     assert nu == pytest.approx(rps_best_response(REF, 5.5065), abs=1e-9)
-    assert lam == pytest.approx(power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 7.5)[0], abs=1e-5)
+    # At mu0 = 4e9 four ulps of the golden-section bracket exceed its 1e-6
+    # tolerance, so only the 4-ulp floor ends the search.
+    golden, brackets = game._golden_section, []
+
+    def spy(fn, lo, hi, tol):
+        brackets.append((lo, hi, tol))
+        return golden(fn, lo, hi, tol)
+
+    monkeypatch.setattr(game, "_golden_section", spy)
+    with deadline(5):
+        lam, cost = power_split(SPLIT_GAME, 8e9, 4e9, 1.0, 7.5)
+    (lo, hi, tol), = brackets
+    assert 4.0 * math.ulp(hi) > tol
+    assert lo < lam < hi
+    best = min(split_cost_oracle(SPLIT_GAME, x, 8e9, 4e9, 1.0, 7.5)
+               for x in np.linspace(lo, hi, 10_001))
+    assert cost <= best * (1 + 1e-12)

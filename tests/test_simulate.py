@@ -65,24 +65,16 @@ def test_truncated_normal_hits_requested_moments():
     assert x.std() / x.mean() == pytest.approx(0.5, rel=0.01)
 
 
-def test_truncated_normal_respects_floor():
-    d = TruncatedNormal(mean=1.0, cv=0.9, floor=0.05)
-    rng = np.random.default_rng(3)
-    x = d.sample(rng, 100_000)
-    assert x.min() > 0.05
-    assert x.mean() == pytest.approx(1.0, rel=0.01)
-
-
 def test_truncated_normal_rejects_unreachable_cv():
     with pytest.raises(ParameterError):
         TruncatedNormal(mean=1.0, cv=1.5).sample(np.random.default_rng(0), 10)
     with pytest.raises(ParameterError, match="too large"):
-        TruncatedNormal(mean=1.0, cv=0.995)     # beyond any truncated normal at this floor
+        TruncatedNormal(mean=1.0, cv=0.995)     # beyond any truncated normal at floor 1e-6
 
 
 @pytest.mark.parametrize("cv", [0.97, 0.98])
 def test_truncated_normal_deep_truncation_samples(cv, deadline):
-    """At the default floor cv 0.97 keeps about 2e-7 of the base normal's
+    """At the floor 1e-6 * mean cv 0.97 keeps about 2e-7 of the base normal's
     mass, and cv 0.98 less still; the inverse-CDF sampler draws both at
     full speed, from exactly n uniforms."""
     d = TruncatedNormal(mean=1.0, cv=cv)
@@ -101,19 +93,19 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mean=_positive, cv=_positive, floor=st.none() | _positive)
-def test_truncated_normal_samples_or_refuses(mean, cv, floor, deadline):
-    """Over every (mean, cv, floor) the dataclass accepts, construction
-    raises ParameterError or sampling returns finite draws above the floor."""
+@given(mean=_positive, cv=_positive)
+def test_truncated_normal_samples_or_refuses(mean, cv, deadline):
+    """Over every (mean, cv) the dataclass accepts, construction raises
+    ParameterError or sampling returns finite draws above the floor."""
     with deadline(2):
         try:
-            d = TruncatedNormal(mean=mean, cv=cv, floor=floor)
+            d = TruncatedNormal(mean=mean, cv=cv)
         except ParameterError:
             return
         x = d.sample(np.random.default_rng(0), 1000)
     assert x.shape == (1000,)
     assert np.all(np.isfinite(x))
-    assert x.min() >= d._floor()
+    assert x.min() >= 1e-6 * mean
 
 
 _laws = st.sampled_from([Exponential(rate=2.5), HyperExp2(prob=0.3, rate1=2.3, rate2=0.4),
@@ -224,11 +216,11 @@ def test_unstable_configuration_warns_or_refuses():
 
 def test_config_validation():
     """Every bad field is a ParameterError at construction, not a failure in simulate."""
-    for bad in ({"horizon": 100, "warmup": 100}, {"base_stock": -1}, {"base_stock": math.nan},
-                {"base_stock": math.inf}, {"base_stock": 1.5}, {"horizon": 1000.5},
-                {"horizon": math.inf}, {"horizon": "1000"}, {"warmup": 2.5}, {"warmup": -1},
-                {"warmup": math.nan}, {"seed": -1}, {"seed": 0.5}, {"seed": None},
-                {"arrival": None}, {"service": 2.0}):
+    for bad in ({"horizon": 0}, {"base_stock": -1}, {"base_stock": math.nan},
+                {"base_stock": math.inf}, {"base_stock": 1.5}, {"base_stock": True},
+                {"horizon": 1000.5}, {"horizon": math.inf}, {"horizon": "1000"},
+                {"horizon": True}, {"seed": -1}, {"seed": 0.5}, {"seed": None},
+                {"seed": True}, {"arrival": None}, {"service": 2.0}):
         fields = {"arrival": Exponential(rate=1.0), "service": Exponential(rate=2.0), **bad}
         with pytest.raises(ParameterError):
             SimConfig(**fields)
@@ -236,9 +228,9 @@ def test_config_validation():
 
 def test_config_accepts_integral_floats():
     cfg = SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
-                    base_stock=3.0, horizon=2e3, warmup=100.0, seed=np.int64(4))
-    assert (cfg.base_stock, cfg.horizon, cfg.warmup, cfg.seed) == (3, 2000, 100, 4)
-    assert all(type(v) is int for v in (cfg.base_stock, cfg.horizon, cfg.warmup, cfg.seed))
+                    base_stock=3.0, horizon=2e3, seed=np.int64(4))
+    assert (cfg.base_stock, cfg.horizon, cfg.seed) == (3, 2000, 4)
+    assert all(type(v) is int for v in (cfg.base_stock, cfg.horizon, cfg.seed))
 
 
 # -------------------------------------------------------------- epdf check
@@ -312,7 +304,7 @@ def _direct_means(cfg):
     times = np.concatenate([arrivals, departures])
     steps = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
     order = np.argsort(times, kind="stable")[: cfg.horizon]
-    warm = cfg.effective_warmup()
+    warm = cfg.horizon // 10
     state = np.cumsum(steps[order])[:-1][warm:]
     hold = np.diff(times[order])[warm:]
     s, total = cfg.base_stock, hold.sum()
@@ -364,17 +356,16 @@ def test_means_are_functionals_of_the_pmf(arrival, service, a_shape, s_shape, rh
 # ------------------------------------------------------- chunked stream
 
 def _edge_configs():
-    """Chunk boundaries, a one-interval window, an unstable load and
-    general laws, over short horizons."""
+    """Chunk boundaries, a zero warmup (horizon < 10), a one-interval window
+    (horizon 2), an unstable load and general laws, over short horizons."""
     h2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
     laws = {"mm1": (Exponential(rate=1.0), Exponential(rate=1.0 / 0.8)),
             "unstable": (Exponential(rate=1.0), Exponential(rate=1.0 / 1.2)),
             "h2": (h2, TruncatedNormal(mean=h2.mean_time() * 0.8, cv=0.5))}
     for name, (arrival, service) in laws.items():
-        for horizon in (21, 22, 2_001, 3_000):
-            for warmup in (None, 0, horizon - 2):
-                yield name, SimConfig(arrival=arrival, service=service, base_stock=2,
-                                      horizon=horizon, warmup=warmup, seed=horizon)
+        for horizon in (2, 9, 21, 22, 2_001, 3_000):
+            yield name, SimConfig(arrival=arrival, service=service, base_stock=2,
+                                  horizon=horizon, seed=horizon)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
