@@ -12,16 +12,16 @@ numpy, on first use.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DOMAIN_EPS,
     NormalizedParams,
     StrategyPair,
-    SystemParams,
     approximation_error,
     exact_backlog_discrete,
     mean_backlog,
     mean_inventory,
-    normalize,
 )
 from .errors import (
     AllGridRegimeError,
@@ -34,17 +34,14 @@ from .game import (
     EquilibriumReport,
     GameInstance,
     TransferContract,
-    acceptable_contract,
     auxiliary_f,
     best_response_dynamics,
     bs_best_response,
     centralized_cost,
     centralized_optimum,
-    competition_penalty,
     coordinated_costs,
     cost_bs,
     cost_rps,
-    epsilon_range,
     equilibrium_report,
     nash_equilibrium,
     power_split,
@@ -70,7 +67,9 @@ _ALLOCATION = frozenset({
     "pareto_priority_allocation", "post_allocation_cost", "proportional_allocation",
     "social_cost", "social_optimum_bruteforce", "truthful_orders", "truthfulness_audit",
 })
-__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_ALLOCATION)
+# The imported names, not the submodules that importing them binds here too.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + sorted(_ALLOCATION)
 
 
 def __getattr__(name: str):

@@ -83,10 +83,14 @@ class Market:
         if not (0.0 <= self.p1 < math.inf and 0.0 <= self.p2 < math.inf):
             raise ParameterError(
                 f"energy prices must be finite and >= 0 (p1={self.p1}, p2={self.p2})")
-        if self.p2 <= self.p1 + self.p:
+        try:    # breakeven_lambda divides by the square of the gap
+            gap_ok = self.p2 > self.p1 + self.p and (self.p2 - self.p1 - self.p) ** 2 > 0.0
+        except OverflowError:
+            gap_ok = False
+        if not gap_ok:
             raise ParameterError(
-                f"p2 must exceed p1 + p for nonzero renewable demand "
-                f"(p2={self.p2}, p1={self.p1}, p={self.p})")
+                f"p2 must exceed p1 + p for nonzero renewable demand, by a gap whose square "
+                f"is in float range (p2={self.p2}, p1={self.p1}, p={self.p})")
 
     @property
     def n(self) -> int:

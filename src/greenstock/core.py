@@ -1,4 +1,4 @@
-"""Parameters, normalization and make-to-stock queue analytics.
+"""Normalized parameters and make-to-stock queue analytics.
 
 A base station serves connections from a renewable-energy buffer kept at
 base-stock level s; every arrival places a replenishment order on the
@@ -26,40 +26,11 @@ DOMAIN_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """Raw physical/economic parameters of one base-station / supplier pair.
-
-    Units are documentation-level contracts: rates and costs are per unit time.
-    """
-
-    lam: float          # connection arrival rate
-    mu0: float          # maximum renewable production rate
-    b: float            # backlog cost per backlogged connection
-    c: float            # reservation cost per stored energy unit
-    cs_raw: float       # supplier cost per unit load-factor increase
-    lambda0: float      # external demand rate at the supplier
-    alpha: float        # backlog cost share charged to the BS
-
-    def __post_init__(self):
-        # Every check reads `not lo < x < hi`, which a nan fails.
-        if not 0 < self.lam < math.inf:
-            raise ParameterError(f"lam must be finite and > 0, got {self.lam}")
-        if not self.lam < self.mu0 < math.inf:
-            raise ParameterError(
-                f"mu0 must be finite and exceed lam (no capacity headroom): "
-                f"mu0={self.mu0}, lam={self.lam}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0 < self.c < math.inf:
-            raise ParameterError(f"c must be finite and > 0, got {self.c}")
-        for name in ("b", "cs_raw", "lambda0"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class NormalizedParams:
-    """Dimensionless cost parameters after dividing through by c."""
+    """Dimensionless cost parameters after dividing through by the reservation cost c.
+
+    Raw inputs: arrival rate lam, renewable capacity mu0, backlog cost b, supply
+    cost cs_raw per unit load factor, and the supplier's external demand lambda0."""
 
     b_n: float      # normalized backlog cost b/c
     cs_n: float     # normalized supply cost (cs_raw/c) * (lambda0/mu0)
@@ -88,19 +59,6 @@ class StrategyPair:
             raise ParameterError(f"s must be finite and >= 0, got {self.s}")
         if not 0 < self.nu < math.inf:
             raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
-
-
-def normalize(params: SystemParams) -> NormalizedParams:
-    """Normalize cost parameters by the reservation cost rate c.
-
-    b_n = b/c, cs_n = (cs_raw/c) * (lambda0/mu0), phi = mu0/lam - 1.
-    """
-    return NormalizedParams(
-        b_n=params.b / params.c,
-        cs_n=(params.cs_raw / params.c) * (params.lambda0 / params.mu0),
-        phi=params.mu0 / params.lam - 1.0,
-        alpha=params.alpha,
-    )
 
 
 def _check_s_nu(s: float, nu: float) -> None:

@@ -275,6 +275,8 @@ def centralized_optimum(g: GameInstance) -> StrategyPair:
     gamma = math.log1p(g.b)
     root = math.sqrt(g.cs * gamma)
     nu = g.phi * root / (root + g.cs * math.sqrt(g.phi + 1.0))
+    if not nu > 0.0:
+        raise ParameterError(f"nu_bar underflows to 0 at b_n={g.b}, cs_n={g.cs}, phi={g.phi}")
     return StrategyPair(s=gamma / nu, nu=nu)
 
 
@@ -284,25 +286,6 @@ def centralized_cost(g: GameInstance) -> float:
         raise DegenerateGameError("centralized cost requires b > 0 and cs_n > 0")
     gamma = math.log1p(g.b)
     return (g.cs + gamma + 2.0 * math.sqrt(g.cs * gamma * (1.0 + g.phi))) / g.phi
-
-
-def competition_penalty(g: GameInstance) -> float:
-    """Relative excess of total equilibrium cost over the centralized minimum.
-
-    Equilibrium costs come from direct substitution of the NE into the two
-    cost functions, never from a re-derived closed form.
-    """
-    return equilibrium_report(g).penalty
-
-
-def epsilon_range(g: GameInstance) -> tuple[float, float] | None:
-    """Sharing fractions acceptable to both players:
-
-        [C_r*/C - penalty, C_r*/C] intersected with [0, 1];
-
-    None when the intersection is empty.
-    """
-    return equilibrium_report(g).epsilon_range
 
 
 def equilibrium_report(g: GameInstance) -> EquilibriumReport:
@@ -323,15 +306,6 @@ def equilibrium_report(g: GameInstance) -> EquilibriumReport:
         penalty=penalty,
         epsilon_range=None if lo > hi else (lo, hi),
     )
-
-
-def acceptable_contract(g: GameInstance, eps: float) -> TransferContract:
-    """Build a TransferContract, requiring eps inside the acceptable range."""
-    rng = epsilon_range(g)
-    if rng is None or not rng[0] - 1e-12 <= eps <= rng[1] + 1e-12:
-        raise ParameterError(
-            f"epsilon {eps} outside the acceptable range {rng}")
-    return TransferContract(epsilon=eps)
 
 
 def coordinated_costs(

@@ -74,9 +74,14 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
-            raise ParameterError(
-                f"rates must be finite and > 0, got {self.rate1}, {self.rate2}")
+        try:    # scv() reads each rate's square and inverse square
+            in_range = all(0 < rate < math.inf and 1.0 / rate**2 < math.inf
+                           for rate in (self.rate1, self.rate2))
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise ParameterError(f"rates must be finite and > 0, with squares in float range, "
+                                 f"got {self.rate1}, {self.rate2}")
 
     def mean_time(self) -> float:
         return self.prob / self.rate1 + (1.0 - self.prob) / self.rate2

@@ -125,6 +125,14 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["power-split", "--set", "p2_list=[true, 10]"], "p2_list=[True, 10] is not a valid list"),
     (["queue-validate", "--set", "horizon=false"], "horizon=False is not a valid int"),
     (["power-split", "--set", 'p2_list="59"'], "p2_list='59' is not a valid list"),
+    (["central", "--set", "phi=5e-324"], "nu_bar underflows to 0"),
+    (["sweep", "central", "--sweep", "phi:5e-324:1e-323:5e-324"], "nu_bar underflows to 0"),
+    (["queue-validate", "--set", "h2_rate1=1e300"], "with squares in float range"),
+    (["queue-validate", "--set", "h2_rate2=1e-300"], "with squares in float range"),
+    (["allocate", "--set", "p2=1e300"], "by a gap whose square is in float range"),
+    (["audit", "--set", "p2=1e300"], "by a gap whose square is in float range"),
+    (["allocate", "--set", "p1=1e300", "--set", "p2=1.0000001e300"],
+     "by a gap whose square is in float range"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):

@@ -1,4 +1,4 @@
-"""Queue analytics: normalization, closed forms vs integral/series oracles."""
+"""Queue analytics: parameter checks, closed forms vs integral/series oracles."""
 
 import math
 
@@ -9,12 +9,10 @@ from greenstock import (
     NormalizedParams,
     ParameterError,
     StrategyPair,
-    SystemParams,
     approximation_error,
     exact_backlog_discrete,
     mean_backlog,
     mean_inventory,
-    normalize,
 )
 
 
@@ -44,57 +42,12 @@ def backlog_series(s, rho):
     return total
 
 
-# ----------------------------------------------------------- normalization
-
-def test_normalize_reference_parameters():
-    """b=10c and cs*lambda0/mu0=5c with mu0=2*lambda give (10, 5, 1)."""
-    params = SystemParams(lam=1.0, mu0=2.0, b=0.01, c=0.001,
-                          cs_raw=0.01, lambda0=1.0, alpha=0.5)
-    norm = normalize(params)
-    assert norm.b_n == pytest.approx(10.0, abs=1e-12)
-    assert norm.cs_n == pytest.approx(5.0, abs=1e-12)
-    assert norm.phi == pytest.approx(1.0, abs=1e-12)
-    assert norm.alpha == 0.5
-
-
-def test_normalize_zero_backlog_cost():
-    norm = normalize(SystemParams(lam=1.0, mu0=2.0, b=0.0, c=0.001,
-                                  cs_raw=0.01, lambda0=1.0, alpha=0.5))
-    assert norm.b_n == 0.0
-
-
-def test_normalize_headroom_ratio():
-    norm = normalize(SystemParams(lam=1.5, mu0=2.7, b=0.01, c=0.001,
-                                  cs_raw=0.01, lambda0=1.0, alpha=0.5))
-    assert norm.phi == pytest.approx(0.8, abs=1e-12)
-
-
-def test_normalize_rejects_no_headroom():
-    with pytest.raises(ParameterError):
-        SystemParams(lam=2.0, mu0=2.0, b=0.01, c=0.001,
-                     cs_raw=0.01, lambda0=1.0, alpha=0.5)
-
-
-def test_normalize_rejects_zero_reservation_cost():
-    with pytest.raises(ParameterError):
-        SystemParams(lam=1.0, mu0=2.0, b=0.01, c=0.0,
-                     cs_raw=0.01, lambda0=1.0, alpha=0.5)
-
+# ------------------------------------------------------------ parameters
 
 def test_alpha_outside_unit_interval_rejected():
-    with pytest.raises(ParameterError):
-        SystemParams(lam=1.0, mu0=2.0, b=0.01, c=0.001,
-                     cs_raw=0.01, lambda0=1.0, alpha=1.2)
-
-
-_RAW = dict(lam=1.0, mu0=2.0, b=0.01, c=0.001, cs_raw=0.01, lambda0=1.0, alpha=0.5)
-
-
-@pytest.mark.parametrize("field", ["lam", "mu0", "b", "c", "cs_raw", "lambda0", "alpha"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_system_params_rejected(field, bad):
-    with pytest.raises(ParameterError, match=field):
-        SystemParams(**{**_RAW, field: bad})
+    for alpha in (-0.1, 1.2):
+        with pytest.raises(ParameterError, match="alpha must lie in"):
+            NormalizedParams(b_n=10.0, cs_n=5.0, phi=1.0, alpha=alpha)
 
 
 @pytest.mark.parametrize("field", ["b_n", "cs_n", "phi", "alpha"])

@@ -22,17 +22,14 @@ from greenstock import (
     ParameterError,
     StrategyPair,
     TransferContract,
-    acceptable_contract,
     auxiliary_f,
     best_response_dynamics,
     bs_best_response,
     centralized_cost,
     centralized_optimum,
-    competition_penalty,
     coordinated_costs,
     cost_bs,
     cost_rps,
-    epsilon_range,
     equilibrium_report,
     nash_equilibrium,
     power_split,
@@ -499,48 +496,38 @@ def test_centralized_beats_boundary_and_grid():
 # ----------------------------------------------------- penalty & contract
 
 def test_penalty_reference_value():
-    assert competition_penalty(REF) == pytest.approx(0.040680, abs=1e-5)
+    assert equilibrium_report(REF).penalty == pytest.approx(0.040680, abs=1e-5)
 
 
 def test_penalty_nonnegative_over_draws():
     for g in random_games(100, seed=19):
-        assert competition_penalty(g) >= -1e-9
+        assert equilibrium_report(g).penalty >= -1e-9
 
 
 def test_penalty_positive_when_foc_mismatch():
     # ln(1 + alpha b) != ln(1 + b) for alpha < 1, so the NE never matches
     # the centralized point and the penalty stays strictly positive.
     for alpha in (0.1, 0.5, 0.9):
-        assert competition_penalty(make_game(10.0, 5.0, 1.0, alpha)) > 0.0
-
-
-def test_penalty_invariant_under_joint_cost_rescaling():
-    from greenstock import SystemParams, normalize
-    base = SystemParams(lam=1.0, mu0=2.0, b=0.01, c=0.001, cs_raw=0.01,
-                        lambda0=1.0, alpha=0.5)
-    scaled = SystemParams(lam=1.0, mu0=2.0, b=0.07, c=0.007, cs_raw=0.07,
-                          lambda0=1.0, alpha=0.5)
-    p1 = competition_penalty(GameInstance(normalize(base)))
-    p2 = competition_penalty(GameInstance(normalize(scaled)))
-    assert p1 == pytest.approx(p2, abs=1e-12)
+        assert equilibrium_report(make_game(10.0, 5.0, 1.0, alpha)).penalty > 0.0
 
 
 def test_epsilon_range_reference_interval():
-    lo, hi = epsilon_range(REF)
+    lo, hi = equilibrium_report(REF).epsilon_range
     assert lo == pytest.approx(0.679696, abs=1e-5)
     assert hi == pytest.approx(0.720376, abs=1e-5)
 
 
 def test_epsilon_interval_width_is_penalty():
-    lo, hi = epsilon_range(REF)
-    assert hi - lo == pytest.approx(competition_penalty(REF), abs=1e-12)
+    report = equilibrium_report(REF)
+    lo, hi = report.epsilon_range
+    assert hi - lo == pytest.approx(report.penalty, abs=1e-12)
 
 
 def test_epsilon_participation_inequalities():
     g = make_game(10.0, 5.0, 1.0, 0.99)
     ne = nash_equilibrium(g)
     c = centralized_cost(g)
-    lo, hi = epsilon_range(g)
+    lo, hi = equilibrium_report(g).epsilon_range
     for eps in (lo, 0.5 * (lo + hi), hi):
         assert eps * c <= cost_rps(g, ne) + 1e-9
         assert (1 - eps) * c <= cost_bs(g, ne) + 1e-9
@@ -576,13 +563,6 @@ def test_dynamics_reject_a_bad_iteration_cap(max_iter):
         best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), max_iter=max_iter)
 
 
-def test_acceptable_contract_validation():
-    lo, hi = epsilon_range(REF)
-    assert acceptable_contract(REF, 0.5 * (lo + hi)).epsilon == 0.5 * (lo + hi)
-    with pytest.raises(ParameterError):
-        acceptable_contract(REF, 0.1)
-
-
 def test_equilibrium_report_bundles_consistently():
     rep = equilibrium_report(REF)
     assert rep.cost_bs_ne == pytest.approx(rep.ne.s, abs=1e-9)
@@ -604,8 +584,7 @@ def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
     monkeypatch.setattr(game, "nash_equilibrium", counting)
     monkeypatch.setattr(cli, "nash_equilibrium", counting)   # cli binds its own name
     params = cli.SCENARIOS["penalty-contract"][2]
-    for run in (lambda: equilibrium_report(REF), lambda: epsilon_range(REF),
-                lambda: competition_penalty(REF),
+    for run in (lambda: equilibrium_report(REF),
                 lambda: cli.scenario_penalty_contract(params, 0),
                 lambda: cli.check_penalty_contract(0)):
         calls.clear()
