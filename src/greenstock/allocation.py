@@ -18,14 +18,16 @@ three mechanisms: proportional, descending-order priority (with
 below-break-even grants rejected), or the adaptive uniform rule that
 makes truthful ordering a dominant strategy.  Each mechanism allocates
 one OrderVector or, row by row, a (K, N) order matrix.  The planner's
-optimum comes from one numpy pass over every extreme point of its problem,
-and a deviation-grid audit hands each mechanism the deviating stations'
-order blocks of one opponent scenario stacked into a few matrices.
+optimum comes from one numpy pass over every extreme point of its problem.
+The deviation-grid audit computes each deviator's own grant from its
+opponents' sorted orders with a per-mechanism deviation kernel, bit-equal
+to the mechanism's grant on the full row, so no deviation row is sorted.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +35,16 @@ import numpy as np
 from .errors import AllGridRegimeError, ParameterError, _whole
 
 FEAS_EPS = 1e-9
-# Largest (n_points + 1, N) float64 block of one deviator's orders the
-# audit accepts; a grid past it is refused before anything is allocated.
-# The mechanism kernels hold about ten temporaries of a call's matrix.
+# Largest (N, n_points + 1) float64 array of one scenario's deviation
+# orders the audit accepts; a grid past it is refused before anything is
+# allocated.  It also caps the grants the audit holds before costing them.
 MAX_AUDIT_MATRIX_BYTES = 2**25
-# Orders per audit mechanism call: as many whole deviator blocks of one
-# scenario as fit in this many bytes, and at least one.
+# Largest audit, in order cells N^2 (n_points + 1) (n_scenarios + 1): each
+# deviation meets every order of its row.  n = 256 at the default grid is
+# 2.8e8 cells and takes seconds; past the cap the audit is refused.
+MAX_AUDIT_CELLS = 3 * 10**8
+# Scenarios per deviation-kernel call: as many as keep its (G, N, n_points + 1)
+# arrays within this many bytes, and at least one.
 _AUDIT_CALL_BYTES = 2**17
 # Each audit scenario scales every truthful order by a factor uniform on this range.
 OPPONENT_PERTURBATION = (0.5, 1.5)
@@ -53,9 +59,13 @@ class BsProfile:
     index: int
 
     def __post_init__(self):
-        # Written so that nan fails every range check.
-        if not 0.0 < self.lambda_bar < math.inf:
-            raise ParameterError(f"lambda_bar must be finite and > 0, got {self.lambda_bar}")
+        # Written so that nan fails every range check.  At a subnormal rate
+        # the post-allocation cost's a * gamma / (p2 - p1) underflows to 0,
+        # and its last term divides by zero.
+        if not sys.float_info.min <= self.lambda_bar < math.inf:
+            raise ParameterError(f"lambda_bar must be finite and > 0, and not below the "
+                                 f"smallest normal float {sys.float_info.min}, "
+                                 f"got {self.lambda_bar}")
         if not 0.0 <= self.b < math.inf:
             raise ParameterError(f"b must be finite and >= 0, got {self.b}")
 
@@ -312,6 +322,101 @@ def adaptive_uniform_allocation(market: Market, orders):
     return _result(orders, g, rejected, n_hat)
 
 
+# ------------------------------------------------------------------------
+# Deviation kernels.  Given G opponent scenarios (G, N) and each station's
+# deviation orders x (N, T), a kernel returns the (N, G, T) grants: [i, k, t]
+# is station i's grant in the row "scenario k with entry i set to x[i, t]",
+# bit-equal to the mechanism's grant on that row, since every float comes
+# from the operation the mechanism applies to the same operands.  Only the
+# opponents are sorted; the deviator's rank places it among them.
+
+
+def _deviation_sums(scen: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each deviation row's sum, added left to right as `_row_sums` adds it."""
+    n = scen.shape[1]
+    before = np.zeros((n, len(scen)))
+    before[1:] = np.cumsum(scen[:, :-1], axis=1).T
+    sums = before[:, :, None] + x[:, None, :]
+    for j in range(1, n):
+        sums[:j] += scen[:, j, None]
+    return sums
+
+
+def _deviation_ranks(scen: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The deviator's position in its row's `_descending` order: the
+    opponents above it, and its ties at lower indices."""
+    n = scen.shape[1]
+    ranks = np.zeros((n, len(scen), x.shape[1]), dtype=np.int32)
+    x = x[:, None, :]
+    for j in range(n):
+        o = scen[:, j, None]
+        ranks[:j] += o > x[:j]
+        ranks[j + 1:] += o >= x[j + 1:]
+    return ranks
+
+
+def _opponents_descending(scen: np.ndarray) -> np.ndarray:
+    """(N, G, N - 1): scenario k without entry i, in descending order."""
+    n = scen.shape[1]
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    return np.sort(scen[:, others].transpose(1, 0, 2), axis=2)[..., ::-1]
+
+
+def _at_rank(table: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """table[i, k, ranks[i, k, t]] for every (i, k, t), as one flat take."""
+    n, g, width = table.shape
+    return table.take(ranks + np.arange(0, n * g * width, width).reshape(n, g, 1))
+
+
+def _proportional_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
+    return x[:, None, :] * (market.mu0 / np.maximum(_deviation_sums(scen, x), market.mu0))
+
+
+def _pareto_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
+    so = _opponents_descending(scen)
+    # capacity[..., r]: what the opponents ranked above position r leave.
+    capacity = np.empty(so.shape[:2] + (market.n,))
+    capacity[..., 0] = market.mu0
+    for q in range(market.n - 1):
+        capacity[..., q + 1] = capacity[..., q] - np.minimum(so[..., q], capacity[..., q])
+    ranks = _deviation_ranks(scen, x)
+    x = x[:, None, :]
+    g = np.minimum(x, _at_rank(capacity, ranks))
+    g[(0.0 < g) & (g < x) & (g < thresholds[:, None, None])] = 0.0
+    return g
+
+
+def _adaptive_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
+    n, mu0 = market.n, market.mu0
+    so = _opponents_descending(scen)
+    # share[..., p]: the uniform share at sorted position p whenever the
+    # orders past p are so[p:], i.e. whenever the deviator ranks at or above p.
+    tail = np.zeros(so.shape[:2] + (n,))
+    tail[..., :-1] = np.cumsum(so[..., ::-1], axis=2)[..., ::-1]
+    share = (mu0 - tail) / np.arange(1, n + 1)
+    # pick[..., r]: the last position past rank r whose share fits, else r.
+    fits = np.full(share.shape, -1)
+    fits[..., 1:] = np.where(share[..., 1:] <= so + FEAS_EPS, np.arange(1, n), -1)
+    pick = np.maximum(np.maximum.accumulate(fits[..., ::-1], axis=2)[..., ::-1], np.arange(n))
+    ranks = _deviation_ranks(scen, x)
+    pos = _at_rank(pick, ranks)
+    own = _at_rank(share, pos)
+    # A fitting share past the deviator is n_hat's; at its rank the share
+    # must fit its order; else n_hat is below it, or 1 with u = mu0.
+    sums = _deviation_sums(scen, x)
+    x = x[:, None, :]
+    g = np.where((pos > ranks) | (own <= x + FEAS_EPS), own, np.where(ranks == 0, mu0, x))
+    g = np.where(sums > mu0, g, x)
+    g[(0.0 < g) & (g <= thresholds[:, None, None])] = 0.0
+    return g
+
+
+# The audit finds a mechanism's kernel here; functools.wraps copies it.
+proportional_allocation._deviation_grants = _proportional_deviation
+pareto_priority_allocation._deviation_grants = _pareto_deviation
+adaptive_uniform_allocation._deviation_grants = _adaptive_deviation
+
+
 def post_allocation_cost(profile: BsProfile, granted_rate, p: float, p1: float, p2: float):
     """Best operating point for a BS holding supply rate `granted_rate`.
 
@@ -478,58 +583,81 @@ def truthfulness_audit(
     reporting in the same scenario.  The verdict is truthful-dominant iff
     no deviation improves cost by more than 1e-9.
 
-    Each deviator's orders in one scenario form an (n_points + 1, N)
-    block: the truthful row, then the deviation rows.  `mechanism` is
-    called on the blocks of consecutive deviators stacked into one order
-    matrix, as many whole blocks as fit in `_AUDIT_CALL_BYTES` (128 KiB)
-    and at least one, so a scenario takes ceil(N / blocks per call) calls:
-    one at N = 8 and 200 points.  Each deviator's own grant column is
-    copied out, and its costs come from one `post_allocation_cost` call
-    over all scenarios.  A block larger than `MAX_AUDIT_MATRIX_BYTES` is
-    refused before anything is allocated.
+    Each station's deviation orders (its truthful order, then the grid)
+    form an (N, n_points + 1) array.  The mechanism's deviation kernel
+    computes every deviator's grant at each of them from its opponents'
+    sorted orders, for groups of scenarios whose (G, N, n_points + 1)
+    arrays fit in `_AUDIT_CALL_BYTES` (128 KiB), and at least one.  Each
+    group also makes one `mechanism` call on every deviator's truthful
+    row, and the kernel's truthful grants must equal it bit for bit.  A
+    deviator's costs come from one `post_allocation_cost` call over its
+    scenarios, as many as `MAX_AUDIT_MATRIX_BYTES` holds for all stations.
+
+    Refused before anything is allocated: a `mechanism` without a
+    deviation kernel (only the three mechanisms here have one), an
+    (N, n_points + 1) array past `MAX_AUDIT_MATRIX_BYTES`, and more than
+    `MAX_AUDIT_CELLS` order cells N^2 (n_points + 1) (n_scenarios + 1).
     """
-    n, rows = market.n, grid.n_points + 1
-    block_bytes = rows * n * 8
-    if block_bytes > MAX_AUDIT_MATRIX_BYTES:
+    name = getattr(mechanism, "__name__", str(mechanism))
+    kernel = getattr(mechanism, "_deviation_grants", None)
+    if kernel is None:
+        raise ParameterError(
+            f"{name} has no deviation kernel; the audit takes proportional_allocation, "
+            f"pareto_priority_allocation or adaptive_uniform_allocation")
+    n, rows, n_scen = market.n, grid.n_points + 1, grid.n_scenarios + 1
+    scenario_bytes = rows * n * 8
+    if scenario_bytes > MAX_AUDIT_MATRIX_BYTES:
         raise ParameterError(
             f"an audit order matrix of {rows} x {n} floats needs "
-            f"{block_bytes / 2**20:.0f} MiB, more than {MAX_AUDIT_MATRIX_BYTES // 2**20} MiB; "
-            f"lower n_points")
+            f"{scenario_bytes / 2**20:.0f} MiB, more than {MAX_AUDIT_MATRIX_BYTES // 2**20} MiB; "
+            f"lower n_points or the station count")
+    cells = n * n * rows * n_scen
+    if cells > MAX_AUDIT_CELLS:
+        raise ParameterError(
+            f"an audit of {cells:.3g} order cells ({n}^2 stations x {rows} orders x "
+            f"{n_scen} scenarios) is more than {MAX_AUDIT_CELLS:.3g}; "
+            f"lower the station count, n_points or n_scenarios")
     m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
-    scenarios = [m_star]
-    for _ in range(grid.n_scenarios):
-        scenarios.append(m_star * rng.uniform(*OPPONENT_PERTURBATION, size=n))
+    scenarios = np.empty((n_scen, n))
+    scenarios[0] = m_star
+    for k in range(1, n_scen):
+        scenarios[k] = m_star * rng.uniform(*OPPONENT_PERTURBATION, size=n)
 
-    # Row 0 of each deviator's column is its truthful order, rows 1.. the grid.
-    columns = np.empty((n, rows))
+    # Column 0 of each station's orders is its truthful order, then the grid.
+    orders = np.empty((n, rows))
     for i, pr in enumerate(market.profiles):
         scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(pr, pr.lambda_bar, market.p)
-        columns[i, 0] = m_star[i]
-        columns[i, 1:] = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
+        orders[i, 0] = m_star[i]
+        orders[i, 1:] = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
 
-    per_call = max(1, _AUDIT_CALL_BYTES // block_bytes)
-    # own[i, k] is deviator i's grant column in scenario k; a copy, so that
-    # no call's whole grant matrix outlives it.
-    own = np.empty((n, len(scenarios), rows))
-    for k, scen in enumerate(scenarios):
-        for first in range(0, n, per_call):
-            devs = np.arange(first, min(first + per_call, n))
-            block = np.arange(len(devs))
-            orders = np.tile(scen, (len(devs) * rows, 1))
-            orders.reshape(len(devs), rows, n)[block, :, devs] = columns[devs]
-            grants = mechanism(market, orders).reshape(len(devs), rows, n)
-            own[devs, k] = grants[block, :, devs]
-
-    improvements = []
-    for i, pr in enumerate(market.profiles):
-        _, cost = post_allocation_cost(pr, own[i], market.p, market.p1, market.p2)
-        # Per scenario, as a running max from 0.0 over the scenarios in order.
-        gains = np.max(cost[:, :1] - cost[:, 1:], axis=1)
-        improvements.append(max([0.0, *gains.tolist()]))
+    thresholds = _thresholds(market)
+    per_group = max(1, _AUDIT_CALL_BYTES // scenario_bytes)
+    per_batch = per_group * max(1, MAX_AUDIT_MATRIX_BYTES // (per_group * scenario_bytes))
+    diag = np.arange(n)
+    improvements = [0.0] * n
+    for start in range(0, n_scen, per_batch):
+        batch = scenarios[start:start + per_batch]
+        # own[i, k]: deviator i's grants in scenario k of the batch.
+        own = np.empty((n, len(batch), rows))
+        for first in range(0, len(batch), per_group):
+            scen = batch[first:first + per_group]
+            grants = kernel(market, scen, orders, thresholds)
+            truthful = np.repeat(scen, n, axis=0)
+            truthful.reshape(len(scen), n, n)[:, diag, diag] = m_star
+            called = mechanism(market, truthful).reshape(len(scen), n, n)[:, diag, diag]
+            if called.T.tobytes() != grants[:, :, 0].tobytes():
+                raise ParameterError(
+                    f"{name}'s grants at the truthful orders differ from its deviation kernel's")
+            own[:, first:first + len(scen)] = grants
+        for i, pr in enumerate(market.profiles):
+            _, cost = post_allocation_cost(pr, own[i], market.p, market.p1, market.p2)
+            # A running max from 0.0 over the scenarios in order.
+            gains = np.max(cost[:, :1] - cost[:, 1:], axis=1)
+            improvements[i] = max(improvements[i], *gains.tolist())
     max_improvement = max(improvements)
     return AuditReport(
-        mechanism=getattr(mechanism, "__name__", str(mechanism)),
+        mechanism=name,
         max_improvement=max_improvement,
         improvements=tuple(improvements),
         truthful_dominant=max_improvement <= 1e-9,

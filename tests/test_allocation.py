@@ -5,13 +5,14 @@ b=2, lambda_bar_i = 0.5 i) whose hand-executable numbers anchor every
 mechanism; fuzz checks draw random markets from seeded rngs.
 """
 
+import functools
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenstock import (
@@ -38,9 +39,11 @@ from greenstock import allocation
 from greenstock.allocation import (
     _AUDIT_CALL_BYTES,
     FEAS_EPS,
+    MAX_AUDIT_CELLS,
     MAX_AUDIT_MATRIX_BYTES,
     _lambda_on_curve,
     _mu_on_curve,
+    _thresholds,
 )
 
 
@@ -245,6 +248,8 @@ def test_order_vector_rejects_negative_entries():
     lambda: BsProfile(lambda_bar=math.inf, b=2.0, index=0),
     lambda: BsProfile(lambda_bar=1.0, b=math.nan, index=0),
     lambda: BsProfile(lambda_bar=1.0, b=math.inf, index=0),
+    lambda: BsProfile(lambda_bar=5e-324, b=2.0, index=0),
+    lambda: BsProfile(lambda_bar=1e-308, b=2.0, index=0),
     lambda: reference_market(mu0=math.nan),
     lambda: reference_market(mu0=math.inf),
     lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=math.nan, p1=1.0, p2=10.0),
@@ -258,7 +263,8 @@ def test_order_vector_rejects_negative_entries():
     lambda: DeviationGrid(n_scenarios=2.5),
     lambda: DeviationGrid(seed=math.nan),
     lambda: DeviationGrid(seed=-1),
-], ids=["lambda_bar-nan", "lambda_bar-inf", "b-nan", "b-inf", "mu0-nan", "mu0-inf",
+], ids=["lambda_bar-nan", "lambda_bar-inf", "b-nan", "b-inf", "lambda_bar-subnormal",
+        "lambda_bar-below-normal", "mu0-nan", "mu0-inf",
         "p-nan", "p1-nan", "p2-inf", "span-nan", "span-zero", "span-inf",
         "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative"])
 def test_non_finite_or_out_of_range_inputs_rejected(make):
@@ -273,6 +279,34 @@ def test_audit_refuses_oversized_grids_before_allocating(deadline):
         with deadline(1), pytest.raises(ParameterError, match="lower n_points"):
             truthfulness_audit(market, adaptive_uniform_allocation,
                                DeviationGrid(n_points=n_points))
+
+
+def test_audit_work_bound_admits_large_markets_and_refuses_past_it(deadline):
+    # n = 256 at the default grid is the largest audit the bound must admit.
+    grid = DeviationGrid()
+    assert 256**2 * (grid.n_points + 1) * (grid.n_scenarios + 1) <= MAX_AUDIT_CELLS
+    market = reference_market()
+    with deadline(1), pytest.raises(ParameterError, match="order cells"):
+        truthfulness_audit(market, adaptive_uniform_allocation,
+                           DeviationGrid(n_scenarios=100_000))
+
+
+def test_audit_refuses_a_mechanism_without_a_matching_deviation_kernel():
+    market, grid = reference_market(), DeviationGrid(n_points=5, n_scenarios=1)
+
+    def bare(market, orders):
+        return adaptive_uniform_allocation(market, orders)
+
+    with pytest.raises(ParameterError, match="bare has no deviation kernel"):
+        truthfulness_audit(market, bare, grid)
+
+    # The kernel is found through functools.wraps, but the grants differ.
+    @functools.wraps(adaptive_uniform_allocation)
+    def impostor(market, orders):
+        return proportional_allocation(market, orders)
+
+    with pytest.raises(ParameterError, match="differ from its deviation kernel"):
+        truthfulness_audit(market, impostor, grid)
 
 
 # ----------------------------------------------------- pareto priority
@@ -472,6 +506,40 @@ def _ref_audit(market, mechanism, grid):
     return improvements
 
 
+def _block_audit(market, mechanism, grid):
+    """truthfulness_audit's improvements as computed before the deviation
+    kernels: each deviator's (n_points + 1, N) block of one scenario (its
+    truthful row, then the grid rows) stacked into mechanism calls of at
+    most 128 KiB, and every grant read from the mechanism's output."""
+    n, rows = market.n, grid.n_points + 1
+    m_star = np.array(truthful_orders(market).orders)
+    rng = np.random.default_rng(grid.seed)
+    scenarios = [m_star]
+    for _ in range(grid.n_scenarios):
+        scenarios.append(m_star * rng.uniform(0.5, 1.5, size=n))
+    columns = np.empty((n, rows))
+    for i, pr in enumerate(market.profiles):
+        scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(pr, pr.lambda_bar, market.p)
+        columns[i, 0] = m_star[i]
+        columns[i, 1:] = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
+    per_call = max(1, 2**17 // (rows * n * 8))
+    own = np.empty((n, len(scenarios), rows))
+    for k, scen in enumerate(scenarios):
+        for first in range(0, n, per_call):
+            devs = np.arange(first, min(first + per_call, n))
+            block = np.arange(len(devs))
+            orders = np.tile(scen, (len(devs) * rows, 1))
+            orders.reshape(len(devs), rows, n)[block, :, devs] = columns[devs]
+            grants = mechanism(market, orders).reshape(len(devs), rows, n)
+            own[devs, k] = grants[block, :, devs]
+    improvements = []
+    for i, pr in enumerate(market.profiles):
+        _, cost = post_allocation_cost(pr, own[i], market.p, market.p1, market.p2)
+        gains = np.max(cost[:, :1] - cost[:, 1:], axis=1)
+        improvements.append(max([0.0, *gains.tolist()]))
+    return improvements
+
+
 REFERENCES = {
     proportional_allocation: _ref_proportional,
     pareto_priority_allocation: _ref_pareto,
@@ -551,6 +619,70 @@ def test_audit_matches_scalar_reference_loop():
 
 
 @st.composite
+def deviation_cases(draw):
+    """A market on the documented domain (N 2-16) with tied lambda_bar and
+    b, b = 0 and below-break-even stations; opponent scenarios with zeros
+    and ties; deviation orders that are 0, equal to an opponent's order
+    (at indices on both sides of the deviator's) or neither."""
+    n = draw(st.integers(2, 16))
+    profiles = draw(tied_profiles(n))
+    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
+    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
+                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
+    pool = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3))
+    entry = st.one_of(st.just(0.0), st.sampled_from(pool), st.floats(0.0, 30.0))
+    scen = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=1, max_size=4)))
+    deviation = st.one_of(entry, st.sampled_from(scen.ravel().tolist()))
+    width = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.lists(deviation, min_size=width, max_size=width),
+                               min_size=n, max_size=n)))
+    return market, scen, x
+
+
+def _edge_case(orders, mu0, x):
+    """Zero-backlog stations, so that no grant is rejected."""
+    profiles = tuple(BsProfile(lambda_bar=1.0, b=0.0, index=i) for i in range(len(orders)))
+    market = Market(profiles=profiles, mu0=mu0, p=1.0, p1=0.0, p2=10.0)
+    return market, np.array([orders]), np.array(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deviation_cases())
+# The deviator's uniform share equals its order + FEAS_EPS exactly, so it fits.
+@example(_edge_case([5.0, 0.0], 2.0 * (1.0 + FEAS_EPS), [[5.0], [1.0]]))
+# The row is scarce by its left-to-right sum, yet no uniform share fits, so
+# the top order gets u = mu0.
+@example(_edge_case([27239414.099999998, 18159609.4, 15778440.2], 61177463.699999996,
+                    [[27239414.099999998], [18159609.4], [15778440.2]]))
+def test_deviation_kernels_match_the_mechanisms_bit_for_bit(case):
+    market, scen, x = case
+    n, (g, t) = market.n, (len(scen), x.shape[1])
+    diag = np.arange(n)
+    # rows[i, k, t]: scenario k with entry i set to x[i, t].
+    rows = np.broadcast_to(scen[None, :, None, :], (n, g, t, n)).copy()
+    rows[diag, :, :, diag] = x[:, None, :]
+    for mechanism in REFERENCES:
+        kernel = mechanism._deviation_grants(market, scen, x, _thresholds(market))
+        grants = mechanism(market, rows.reshape(-1, n)).reshape(n, g, t, n)
+        assert _bits(kernel) == _bits(grants[diag, :, :, diag])
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_audit_matches_the_block_audit_on_large_markets(n):
+    """Tied lambda_bar and b, b = 0 and below-break-even stations, past the
+    N <= 16 of the hypothesis domains."""
+    profiles = tuple(BsProfile(lambda_bar=0.05 if i % 11 == 3 else 0.25 * (1 + i % 13),
+                               b=0.0 if i % 7 == 2 else 1.0 + i % 2, index=i)
+                     for i in range(n))
+    market = Market(profiles=profiles, mu0=0.2 * n, p=2.0, p1=1.0, p2=10.0)
+    grid = DeviationGrid(n_points=6, n_scenarios=2, seed=n)
+    for mechanism in REFERENCES:
+        report = truthfulness_audit(market, mechanism, grid)
+        assert _bits(report.improvements) == _bits(_block_audit(market, mechanism, grid))
+
+
+@st.composite
 def tied_profiles(draw, n):
     """n stations whose lambda_bar and b often repeat, with some b = 0."""
     lambda_bars = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3))
@@ -566,7 +698,8 @@ def tied_profiles(draw, n):
 def audit_cases(draw):
     """A market on the documented domain (N 2-16) with tied and zero
     orders (tied lambda_bar and b, b = 0 and below-break-even stations), a
-    small grid, and a per-call budget from under one block to all of them."""
+    small grid, a kernel-call budget from under one scenario's orders to all
+    of them, and a budget for the grants held between costings."""
     n = draw(st.integers(2, 16))
     profiles = draw(tied_profiles(n))
     p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
@@ -574,15 +707,20 @@ def audit_cases(draw):
                     p2=p1 + p + draw(st.floats(0.01, 20.0)))
     grid = DeviationGrid(n_points=draw(st.integers(2, 8)), span=draw(st.floats(0.1, 4.0)),
                          n_scenarios=draw(st.integers(0, 3)), seed=draw(st.integers(0, 2**32 - 1)))
-    block_bytes = (grid.n_points + 1) * n * 8
-    return market, grid, draw(st.integers(1, (n + 1) * block_bytes))
+    scenario_bytes = (grid.n_points + 1) * n * 8
+    all_bytes = (grid.n_scenarios + 2) * scenario_bytes
+    return (market, grid, draw(st.integers(1, all_bytes)),
+            draw(st.integers(scenario_bytes, all_bytes)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(audit_cases())
 def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
-    market, grid, budget = case
-    with mock.patch.object(allocation, "_AUDIT_CALL_BYTES", budget):
+    """Scenario groups from under one scenario to all of them, and the
+    grants costed in batches of one scenario up to all of them."""
+    market, grid, budget, held = case
+    with mock.patch.object(allocation, "_AUDIT_CALL_BYTES", budget), \
+            mock.patch.object(allocation, "MAX_AUDIT_MATRIX_BYTES", held):
         for mechanism, reference in REFERENCES.items():
             report = truthfulness_audit(market, mechanism, grid)
             expected = _ref_audit(market, reference, grid)
@@ -591,29 +729,37 @@ def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
 
 
 @pytest.mark.parametrize("n, n_points, n_scenarios, calls", [
-    (8, 200, 20, 21),       # every block of a scenario in one call
-    (32, 50, 5, 24),        # 10 blocks a call: 4 calls a scenario
-    (8, 3000, 1, 16),       # one block is past the budget: one call each
+    (8, 200, 20, 3),        # ten scenarios a group
+    (32, 50, 5, 1),         # every scenario in one group
+    (8, 3000, 1, 2),        # one scenario is past the budget: one a group
 ])
 def test_audit_calls_stay_within_the_budget(n, n_points, n_scenarios, calls):
+    """One mechanism call a scenario group, on every deviator's truthful
+    row, and one post_allocation_cost call a deviator."""
     profiles = tuple(BsProfile(lambda_bar=0.5 * (i + 1), b=2.0, index=i) for i in range(n))
     market = Market(profiles=profiles, mu0=2.5 * n, p=2.0, p1=1.0, p2=10.0)
     grid = DeviationGrid(n_points=n_points, n_scenarios=n_scenarios, seed=3)
-    rows = n_points + 1
+    scenario_bytes = (n_points + 1) * n * 8
     shapes = []
 
+    # As perfbench's tracer wraps it: functools.wraps carries the kernel.
+    @functools.wraps(adaptive_uniform_allocation)
     def recording(market, orders):
         shapes.append(orders.shape)
         return adaptive_uniform_allocation(market, orders)
 
-    report = truthfulness_audit(market, recording, grid)
-    per_call = max(1, _AUDIT_CALL_BYTES // (rows * n * 8))
-    assert len(shapes) == calls == (n_scenarios + 1) * -(-n // per_call)
+    with mock.patch.object(allocation, "post_allocation_cost",
+                           wraps=allocation.post_allocation_cost) as costs:
+        report = truthfulness_audit(market, recording, grid)
+    per_group = max(1, _AUDIT_CALL_BYTES // scenario_bytes)
+    assert len(shapes) == calls == -(-(n_scenarios + 1) // per_group)
+    assert costs.call_count == n
     for k, width in shapes:
-        assert width == n and k % rows == 0
-        assert k * n * 8 <= _AUDIT_CALL_BYTES or k == rows
+        assert width == n and k % n == 0
+        assert k // n * scenario_bytes <= _AUDIT_CALL_BYTES or k == n
     plain = truthfulness_audit(market, adaptive_uniform_allocation, grid)
     assert _bits(report.improvements) == _bits(plain.improvements)
+    assert report.mechanism == plain.mechanism == "adaptive_uniform_allocation"
 
 
 # ------------------------------------------------- post-allocation cost

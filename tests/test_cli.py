@@ -133,6 +133,9 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["audit", "--set", "p2=1e300"], "by a gap whose square is in float range"),
     (["allocate", "--set", "p1=1e300", "--set", "p2=1.0000001e300"],
      "by a gap whose square is in float range"),
+    (["audit", "--set", "n_scenarios=100000"], "1.29e+09 order cells"),
+    (["audit", "--set", "n_bs=2000", "--set", "mu0=5000"], "1.69e+10 order cells"),
+    (["audit", "--set", "lambda_step=5e-324"], "not below the smallest normal float"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
