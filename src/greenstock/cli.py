@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -211,6 +212,10 @@ def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
 
 def _market(params: dict) -> Market:
     from .allocation import BsProfile, Market
+    stations = len(params["lambda_bars"]) or params["n_bs"]
+    if stations > MAX_MARKET_STATIONS:
+        raise ParameterError(
+            f"the market has {stations} stations, more than {MAX_MARKET_STATIONS}")
     # An empty lambda_bars means n_bs stations at lambda_step * (1..n_bs).
     lambda_bars = params["lambda_bars"] or [
         params["lambda_step"] * i for i in range(1, params["n_bs"] + 1)]
@@ -289,9 +294,8 @@ def check_central(seed: int):
 
 
 def check_nash(seed: int):
-    import numpy as np
     params = _defaults("nash")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst_gap = worst_foc = worst_id = 0.0
     for _ in range(100):
         g = GameInstance(NormalizedParams(
@@ -308,37 +312,54 @@ def check_nash(seed: int):
     ]
 
 
+def _cost_surface(g: GameInstance, s_max: float, n: int):
+    """penalty-contract's grid: s = s_max * k / n and nu = phi * k / (n + 1) for
+    k = 1..n, and the closed-form C_o + C_s at every (s_i, nu_j) as one flat list,
+    cell i * n + j, as np.meshgrid(indexing="ij") lays it out."""
+    s_axis = [s_max * k / n for k in range(1, n + 1)]
+    nu_axis = [g.phi * k / (n + 1) for k in range(1, n + 1)]
+    c = 1.0 + g.b
+    cols = [(-v, 1.0 / v, v, g.cs * (v + 1.0) / (g.phi - v)) for v in nu_axis]
+    total = [s - inv + c * math.exp(neg * s) / v + rps
+             for s in s_axis for neg, inv, v, rps in cols]
+    return s_axis, nu_axis, total
+
+
+def _keeps_argmin(total: list, k: int, share: float) -> bool:
+    """Whether share * total, for share >= 0, has its first minimum at cell k, the
+    first minimum of total.  Rounding is monotone, so no scaled cell falls below
+    cell k's, and a cell before k ties it exactly when the least of them does
+    (at share = 0 every cell does)."""
+    return k == 0 or share * min(total[:k]) > share * total[k]
+
+
 def check_penalty_contract(seed: int):
-    import numpy as np
     g = _game(_defaults("penalty-contract"))
     report = equilibrium_report(g)
     lo, hi = report.epsilon_range
     opt = report.central
     n = 300
-    s_axis = 4.0 * opt.s * np.arange(1, n + 1) / n
-    nu_axis = g.phi * np.arange(1, n + 1) / (n + 1)
-    S, V = np.meshgrid(s_axis, nu_axis, indexing="ij")
-    total = (S - 1.0 / V + (1.0 + g.b) * np.exp(-V * S) / V
-             + g.cs * (V + 1.0) / (g.phi - V))
-    # Dual route: the vectorized surface equals the library's costs pointwise.
-    surface_err = 0.0
-    for i, j in np.random.default_rng(1).integers(0, n, size=(200, 2)):
-        x = StrategyPair(s=float(s_axis[i]), nu=float(nu_axis[j]))
-        surface_err = max(surface_err, abs(total[i, j] - cost_bs(g, x) - cost_rps(g, x)))
-    k_central = np.unravel_index(np.argmin(total), total.shape)
+    s_axis, nu_axis, total = _cost_surface(g, 4.0 * opt.s, n)
+    # Dual route: the closed-form surface equals the library's costs pointwise.
+    rng, surface_err = random.Random(1), 0.0
+    for _ in range(200):
+        i, j = rng.randrange(n), rng.randrange(n)
+        x = StrategyPair(s=s_axis[i], nu=nu_axis[j])
+        surface_err = max(surface_err, abs(total[i * n + j] - cost_bs(g, x) - cost_rps(g, x)))
+    k = total.index(min(total))     # the first minimum, as np.argmin takes it
+    i, j = divmod(k, n)
     # The cost valley s*nu ~ gamma is flat, so the discrete argmin may sit a
     # few cells along it; require the shared gridpoint to stay in that band.
-    near = (abs(s_axis[k_central[0]] - opt.s) <= 3.0 * (s_axis[1] - s_axis[0])
-            and abs(nu_axis[k_central[1]] - opt.nu) <= 3.0 * (nu_axis[1] - nu_axis[0]))
+    near = (abs(s_axis[i] - opt.s) <= 3.0 * (s_axis[1] - s_axis[0])
+            and abs(nu_axis[j] - opt.nu) <= 3.0 * (nu_axis[1] - nu_axis[0]))
     # Under the contract the BS minimizes (1-eps)*C and the supplier eps*C.
-    aligned = all(np.unravel_index(np.argmin(share * total), total.shape) == k_central
+    aligned = all(_keeps_argmin(total, k, share)
                   for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
     return [
         _near("penalty", report.penalty, 0.0407, 0.0005),
-        ("vectorized cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
+        ("closed-form cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
          f"{surface_err:.2e}"),
-        ("central gridpoint within 3 cells of (s_bar, nu_bar)", near,
-         f"cell ({k_central[0]}, {k_central[1]})"),
+        ("central gridpoint within 3 cells of (s_bar, nu_bar)", near, f"cell ({i}, {j})"),
         ("BS and supplier grid argmins at the central gridpoint", aligned,
          f"eps in [{lo:.4f},{hi:.4f}]"),
     ]
@@ -469,6 +490,7 @@ SCENARIOS = {
 ANALYTIC_SCENARIOS = {"central", "nash", "penalty-contract", "power-split",
                       "allocate"}
 MAX_SWEEP_POINTS = 10_000      # each point runs its scenario once, in milliseconds
+MAX_MARKET_STATIONS = 100_000  # allocate takes time linear in its stations
 
 
 def resolve_params(name: str, params: dict) -> dict:

@@ -19,11 +19,13 @@ orders): a stable run's horizon is bounded by time alone, while an
 unstable run's pending departures and pmf grow with its backlog, and it
 stays capped at 1e8 events.
 
-Importing the module loads neither numpy nor scipy.  Each function that
-draws or simulates imports numpy when it runs, and the first truncated-normal
-draw imports scipy.special for its inverse normal CDF (`ndtri`), so the
-analytic scenarios load neither.  The scalar normal CDF, hazard and
-Student-t quantile are computed here from `math`.
+Importing the module loads none of numpy, scipy and statistics.  Each
+function that draws or simulates imports numpy when it runs, the first
+truncated-normal draw imports scipy.special for its inverse normal CDF
+(`ndtri`), and the two scalar inverse normal CDFs (a `TruncatedNormal`'s
+largest draw and the Student-t start) import `statistics.NormalDist`, so
+the analytic scenarios load none of them.  The scalar normal CDF, hazard
+and Student-t quantile are computed here from `math`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, _whole
@@ -74,7 +75,7 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        try:    # scv() reads each rate's square and inverse square
+        try:    # each rate's square and inverse square must stay in float range
             in_range = all(0 < rate < math.inf and 1.0 / rate**2 < math.inf
                            for rate in (self.rate1, self.rate2))
         except (OverflowError, ZeroDivisionError):
@@ -87,8 +88,13 @@ class HyperExp2:
         return self.prob / self.rate1 + (1.0 - self.prob) / self.rate2
 
     def scv(self) -> float:
-        m1 = self.mean_time()
-        m2 = 2.0 * self.prob / self.rate1**2 + 2.0 * (1.0 - self.prob) / self.rate2**2
+        # The moments of the times scaled by the longer mean phase stay in float
+        # range where 2 / rate**2 would not; scv is scale-free.
+        t1, t2 = 1.0 / self.rate1, 1.0 / self.rate2
+        longest = max(t1, t2)
+        u1, u2 = t1 / longest, t2 / longest
+        m1 = self.prob * u1 + (1.0 - self.prob) * u2
+        m2 = 2.0 * self.prob * u1 * u1 + 2.0 * (1.0 - self.prob) * u2 * u2
         return (m2 - m1 * m1) / (m1 * m1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -138,6 +144,8 @@ class TruncatedNormal:
     def __post_init__(self):
         if not (0 < self.mean < math.inf and 0 < self.cv < math.inf):
             raise ParameterError(f"mean and cv must be finite and > 0, got {self.mean}, {self.cv}")
+        from statistics import NormalDist
+
         object.__setattr__(self, "_base", self._base_params())
         mu0, sigma0, tail = self._base
         if not math.isfinite(mu0 - sigma0 * NormalDist().inv_cdf(2.0**-53 * tail)):   # largest draw
@@ -374,6 +382,8 @@ def _t_quantile(df: int, p: float) -> float:
     closed-form CDF; the two-sided probability is concave in theta, so
     starting from the normal quantile, which lies below the t quantile,
     the iterates rise monotonically to the root."""
+    from statistics import NormalDist
+
     target = 2.0 * p - 1.0
     theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
     for _ in range(100):

@@ -136,6 +136,7 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["audit", "--set", "n_scenarios=100000"], "1.29e+09 order cells"),
     (["audit", "--set", "n_bs=2000", "--set", "mu0=5000"], "1.69e+10 order cells"),
     (["audit", "--set", "lambda_step=5e-324"], "not below the smallest normal float"),
+    (["allocate", "--set", "n_bs=100001"], "the market has 100001 stations, more than 100000"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -374,16 +375,19 @@ import contextlib, io, sys
 import greenstock
 from greenstock.cli import main
 for argv in (["central"], ["nash"], ["penalty-contract"], ["power-split"], ["central", "--check"],
+             ["nash", "--check"], ["nash", "--check", "--seed", "7"], ["penalty-contract", "--check"],
              ["power-split", "--check"], ["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("greenstock"))
+for name in ("numpy", "statistics"):
+    assert name not in sys.modules, (name, sorted(m for m in sys.modules if m.startswith("greenstock")))
 """
 
 
 def test_analytic_cold_path_never_imports_numpy():
-    """The closed-form scenarios, their grid checks and an analytic sweep run in
-    a fresh interpreter without loading numpy; allocation and simulation load it."""
+    """The closed-form scenarios, their checks and an analytic sweep run in a
+    fresh interpreter without loading numpy or statistics; allocation and
+    simulation load them."""
     env = {**os.environ, "PYTHONPATH": str(Path(greenstock.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_PATH], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -426,3 +430,56 @@ def test_split_grid_matches_numpy_arange_and_argmin(total_lambda, mu0, p2):
     assert grid == ref.tolist()
     assert costs == ref_costs.tolist()
     assert costs.index(min(costs)) == int(np.argmin(ref_costs))
+
+
+def _numpy_surface(g, s_max, n):
+    """The penalty-contract surface on numpy's meshgrid, the reference for the list one."""
+    s_axis = s_max * np.arange(1, n + 1) / n
+    nu_axis = g.phi * np.arange(1, n + 1) / (n + 1)
+    S, V = np.meshgrid(s_axis, nu_axis, indexing="ij")
+    total = S - 1.0 / V + (1.0 + g.b) * np.exp(-V * S) / V + g.cs * (V + 1.0) / (g.phi - V)
+    return s_axis, nu_axis, total.ravel()
+
+
+_PENALTY_GAME = cli._game(cli._defaults("penalty-contract"))
+_S_MAX = 4.0 * greenstock.centralized_optimum(_PENALTY_GAME).s
+_SURFACE = cli._cost_surface(_PENALTY_GAME, _S_MAX, 300)[2]
+_SURFACE_ARRAY = np.array(_SURFACE)
+
+
+def test_cost_surface_matches_numpy_meshgrid_and_argmin():
+    """penalty-contract's list surface has the numpy axes bit for bit, cells
+    within 1e-12 relative (math.exp and np.exp differ in the last bits) and
+    the same first argmin."""
+    s_axis, nu_axis, total = cli._cost_surface(_PENALTY_GAME, _S_MAX, 300)
+    ref_s, ref_nu, ref_total = _numpy_surface(_PENALTY_GAME, _S_MAX, 300)
+    assert s_axis == ref_s.tolist() and nu_axis == ref_nu.tolist()
+    np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
+    assert total.index(min(total)) == int(np.argmin(ref_total))
+
+
+@settings(max_examples=100, deadline=None)
+@given(share=st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-300, 1.0]))
+def test_keeps_argmin_matches_numpy_argmin_of_the_scaled_surface(share):
+    """The tie rule is np.argmin(share * total) == k, without the scaled surface."""
+    k = _SURFACE.index(min(_SURFACE))
+    expected = int(np.argmin(share * _SURFACE_ARRAY)) == k
+    assert cli._keeps_argmin(_SURFACE, k, share) == expected
+
+
+@pytest.mark.parametrize("total, k, share, kept", [
+    ([1.8444218515250483, 1.8444218515250481, 3.0], 1, 0.8789772014701512, False),  # rounds together
+    ([1.8444218515250483, 1.8444218515250481, 3.0], 1, 0.5, True),
+    ([1.0 + 2.0**-52, 1.0, 2.0], 1, 5e-324, False),     # both scale to the least subnormal
+    ([1.0 + 2.0**-52, 1.0, 2.0], 1, 0.0, False),        # at share 0 every cell ties
+    ([1.0, 2.0], 0, 0.0, True),                         # a minimum at cell 0 always stays
+])
+def test_keeps_argmin_on_constructed_ties(total, k, share, kept):
+    assert int(np.argmin(share * np.array(total))) == (k if kept else 0)
+    assert cli._keeps_argmin(total, k, share) == kept
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nash_check_passes_at_every_seed(seed):
+    """check_nash's verdict holds whichever 100 instances the seed draws."""
+    assert all(ok for _, ok, _ in cli.check_nash(seed))

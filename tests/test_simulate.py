@@ -55,6 +55,14 @@ def test_hyperexp_moments_match_formula():
     assert x.var() / x.mean() ** 2 == pytest.approx(d.scv(), rel=0.03)
 
 
+def test_hyperexp_scv_stays_finite_where_twice_an_inverse_square_overflows():
+    """With prob 0 the law is exponential at rate2, so scv is 1, even where
+    2 / rate2**2 overflows; the reference rates keep their scv bits."""
+    assert HyperExp2(prob=0.0, rate1=2.3, rate2=8e-155).scv() == 1.0
+    assert HyperExp2(prob=1.0, rate1=8e-155, rate2=2.3).scv() == 1.0
+    assert HyperExp2(prob=0.5, rate1=2.3, rate2=3.5).scv().hex() == "0x1.15eab129180c3p+0"
+
+
 def test_truncated_normal_hits_requested_moments():
     """Sampling must deliver the configured mean/cv after truncation."""
     d = TruncatedNormal(mean=0.288199, cv=0.5)
