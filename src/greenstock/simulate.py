@@ -75,7 +75,7 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        try:    # each rate's square and inverse square must stay in float range
+        try:    # bounds the ratio of the phase times, which scv() needs in float range
             in_range = all(0 < rate < math.inf and 1.0 / rate**2 < math.inf
                            for rate in (self.rate1, self.rate2))
         except (OverflowError, ZeroDivisionError):
@@ -88,11 +88,12 @@ class HyperExp2:
         return self.prob / self.rate1 + (1.0 - self.prob) / self.rate2
 
     def scv(self) -> float:
-        # The moments of the times scaled by the longer mean phase stay in float
-        # range where 2 / rate**2 would not; scv is scale-free.
+        # scv is scale-free: the phase times scaled by the power of two just above
+        # the mean keep the moments in float range where 2 / rate**2 would not,
+        # and the exact scaling leaves every other rounding as unscaled.
         t1, t2 = 1.0 / self.rate1, 1.0 / self.rate2
-        longest = max(t1, t2)
-        u1, u2 = t1 / longest, t2 / longest
+        k = math.frexp(self.prob * t1 + (1.0 - self.prob) * t2)[1]
+        u1, u2 = math.ldexp(t1, -k), math.ldexp(t2, -k)
         m1 = self.prob * u1 + (1.0 - self.prob) * u2
         m2 = 2.0 * self.prob * u1 * u1 + 2.0 * (1.0 - self.prob) * u2 * u2
         return (m2 - m1 * m1) / (m1 * m1)

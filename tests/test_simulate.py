@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,11 +57,30 @@ def test_hyperexp_moments_match_formula():
 
 
 def test_hyperexp_scv_stays_finite_where_twice_an_inverse_square_overflows():
-    """With prob 0 the law is exponential at rate2, so scv is 1, even where
-    2 / rate2**2 overflows; the reference rates keep their scv bits."""
+    """With prob 0 or 1 the law is exponential, so scv is 1, even where
+    2 / rate**2 overflows or the improbable phase's time is far the longer
+    or far the shorter; the reference rates keep their scv bits."""
     assert HyperExp2(prob=0.0, rate1=2.3, rate2=8e-155).scv() == 1.0
     assert HyperExp2(prob=1.0, rate1=8e-155, rate2=2.3).scv() == 1.0
+    assert HyperExp2(prob=1.0, rate1=1e100, rate2=1e-100).scv() == 1.0
+    assert HyperExp2(prob=0.0, rate1=1e-100, rate2=1e100).scv() == 1.0
     assert HyperExp2(prob=0.5, rate1=2.3, rate2=3.5).scv().hex() == "0x1.15eab129180c3p+0"
+
+
+# The least and greatest rates HyperExp2 admits, and values between.
+_H2_RATES = st.sampled_from([7.458340731200208e-155, 1e-100, 2.3, 1e100, 1.3407807929942596e154])
+
+
+@given(prob=st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1 - 2**-53, 1.0]),
+       rate1=_H2_RATES | st.floats(7.458340731200208e-155, 1.3407807929942596e154),
+       rate2=_H2_RATES | st.floats(7.458340731200208e-155, 1.3407807929942596e154))
+def test_hyperexp_scv_matches_its_exact_moments_across_the_admitted_rates(prob, rate1, rate2):
+    """scv = E[T^2] / E[T]^2 - 1 in exact rationals, to a few ulps of max(scv, 1)."""
+    d = HyperExp2(prob=prob, rate1=rate1, rate2=rate2)
+    p, t1, t2 = Fraction(prob), 1 / Fraction(rate1), 1 / Fraction(rate2)
+    mean = p * t1 + (1 - p) * t2
+    exact = float(2 * (p * t1 * t1 + (1 - p) * t2 * t2) / (mean * mean) - 1)
+    assert abs(d.scv() - exact) <= 4e-15 * max(exact, 1.0)
 
 
 def test_truncated_normal_hits_requested_moments():
