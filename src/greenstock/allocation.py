@@ -120,7 +120,8 @@ class OrderVector:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Feasible grants (sum <= mu0, grant <= order), aligned with profiles.
+    """Feasible grants, aligned with profiles: grant <= order, and sum <= mu0
+    up to the rounding of the sum.
 
     n_hat is the adaptive mechanism's split index (None otherwise);
     `rejected` lists indices zeroed by the take-or-leave step.
@@ -310,12 +311,12 @@ def adaptive_uniform_allocation(market: Market, orders):
     tail[:, :-1] = np.cumsum(s[:, :0:-1], axis=1)[:, ::-1]
     uniform = (market.mu0 - tail) / k
     fits = uniform <= s + FEAS_EPS
-    # n_hat is the largest k whose share fits; if none does, 1 with u = mu0.
+    # n_hat is the largest k whose share fits.  A row scarce only by the
+    # rounding of its sum, where no share fits, keeps its orders.
     last = n - 1 - np.argmax(fits[:, ::-1], axis=1)
-    found = fits.any(axis=1)
-    u = np.where(found, uniform[np.arange(len(s)), last], market.mu0)
-    scarce = _row_sums(m) > market.mu0
-    n_hat = np.where(scarce, np.where(found, last + 1, 1), n)
+    u = uniform[np.arange(len(s)), last]
+    scarce = (_row_sums(m) > market.mu0) & fits.any(axis=1)
+    n_hat = np.where(scarce, last + 1, n)
     g = _unsort(np.where(scarce[:, None] & (k <= n_hat[:, None]), u[:, None], s), idx)
     rejected = (0.0 < g) & (g <= _thresholds(market))
     g[rejected] = 0.0
@@ -402,10 +403,10 @@ def _adaptive_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
     pos = _at_rank(pick, ranks)
     own = _at_rank(share, pos)
     # A fitting share past the deviator is n_hat's; at its rank the share
-    # must fit its order; else n_hat is below it, or 1 with u = mu0.
+    # must fit its order; else n_hat is below it, or no share fits.
     sums = _deviation_sums(scen, x)
     x = x[:, None, :]
-    g = np.where((pos > ranks) | (own <= x + FEAS_EPS), own, np.where(ranks == 0, mu0, x))
+    g = np.where((pos > ranks) | (own <= x + FEAS_EPS), own, x)
     g = np.where(sums > mu0, g, x)
     g[(0.0 < g) & (g <= thresholds[:, None, None])] = 0.0
     return g
@@ -444,28 +445,36 @@ def _post_allocation(lambda_bar, gamma, granted_rate, p, p1, p2):
         raise ParameterError(f"granted rate must be >= 0, got {granted_rate}")
     lam = a - np.sqrt(a * gamma / (p2 - p1)) if p2 > p1 else 0.0 * a
     lam = np.minimum(np.maximum(lam, 0.0), np.minimum(lambda_bar, a * (1.0 - FEAS_EPS)))
-    # lam > 0 implies a - lam >= a * FEAS_EPS > 0; where lam = 0 the last
-    # term is 0 / (a + 1), so it adds exactly 0.
+    # At a normal rate a > 0, lam <= a * (1 - FEAS_EPS) < a.  lam = a only
+    # at a = 0, where the last term is 0 / 1, or at a subnormal a that
+    # 1 - FEAS_EPS cannot lower, where it is lam * gamma / 1, subnormal too.
     return lam, (p * a + p1 * lam + p2 * (lambda_bar - lam)
-                 + lam * gamma / (a - lam + (lam == 0.0)))
+                 + lam * gamma / (a - lam + (lam == a)))
 
 
-def social_cost(market: Market, grants) -> float:
-    """Sum of post-allocation minimized costs across all base stations."""
+def social_cost(market: Market, grants):
+    """Sum of post-allocation minimized costs across all base stations.
+
+    Takes a grant vector or AllocationResult and returns a float, or takes a
+    (K, N) grant matrix and returns the K row costs.  Each row's grants and
+    costs are added left to right, and a row over capacity is refused.
+    """
     if isinstance(grants, AllocationResult):
         grants = grants.grants
-    if len(grants) != market.n:
+    g = np.asarray(grants, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[-1] != market.n:
         raise ParameterError("grants length must match the market")
-    total = sum(grants)
-    if total > market.mu0 + 1e-6:
-        raise ParameterError(f"grants sum {total} exceeds capacity {market.mu0}")
+    rows = g.reshape(-1, market.n)
+    totals = _row_sums(rows)
+    if (totals > market.mu0 + 1e-6).any():
+        raise ParameterError(f"grants sum {totals.max()} exceeds capacity {market.mu0}")
     profiles = market.profiles
     _, costs = _post_allocation(
         np.array([pr.lambda_bar for pr in profiles]),
         np.array([math.log1p(pr.b) for pr in profiles]),
-        grants, market.p, market.p1, market.p2)
-    # Python's sum adds left to right, as the planner's tie-breaks assume.
-    return sum(costs.tolist())
+        rows, market.p, market.p1, market.p2)
+    costs = _row_sums(costs)
+    return float(costs[0]) if g.ndim == 1 else costs
 
 
 def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]:
@@ -488,12 +497,9 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     value matrix, every sum added left to right as a loop over the stations
     adds it: column 0 holds each mask's planner value (inf if infeasible),
     column 1 + j its value with BS j taking the residual (inf if it cannot).
-    `consider` keeps its best within 1e-9 of the least value seen, so only
-    the masks whose least value is within 2e-9 (plus four ulps) of the
-    earlier masks' least reach it, in enumeration order: 70 of 4,096,
-    making 76 social_cost calls, for lambda_bar = 0.5, 1.0, ..., 6.0, b = 2
-    and mu0 = 30.  The result and the social_cost calls are those of a walk
-    over every mask.
+    The candidates are the cells within 1e-9 of the least value, in
+    row-major order; one social_cost call costs their grants, and the first
+    candidate within 1e-12 of the least social cost wins.
     """
     n = market.n
     if n > 12:
@@ -517,32 +523,14 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
         takes = np.flatnonzero(has_residual & ~served[j] & (residual < full_rate[j]))
         lam = _lambda_on_curve(pr, residual[takes], p)
         values[takes, 1 + j] = value[takes] - grid_cost[j] + _on_curve(pr, lam, p, p1, p2)[1]
-    # Mask 0 serves nobody, so it is feasible and its least value is finite.
-    least = values.min(axis=1)
-    bound = np.concatenate(([least[0]], np.minimum.accumulate(least)[:-1])) + 2e-9
-    bound += 4.0 * np.spacing(bound)
-    visit = np.flatnonzero(least <= bound)
-
-    best_value = best_social = math.inf
-    best_grants: tuple[float, ...] = tuple(0.0 for _ in range(n))
-
-    def consider(value: float, grants: tuple[float, ...]) -> None:
-        nonlocal best_value, best_social, best_grants
-        if value > best_value + 1e-9:
-            return
-        social = social_cost(market, grants)
-        if value < best_value - 1e-9 or social < best_social - 1e-12:
-            best_value = min(best_value, value)
-            best_social = social
-            best_grants = grants
-
-    for mask, row, left in zip(visit.tolist(), values[visit].tolist(), residual[visit].tolist()):
-        grants = tuple(full_rate[i] if mask >> i & 1 else 0.0 for i in range(n))
-        consider(row[0], grants)
-        for j in range(n):
-            if row[1 + j] < math.inf:
-                consider(row[1 + j], grants[:j] + (left,) + grants[j + 1:])
-    return best_grants, best_social
+    # Mask 0 serves nobody, so it is feasible and the least value is finite.
+    masks, cols = np.nonzero(values <= values.min() + 1e-9)
+    grants = np.where(served[:, masks].T, full_rate, 0.0)
+    takers = np.flatnonzero(cols)
+    grants[takers, cols[takers] - 1] = residual[masks[takers]]
+    costs = social_cost(market, grants)
+    best = int(np.argmax(costs <= costs.min() + 1e-12))
+    return tuple(grants[best].tolist()), float(costs[best])
 
 
 @dataclass(frozen=True)

@@ -362,12 +362,24 @@ def test_adaptive_single_effective_bidder():
     assert result.grants[0] == pytest.approx(20.0, abs=1e-12)
 
 
+# Orders whose left-to-right sum is one ulp above mu0, though no uniform
+# share fits them.
+SCARCE_BY_ROUNDING = ([27239414.099999998, 18159609.4, 15778440.2], 61177463.699999996)
+
+
 def test_adaptive_no_scarcity_grants_orders():
     market = reference_market(mu0=40.0)
     orders = truthful_orders(market)
     result = adaptive_uniform_allocation(market, orders)
     assert result.grants == pytest.approx(orders.orders, abs=1e-12)
     assert result.n_hat == 8
+
+    orders, mu0 = SCARCE_BY_ROUNDING
+    market, _, _ = _edge_case(orders, mu0, [])
+    result = adaptive_uniform_allocation(market, OrderVector(tuple(orders)))
+    assert all(g <= m for g, m in zip(result.grants, orders))
+    assert sum(result.grants) <= mu0 + 4 * math.ulp(mu0)
+    assert result.n_hat == 3
 
 
 def test_adaptive_monotone_under_inflation():
@@ -410,13 +422,22 @@ def test_mechanisms_always_feasible():
 # written per order vector, before the (K, N) kernels; each kernel must
 # reproduce them bit for bit.
 
+def _added_left_to_right(values):
+    """The floats added left to right, as sum() adds them before Python
+    3.12; from 3.12 on, sum() compensates its rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ref_descending(orders):
     return sorted(range(len(orders)), key=lambda i: (-orders[i], i))
 
 
 def _ref_proportional(market, orders):
     m = orders.orders
-    total = sum(m)
+    total = _added_left_to_right(m)
     if total <= 0.0:
         return AllocationResult(grants=tuple(0.0 for _ in m))
     scale = min(1.0, market.mu0 / total)
@@ -445,17 +466,15 @@ def _ref_adaptive(market, orders):
     n = market.n
     grants_sorted = list(sorted_m)
     n_hat = n
-    if sum(m) > market.mu0:
+    if _added_left_to_right(m) > market.mu0:
         tail = 0.0
-        n_hat = 1
-        uniform = market.mu0
         for k in range(n, 0, -1):
             u = (market.mu0 - tail) / k
             if u <= sorted_m[k - 1] + 1e-9:
-                n_hat, uniform = k, u
+                n_hat = k
+                grants_sorted = [u] * k + sorted_m[k:]
                 break
             tail += sorted_m[k - 1]
-        grants_sorted = [uniform] * n_hat + sorted_m[n_hat:]
     grants = [0.0] * n
     for pos, i in enumerate(order_idx):
         grants[i] = grants_sorted[pos]
@@ -475,7 +494,8 @@ def _ref_cost(profile, a, p, p1, p2):
     lam = min(max(lam, 0.0), min(profile.lambda_bar, a * (1.0 - 1e-9)))
     cost = p * a + p1 * lam + p2 * (profile.lambda_bar - lam)
     if lam > 0.0:
-        cost += lam * gamma / (a - lam)
+        # lam = a only at a subnormal grant.
+        cost += lam * gamma / (a - lam if lam < a else 1.0)
     return cost
 
 
@@ -652,9 +672,8 @@ def _edge_case(orders, mu0, x):
 # The deviator's uniform share equals its order + FEAS_EPS exactly, so it fits.
 @example(_edge_case([5.0, 0.0], 2.0 * (1.0 + FEAS_EPS), [[5.0], [1.0]]))
 # The row is scarce by its left-to-right sum, yet no uniform share fits, so
-# the top order gets u = mu0.
-@example(_edge_case([27239414.099999998, 18159609.4, 15778440.2], 61177463.699999996,
-                    [[27239414.099999998], [18159609.4], [15778440.2]]))
+# every station keeps its order.
+@example(_edge_case(*SCARCE_BY_ROUNDING, [[o] for o in SCARCE_BY_ROUNDING[0]]))
 def test_deviation_kernels_match_the_mechanisms_bit_for_bit(case):
     market, scen, x = case
     n, (g, t) = market.n, (len(scen), x.shape[1])
@@ -845,29 +864,17 @@ def test_bruteforce_refuses_large_markets():
 
 
 def _ref_bruteforce(market):
-    """social_optimum_bruteforce's loop over every mask, as it was before
-    the masks were prefiltered; social_cost is looked up on the module so
-    that a patched recorder sees its calls."""
+    """social_optimum_bruteforce's rule as a loop over every mask and
+    residual taker: of the extreme points within 1e-9 of the least planner
+    value, in mask order with full service before each residual taker, the
+    first within 1e-12 of their least social_cost wins."""
     n = market.n
     p, p1, p2 = market.p, market.p1, market.p2
     full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) for pr in market.profiles]
     full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
     grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
 
-    best_value = math.inf
-    best_social = math.inf
-    best_grants = tuple(0.0 for _ in range(n))
-
-    def consider(value, grants):
-        nonlocal best_value, best_social, best_grants
-        if value > best_value + 1e-9:
-            return
-        social = allocation.social_cost(market, grants)
-        if value < best_value - 1e-9 or social < best_social - 1e-12:
-            best_value = min(best_value, value)
-            best_social = social
-            best_grants = grants
-
+    points = []
     for mask in range(1 << n):
         used = 0.0
         value = 0.0
@@ -880,7 +887,7 @@ def _ref_bruteforce(market):
         if used > market.mu0 + FEAS_EPS:
             continue
         grants = tuple(full_rate[i] if mask >> i & 1 else 0.0 for i in range(n))
-        consider(value, grants)
+        points.append((value, grants))
         residual = market.mu0 - used
         if residual <= FEAS_EPS:
             continue
@@ -890,10 +897,12 @@ def _ref_bruteforce(market):
             lam_j = _lambda_on_curve(market.profiles[j], residual, p)
             cand = (value - grid_cost[j]
                     + optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2])
-            g = list(grants)
-            g[j] = residual
-            consider(cand, tuple(g))
-    return best_grants, best_social
+            points.append((cand, grants[:j] + (residual,) + grants[j + 1:]))
+    least = min(value for value, _ in points)
+    candidates = [(grants, social_cost(market, grants))
+                  for value, grants in points if value <= least + 1e-9]
+    best = min(cost for _, cost in candidates)
+    return next((grants, cost) for grants, cost in candidates if cost <= best + 1e-12)
 
 
 @st.composite
@@ -910,44 +919,55 @@ def planner_markets(draw):
 @settings(max_examples=60, deadline=None)
 @given(planner_markets())
 def test_bruteforce_matches_the_full_mask_loop(market):
-    original = allocation.social_cost
-    seen = {}
-    for name, solve in (("pruned", social_optimum_bruteforce), ("full", _ref_bruteforce)):
-        calls = seen[name] = []
-
-        def recording(market, grants, calls=calls):
-            calls.append(grants)
-            return original(market, grants)
-
-        with mock.patch.object(allocation, "social_cost", recording):
-            seen[name + " result"] = solve(market)
-    assert repr(seen["pruned result"]) == repr(seen["full result"])
-    assert repr(seen["pruned"]) == repr(seen["full"])
+    assert repr(social_optimum_bruteforce(market)) == repr(_ref_bruteforce(market))
 
 
-def test_bruteforce_walk_at_the_twelve_station_market():
+def test_bruteforce_costs_the_twelve_station_market_in_one_call():
     """The planner's social_cost calls at the 12-station benchmark market,
     the count perfbench's traced audit reports."""
     profiles = tuple(BsProfile(lambda_bar=0.5 * i, b=2.0, index=i - 1) for i in range(1, 13))
     market = Market(profiles=profiles, mu0=30.0, p=2.0, p1=1.0, p2=10.0)
     with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
         social_optimum_bruteforce(market)
-    assert calls.call_count == 76
+    assert calls.call_count == 1
 
 
 def test_bruteforce_costs_a_later_mask_within_the_tie_tolerance():
     """Serving the second station fully costs 7e-12 more than serving the
-    first: far more than rounding, within consider's 1e-9 tolerance.  The
-    full walk costs that mask, so the planner must reach it too."""
+    first: far more than rounding, within the 1e-9 candidate window.  Both
+    masks serving one station fully, the other taking the residual, are
+    the candidates."""
     profiles = (BsProfile(lambda_bar=2.0, b=2.0, index=0),
                 BsProfile(lambda_bar=2.0 - 1e-11, b=2.0, index=1))
     market = Market(profiles=profiles, mu0=5.0, p=2.0, p1=1.0, p2=10.0)
-    seen = []
-    for solve in (social_optimum_bruteforce, _ref_bruteforce):
-        with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
-            seen.append((repr(solve(market)), calls.call_args_list))
-    assert seen[0] == seen[1]
-    assert len(seen[0][1]) == 4
+    with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
+        result = social_optimum_bruteforce(market)
+    (_, candidates), = (call.args for call in calls.call_args_list)
+    full = [_mu_on_curve(pr, pr.lambda_bar, market.p) for pr in profiles]
+    assert candidates.tolist() == [[full[0], 5.0 - full[0]], [5.0 - full[1], full[1]]]
+    assert repr(result) == repr(_ref_bruteforce(market))
+
+
+@settings(max_examples=100, deadline=None)
+@given(markets_with_orders())
+# A subnormal grant, which 1 - FEAS_EPS cannot lower, at zero backlog cost.
+@example(_edge_case([0.0, 5e-324], 1.0, [])[:2])
+def test_social_cost_rows_match_the_one_row_calls(case):
+    """Each row of a (K, N) call is bit-equal to its own call and to its
+    stations' costs added left to right; one row over capacity is refused."""
+    market, orders = case
+    grants = np.concatenate([mechanism(market, orders) for mechanism in REFERENCES])
+    costs = social_cost(market, grants)
+    assert costs.shape == (len(grants),)
+    for row, cost in zip(grants.tolist(), costs.tolist()):
+        expected = _added_left_to_right(
+            _ref_cost(pr, a, market.p, market.p1, market.p2)
+            for pr, a in zip(market.profiles, row))
+        assert _bits([social_cost(market, row)]) == _bits([cost]) == _bits([expected])
+    over = grants.copy()
+    over[-1, 0] = market.mu0 + 1e-3
+    with pytest.raises(ParameterError):
+        social_cost(market, over)
 
 
 def test_bruteforce_beats_proportional_with_strict_gap_somewhere():

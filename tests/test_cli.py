@@ -287,6 +287,21 @@ def test_allocate_scenario_reference(tmp_path):
     assert top == pytest.approx(2.96541, abs=1e-4)
 
 
+@pytest.mark.parametrize("rate", ["h2_rate2=7.458340731200208e-155",
+                                  "h2_rate1=1.3407807929942596e154",
+                                  "h2_rate1=7.458340731200208e-155"])
+def test_queue_validate_runs_at_the_admitted_h2_extremes(rate, tmp_path):
+    """HyperExp2's rate bound admits only laws the simulator can run: at its
+    least and greatest rates every numeric column is finite."""
+    out = tmp_path / "queue.csv"
+    assert main(["queue-validate", "--set", "horizon=2000", "--set", rate,
+                 "--out", str(out)]) == 0
+    _, header, rows = read_rows(out)
+    assert len(rows) == 5
+    numeric = [r[i] for r in rows for i, name in enumerate(header) if name != "model"]
+    assert all(math.isfinite(float(v)) for v in numeric)
+
+
 def test_run_scenario_api_unknown_name():
     from greenstock.errors import ParameterError
     with pytest.raises(ParameterError):
