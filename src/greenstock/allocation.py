@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllGridRegimeError, ParameterError, _whole
+from .errors import AllGridRegimeError, ParameterError, _nonnegative, _positive, _whole
 
 FEAS_EPS = 1e-9
 # Largest (N, n_points + 1) float64 array of one scenario's deviation
@@ -48,6 +48,12 @@ MAX_AUDIT_CELLS = 3 * 10**8
 _AUDIT_CALL_BYTES = 2**17
 # Each audit scenario scales every truthful order by a factor uniform on this range.
 OPPONENT_PERTURBATION = (0.5, 1.5)
+
+
+def _check_prices(p: float, p1: float, p2: float) -> None:
+    """ParameterError unless p is finite and > 0, and p1 and p2 finite and >= 0."""
+    _positive("incentive price p", p)
+    _nonnegative("energy prices", p1, p2)
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,7 @@ class BsProfile:
             raise ParameterError(f"lambda_bar must be finite and > 0, and not below the "
                                  f"smallest normal float {sys.float_info.min}, "
                                  f"got {self.lambda_bar}")
-        if not 0.0 <= self.b < math.inf:
-            raise ParameterError(f"b must be finite and >= 0, got {self.b}")
+        _nonnegative("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -86,18 +91,10 @@ class Market:
     def __post_init__(self):
         if len(self.profiles) < 2:
             raise ParameterError("a market needs at least 2 base stations")
-        if not 0.0 < self.mu0 < math.inf:
-            raise ParameterError(f"mu0 must be finite and > 0, got {self.mu0}")
-        if not 0.0 < self.p < math.inf:
-            raise ParameterError(f"incentive price p must be finite and > 0, got {self.p}")
-        if not (0.0 <= self.p1 < math.inf and 0.0 <= self.p2 < math.inf):
-            raise ParameterError(
-                f"energy prices must be finite and >= 0 (p1={self.p1}, p2={self.p2})")
-        try:    # breakeven_lambda divides by the square of the gap
-            gap_ok = self.p2 > self.p1 + self.p and (self.p2 - self.p1 - self.p) ** 2 > 0.0
-        except OverflowError:
-            gap_ok = False
-        if not gap_ok:
+        _positive("mu0", self.mu0)
+        _check_prices(self.p, self.p1, self.p2)
+        gap = self.p2 - self.p1 - self.p    # breakeven_lambda divides by its square
+        if not (self.p2 > self.p1 + self.p and 0.0 < gap * gap < math.inf):
             raise ParameterError(
                 f"p2 must exceed p1 + p for nonzero renewable demand, by a gap whose square "
                 f"is in float range (p2={self.p2}, p1={self.p1}, p={self.p})")
@@ -114,8 +111,7 @@ class OrderVector:
     orders: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(0.0 <= m < math.inf for m in self.orders):
-            raise ParameterError("orders must be finite and >= 0")
+        _nonnegative("orders", *self.orders)
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,7 @@ def optimal_demand(
 
     Returns (mu_hat, s_hat, cost); lam = 0 degenerates to (0, 0, p2*lambda_bar).
     """
-    if p <= 0:
-        raise ParameterError(f"incentive price p must be > 0, got {p}")
+    _check_prices(p, p1, p2)
     if not 0.0 <= lam <= profile.lambda_bar + FEAS_EPS:
         raise ParameterError(
             f"lam must lie in [0, lambda_bar={profile.lambda_bar}], got {lam}")
@@ -166,8 +161,7 @@ def breakeven_lambda(profile: BsProfile, p: float, p1: float, p2: float) -> floa
     A BS prefers all-renewable iff lambda_bar >= lambda_hat (the objective
     is concave in lambda, so the optimum sits at a boundary).
     """
-    if p <= 0:
-        raise ParameterError(f"incentive price p must be > 0, got {p}")
+    _check_prices(p, p1, p2)
     if p2 <= p1 + p:
         raise AllGridRegimeError(
             f"p2 <= p1 + p: every BS orders zero renewable supply "
@@ -431,6 +425,7 @@ def post_allocation_cost(profile: BsProfile, granted_rate, p: float, p1: float, 
     Returns (lam, cost); a = 0 returns (0, p2*lambda_bar).  A float rate
     gives floats, an array of rates gives arrays of the same shape.
     """
+    _check_prices(p, p1, p2)
     lam, cost = _post_allocation(
         profile.lambda_bar, math.log1p(profile.b), granted_rate, p, p1, p2)
     if np.ndim(granted_rate) == 0:
@@ -545,8 +540,7 @@ class DeviationGrid:
     def __post_init__(self):
         for name, low in (("n_points", 2), ("n_scenarios", 0), ("seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), low))
-        if not 0.0 < self.span < math.inf:
-            raise ParameterError(f"span must be finite and > 0, got {self.span}")
+        _positive("span", self.span)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, _nonnegative, _positive, _whole
 
 # Open-interval domain checks exclude the endpoints with this slack.
 DOMAIN_EPS = 1e-12
@@ -38,11 +38,9 @@ class NormalizedParams:
     alpha: float    # backlog cost share
 
     def __post_init__(self):
-        if not 0 < self.phi < math.inf:
-            raise ParameterError(f"phi must be finite and > 0, got {self.phi}")
-        for name in ("b_n", "cs_n"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        _positive("phi", self.phi)
+        _nonnegative("b_n", self.b_n)
+        _nonnegative("cs_n", self.cs_n)
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -55,10 +53,8 @@ class StrategyPair:
     nu: float
 
     def __post_init__(self):
-        if not 0 <= self.s < math.inf:
-            raise ParameterError(f"s must be finite and >= 0, got {self.s}")
-        if not 0 < self.nu < math.inf:
-            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
+        _nonnegative("s", self.s)
+        _positive("nu", self.nu)
 
 
 def _check_s_nu(s: float, nu: float) -> None:
@@ -88,9 +84,7 @@ def exact_backlog_discrete(s: int, rho: float) -> float:
     """
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1) for a stable queue, got {rho}")
-    if s < 0 or int(s) != s:
-        raise ParameterError(f"s must be a nonnegative integer, got {s}")
-    return rho ** (int(s) + 1) / (1.0 - rho)
+    return rho ** (_whole("s", s, 0) + 1) / (1.0 - rho)
 
 
 def approximation_error(s: int, rho: float) -> float:

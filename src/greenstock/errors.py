@@ -1,4 +1,6 @@
-"""Typed errors shared across the toolkit, and the integer check that raises one."""
+"""Typed errors shared across the toolkit, and the range checks that raise one."""
+
+import math
 
 
 class GreenstockError(Exception):
@@ -34,3 +36,17 @@ def _whole(name: str, value, low: int) -> int:
     if whole is None or whole != value or whole < low:
         raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
     return whole
+
+
+def _positive(label: str, *values) -> None:
+    """ParameterError unless every value is finite and > 0; nan fails."""
+    for value in values:
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{label} must be finite and > 0, got {value}")
+
+
+def _nonnegative(label: str, *values) -> None:
+    """ParameterError unless every value is finite and >= 0; nan fails."""
+    for value in values:
+        if not 0.0 <= value < math.inf:
+            raise ParameterError(f"{label} must be finite and >= 0, got {value}")

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
-from .errors import ConvergenceError, DegenerateGameError, ParameterError, _whole
+from .errors import (ConvergenceError, DegenerateGameError, ParameterError, _nonnegative,
+                     _positive, _whole)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -148,10 +149,8 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
     2*log2(phi/tol) evaluations a step falls below `tol`, and its probe
     either closes the bracket or is followed by a midpoint.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    if not 0 < s < math.inf:
-        raise ParameterError(f"s must be finite and > 0, got {s}")
+    _positive("tol", tol)
+    _positive("s", s)
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0")
     residual_b = (1.0 - g.alpha) * g.b
@@ -246,8 +245,7 @@ def best_response_dynamics(
     equilibrium.  Returns the fixed point and the full iterate trace;
     raises ConvergenceError (trace attached) if max_iter is exhausted.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _positive("tol", tol)
     max_iter = _whole("max_iter", max_iter, 1)
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
@@ -360,13 +358,13 @@ def power_split(
     Minimized over lambda in [0, min(total_lambda, mu0*(1-1e-6))] by a
     coarse presweep plus golden-section refinement (tolerance 1e-6),
     compared against both boundary values.  lambda = 0 means all-grid.
+    A bill p1 * total_lambda or p2 * total_lambda past float range is refused.
     """
-    if not 0 < total_lambda < math.inf:
-        raise ParameterError(f"total_lambda must be finite and > 0, got {total_lambda}")
-    if not 0 < mu0 < math.inf:
-        raise ParameterError(f"mu0 must be finite and > 0, got {mu0}")
-    if not (0 <= p1 < math.inf and 0 <= p2 < math.inf):
-        raise ParameterError(f"energy prices must be finite and >= 0, got p1={p1}, p2={p2}")
+    _positive("total_lambda", total_lambda)
+    _positive("mu0", mu0)
+    _nonnegative("energy prices", p1, p2)
+    _nonnegative("the bill p1 * total_lambda", p1 * total_lambda)
+    _nonnegative("the bill p2 * total_lambda", p2 * total_lambda)
     f = auxiliary_f(g)
     log_ab = math.log1p(g.alpha * g.b)
     hi = min(total_lambda, mu0 * (1.0 - 1e-6))

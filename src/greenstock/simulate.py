@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError, _whole
+from .errors import ParameterError, _positive, _whole
 
 if TYPE_CHECKING:           # for annotations; each function that needs numpy imports it
     import numpy as np
@@ -51,8 +51,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
+        _positive("rate", self.rate)
 
     def mean_time(self) -> float:
         return 1.0 / self.rate
@@ -75,12 +74,9 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        try:    # bounds the ratio of the phase times, which scv() needs in float range
-            in_range = all(0 < rate < math.inf and 1.0 / rate**2 < math.inf
-                           for rate in (self.rate1, self.rate2))
-        except (OverflowError, ZeroDivisionError):
-            in_range = False
-        if not in_range:
+        # Bounds the ratio of the phase times, which scv() needs in float range.
+        if not all(rate > 0 and 0 < rate * rate < math.inf and 1 / (rate * rate) < math.inf
+                   for rate in (self.rate1, self.rate2)):
             raise ParameterError(f"rates must be finite and > 0, with squares in float range, "
                                  f"got {self.rate1}, {self.rate2}")
 
@@ -143,8 +139,8 @@ class TruncatedNormal:
     _base: tuple = field(init=False, repr=False, compare=False)   # mu0, sigma0, Phi(-a)
 
     def __post_init__(self):
-        if not (0 < self.mean < math.inf and 0 < self.cv < math.inf):
-            raise ParameterError(f"mean and cv must be finite and > 0, got {self.mean}, {self.cv}")
+        _positive("mean", self.mean)
+        _positive("cv", self.cv)
         from statistics import NormalDist
 
         object.__setattr__(self, "_base", self._base_params())

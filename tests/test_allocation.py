@@ -243,30 +243,48 @@ def test_order_vector_rejects_negative_entries():
         proportional_allocation(reference_market(), np.ones(8))
 
 
+def _price_site(call, price):
+    """Builds `call` at prices (p, p1, p2) = (2, 1, 10) with `price` replaced."""
+    return lambda value: lambda: call(**{"p": 2.0, "p1": 1.0, "p2": 10.0, price: value})
+
+
+_PR = BsProfile(lambda_bar=4.0, b=2.0, index=0)
+_PRICED = {    # id prefix: a call that takes the three prices
+    "": lambda **prices: Market(profiles=reference_market().profiles, mu0=20.0, **prices),
+    "optimal_demand-": lambda **prices: optimal_demand(_PR, 1.0, **prices),
+    "breakeven_lambda-": lambda **prices: breakeven_lambda(_PR, **prices),
+    "breakeven_rate-": lambda **prices: breakeven_rate(_PR, **prices),
+    "post_allocation_cost-": lambda **prices: post_allocation_cost(_PR, 1.0, **prices),
+}
+# Each range-checked input: a builder taking the value, and whether 0 is refused.
+_RANGE_SITES = {
+    "b": (lambda v: lambda: BsProfile(lambda_bar=1.0, b=v, index=0), False),
+    "mu0": (lambda v: lambda: reference_market(mu0=v), True),
+    "orders": (lambda v: lambda: OrderVector(orders=(1.0, v)), False),
+    "span": (lambda v: lambda: DeviationGrid(span=v), True),
+    **{prefix + price: (_price_site(call, price), price == "p")
+       for prefix, call in _PRICED.items() for price in ("p", "p1", "p2")},
+}
+_BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1.0, "zero": 0.0}
+_OUT_OF_RANGE = {f"{site}-{kind}": build(value)
+                 for site, (build, zero_refused) in _RANGE_SITES.items()
+                 for kind, value in _BAD.items() if zero_refused or kind != "zero"}
+
+
 @pytest.mark.parametrize("make", [
     lambda: BsProfile(lambda_bar=math.nan, b=2.0, index=0),
     lambda: BsProfile(lambda_bar=math.inf, b=2.0, index=0),
-    lambda: BsProfile(lambda_bar=1.0, b=math.nan, index=0),
-    lambda: BsProfile(lambda_bar=1.0, b=math.inf, index=0),
     lambda: BsProfile(lambda_bar=5e-324, b=2.0, index=0),
     lambda: BsProfile(lambda_bar=1e-308, b=2.0, index=0),
-    lambda: reference_market(mu0=math.nan),
-    lambda: reference_market(mu0=math.inf),
-    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=math.nan, p1=1.0, p2=10.0),
-    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=2.0, p1=math.nan, p2=10.0),
-    lambda: Market(profiles=reference_market().profiles, mu0=20.0, p=2.0, p1=1.0, p2=math.inf),
-    lambda: DeviationGrid(span=math.nan),
-    lambda: DeviationGrid(span=0.0),
-    lambda: DeviationGrid(span=math.inf),
     lambda: DeviationGrid(n_points=1),
     lambda: DeviationGrid(n_points=200.5),
     lambda: DeviationGrid(n_scenarios=2.5),
     lambda: DeviationGrid(seed=math.nan),
     lambda: DeviationGrid(seed=-1),
-], ids=["lambda_bar-nan", "lambda_bar-inf", "b-nan", "b-inf", "lambda_bar-subnormal",
-        "lambda_bar-below-normal", "mu0-nan", "mu0-inf",
-        "p-nan", "p1-nan", "p2-inf", "span-nan", "span-zero", "span-inf",
-        "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative"])
+    *_OUT_OF_RANGE.values(),
+], ids=["lambda_bar-nan", "lambda_bar-inf", "lambda_bar-subnormal", "lambda_bar-below-normal",
+        "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative",
+        *_OUT_OF_RANGE])
 def test_non_finite_or_out_of_range_inputs_rejected(make):
     with pytest.raises(ParameterError):
         make()

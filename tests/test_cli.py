@@ -109,7 +109,7 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["central", "--set", "phi=nan"], "phi must be finite and > 0"),
     (["central", "--set", "b=inf"], "b_n must be finite and >= 0"),
     (["nash", "--set", "cs=nan"], "cs_n must be finite and >= 0"),
-    (["nash", "--set", "tol=nan"], "tol must be > 0"),
+    (["nash", "--set", "tol=nan"], "tol must be finite and > 0"),
     (["nash", "--set", "start_s=nan"], "unknown parameter start_s"),
     (["penalty-contract", "--set", "b=nan"], "b_n must be finite and >= 0"),
     (["power-split", "--set", "total_lambda=nan"], "total_lambda must be finite and > 0"),
@@ -137,6 +137,13 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["audit", "--set", "n_bs=2000", "--set", "mu0=5000"], "1.69e+10 order cells"),
     (["audit", "--set", "lambda_step=5e-324"], "not below the smallest normal float"),
     (["allocate", "--set", "n_bs=100001"], "the market has 100001 stations, more than 100000"),
+    (["nash", "--set", "tol=inf"], "tol must be finite and > 0, got inf"),
+    (["power-split", "--set", "total_lambda=1.7e308"],
+     "the bill p2 * total_lambda must be finite and >= 0, got inf"),
+    (["power-split", "--set", "p1=-1"], "energy prices must be finite and >= 0, got -1.0"),
+    (["allocate", "--set", "p=0"], "incentive price p must be finite and > 0, got 0.0"),
+    (["allocate", "--set", "p1=-inf"], "energy prices must be finite and >= 0, got -inf"),
+    (["queue-validate", "--set", "service_cv=nan"], "cv must be finite and > 0, got nan"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):

@@ -50,15 +50,20 @@ def test_alpha_outside_unit_interval_rejected():
             NormalizedParams(b_n=10.0, cs_n=5.0, phi=1.0, alpha=alpha)
 
 
-@pytest.mark.parametrize("field", ["b_n", "cs_n", "phi", "alpha"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+_BAD_PARAMS = [(field, bad) for bad in (math.nan, math.inf, -math.inf, -1.0)
+               for field in ("b_n", "cs_n", "phi", "alpha")] + [("phi", 0.0)]
+
+
+@pytest.mark.parametrize("field, bad", _BAD_PARAMS,
+                         ids=[f"{bad}-{field}" for field, bad in _BAD_PARAMS])
 def test_non_finite_normalized_params_rejected(field, bad):
     with pytest.raises(ParameterError, match=field):
         NormalizedParams(**{**dict(b_n=10.0, cs_n=5.0, phi=1.0, alpha=0.5), field: bad})
 
 
 @pytest.mark.parametrize("s, nu", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
-                                   (1.0, math.inf)])
+                                   (1.0, math.inf), (-math.inf, 0.5), (-1.0, 0.5),
+                                   (1.0, -math.inf), (1.0, -1.0), (1.0, 0.0)])
 def test_non_finite_strategy_rejected(s, nu):
     with pytest.raises(ParameterError):
         StrategyPair(s=s, nu=nu)
@@ -164,8 +169,11 @@ def test_exact_backlog_rejects_unstable():
         exact_backlog_discrete(0, 1.0)
     with pytest.raises(ParameterError):
         exact_backlog_discrete(0, 1.3)
-    with pytest.raises(ParameterError):
-        exact_backlog_discrete(-1, 0.5)
+    for s in (-1, math.nan, math.inf, -math.inf, 1.5):
+        with pytest.raises(ParameterError, match="s must be an integer >= 0"):
+            exact_backlog_discrete(s, 0.5)
+        with pytest.raises(ParameterError, match="s must be an integer >= 0"):
+            approximation_error(s, 0.5)
 
 
 # ------------------------------------------------- approximation error

@@ -189,7 +189,14 @@ def test_rps_best_response_refuses_a_root_below_the_bracket():
     lambda: rps_best_response(REF, 5.5065, tol=math.nan),
     lambda: rps_best_response(REF, 5.5065, tol=0.0),
     lambda: rps_best_response(REF, math.inf),
-], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf"])
+    *(lambda tol=tol: rps_best_response(REF, 5.5065, tol=tol)
+      for tol in (math.inf, -math.inf, -1.0)),
+    *(lambda s=s: rps_best_response(REF, s) for s in (math.nan, -math.inf, -1.0, 0.0)),
+    *(lambda tol=tol: best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=tol)
+      for tol in (math.inf, -math.inf, -1.0, 0.0)),
+], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf", "rps-tol-inf", "rps-tol--inf",
+        "rps-tol-negative", "rps-s-nan", "rps-s--inf", "rps-s-negative", "rps-s-zero",
+        "brd-tol-inf", "brd-tol--inf", "brd-tol-negative", "brd-tol-zero"])
 def test_solvers_reject_bad_tolerance_and_stock(call):
     with pytest.raises(ParameterError):
         call()
@@ -546,6 +553,20 @@ def test_transfer_contract_rejects_nan_and_out_of_range(epsilon):
     ((1.8, 2.0, math.nan, 10.0), "energy prices"),
     ((1.8, 2.0, 1.0, math.nan), "energy prices"),
     ((1.8, 2.0, 1.0, -1.0), "energy prices"),
+    ((-math.inf, 2.0, 1.0, 10.0), "total_lambda"),
+    ((-1.0, 2.0, 1.0, 10.0), "total_lambda"),
+    ((0.0, 2.0, 1.0, 10.0), "total_lambda"),
+    ((1.8, math.inf, 1.0, 10.0), "mu0"),
+    ((1.8, -math.inf, 1.0, 10.0), "mu0"),
+    ((1.8, -1.0, 1.0, 10.0), "mu0"),
+    ((1.8, 0.0, 1.0, 10.0), "mu0"),
+    ((1.8, 2.0, math.inf, 10.0), "energy prices"),
+    ((1.8, 2.0, -math.inf, 10.0), "energy prices"),
+    ((1.8, 2.0, -1.0, 10.0), "energy prices"),
+    ((1.8, 2.0, 1.0, math.inf), "energy prices"),
+    ((1.8, 2.0, 1.0, -math.inf), "energy prices"),
+    ((1.7e308, 2.0, 1.0, 10.0), r"bill p2 \* total_lambda"),
+    ((1.7e308, 2.0, 10.0, 0.0), r"bill p1 \* total_lambda"),
 ])
 def test_power_split_rejects_non_finite_arguments(args, name):
     with pytest.raises(ParameterError, match=name):

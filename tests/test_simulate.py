@@ -164,7 +164,14 @@ def test_distribution_validation():
     for make in (lambda: Exponential(rate=math.nan), lambda: Exponential(rate=math.inf),
                  lambda: HyperExp2(prob=math.nan, rate1=1.0, rate2=2.0),
                  lambda: HyperExp2(prob=0.5, rate1=math.nan, rate2=2.0),
-                 lambda: HyperExp2(prob=0.5, rate1=1.0, rate2=math.inf)):
+                 lambda: HyperExp2(prob=0.5, rate1=1.0, rate2=math.inf),
+                 *(lambda v=v: Exponential(rate=v) for v in (-math.inf, -1.0)),
+                 *(lambda v=v: HyperExp2(prob=0.5, rate1=v, rate2=2.0)
+                   for v in (math.inf, -math.inf, -1.0, 0.0)),
+                 *(lambda v=v: TruncatedNormal(mean=v, cv=0.5)
+                   for v in (math.nan, math.inf, -math.inf, -1.0, 0.0)),
+                 *(lambda v=v: TruncatedNormal(mean=1.0, cv=v)
+                   for v in (math.nan, math.inf, -math.inf, -1.0))):
         with pytest.raises(ParameterError):
             make()
 
