@@ -56,6 +56,16 @@ def _check_prices(p: float, p1: float, p2: float) -> None:
     _nonnegative("energy prices", p1, p2)
 
 
+def _check_gap(p: float, p1: float, p2: float) -> None:
+    """ParameterError unless p2 > p1 + p, by a gap whose square, breakeven_lambda's
+    divisor, is in float range."""
+    gap = p2 - p1 - p
+    if not (p2 > p1 + p and 0.0 < gap * gap < math.inf):
+        raise ParameterError(
+            f"p2 must exceed p1 + p for nonzero renewable demand, by a gap whose square "
+            f"is in float range (p2={p2}, p1={p1}, p={p})")
+
+
 @dataclass(frozen=True)
 class BsProfile:
     """One base station: total arrival rate, normalized backlog cost, identity."""
@@ -93,11 +103,7 @@ class Market:
             raise ParameterError("a market needs at least 2 base stations")
         _positive("mu0", self.mu0)
         _check_prices(self.p, self.p1, self.p2)
-        gap = self.p2 - self.p1 - self.p    # breakeven_lambda divides by its square
-        if not (self.p2 > self.p1 + self.p and 0.0 < gap * gap < math.inf):
-            raise ParameterError(
-                f"p2 must exceed p1 + p for nonzero renewable demand, by a gap whose square "
-                f"is in float range (p2={self.p2}, p1={self.p1}, p={self.p})")
+        _check_gap(self.p, self.p1, self.p2)
 
     @property
     def n(self) -> int:
@@ -166,6 +172,7 @@ def breakeven_lambda(profile: BsProfile, p: float, p1: float, p2: float) -> floa
         raise AllGridRegimeError(
             f"p2 <= p1 + p: every BS orders zero renewable supply "
             f"(p2={p2}, p1={p1}, p={p})")
+    _check_gap(p, p1, p2)
     return 4.0 * p * math.log1p(profile.b) / (p2 - p1 - p) ** 2
 
 
@@ -190,16 +197,14 @@ def _lambda_on_curve(profile: BsProfile, rate, p: float):
 
 
 def truthful_orders(market: Market) -> OrderVector:
-    """Each BS's optimal order: mu_hat(lambda_bar) when lambda_bar is past
-    break-even, else 0 (all-grid)."""
-    orders = []
-    for pr in market.profiles:
-        lam_hat = breakeven_lambda(pr, market.p, market.p1, market.p2)
-        if pr.lambda_bar >= lam_hat and pr.b > 0:
-            orders.append(optimal_demand(pr, pr.lambda_bar, market.p, market.p1, market.p2)[0])
-        else:
-            orders.append(0.0)
-    return OrderVector(orders=tuple(orders))
+    """Each BS's optimal order: mu_hat(lambda_bar) when lambda_bar is at or
+    past break-even, else 0 (all-grid).  At b = 0 break-even is 0, and the
+    order is mu_hat(lambda_bar) = lambda_bar."""
+    prices = market.p, market.p1, market.p2
+    return OrderVector(orders=tuple(
+        optimal_demand(pr, pr.lambda_bar, *prices)[0]
+        if pr.lambda_bar >= breakeven_lambda(pr, *prices) else 0.0
+        for pr in market.profiles))
 
 
 def _order_matrix(market: Market, orders) -> np.ndarray:
@@ -599,6 +604,10 @@ def truthfulness_audit(
             f"an audit of {cells:.3g} order cells ({n}^2 stations x {rows} orders x "
             f"{n_scen} scenarios) is more than {MAX_AUDIT_CELLS:.3g}; "
             f"lower the station count, n_points or n_scenarios")
+    # Station i's deviation grid spans [0, span * mu_hat(lambda_bar_i)], up to its full demand.
+    tops = [grid.span * _mu_on_curve(pr, pr.lambda_bar, market.p) for pr in market.profiles]
+    for i, top in enumerate(tops):
+        _positive(f"station {i}'s largest deviation order span * mu_hat", top)
     m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
     scenarios = np.empty((n_scen, n))
@@ -608,10 +617,8 @@ def truthfulness_audit(
 
     # Column 0 of each station's orders is its truthful order, then the grid.
     orders = np.empty((n, rows))
-    for i, pr in enumerate(market.profiles):
-        scale = m_star[i] if m_star[i] > 0 else _mu_on_curve(pr, pr.lambda_bar, market.p)
-        orders[i, 0] = m_star[i]
-        orders[i, 1:] = grid.span * scale * np.arange(grid.n_points) / (grid.n_points - 1)
+    orders[:, 0] = m_star
+    orders[:, 1:] = np.array(tops)[:, None] * np.arange(grid.n_points) / (grid.n_points - 1)
 
     thresholds = _thresholds(market)
     per_group = max(1, _AUDIT_CALL_BYTES // scenario_bytes)

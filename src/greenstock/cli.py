@@ -10,9 +10,9 @@ scenario's scalar parameter.
 Each scenario declares its parameters and their defaults once, in
 `SCENARIOS`.  Configuration precedence: command-line --set overrides >
 JSON config file > those defaults; an undeclared key, or a value that
-does not convert to its default's type, exits 2.  `--check` runs the
-scenario's pinned acceptance checks at the default parameters, prints
-one PASS/FAIL line each on stderr and exits 3 on failure.
+does not convert to its default's type, exits 2.  `--check` verifies the
+scenario's table at its declared defaults against the pinned acceptance
+criteria, prints one PASS/FAIL line each on stderr and exits 3 on failure.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .game import (
 from .simulate import Exponential, HyperExp2, SimConfig, TruncatedNormal, empirical_pdf_compare, simulate
 
 if TYPE_CHECKING:   # numpy and the allocation layer load inside the functions that use them
-    from .allocation import DeviationGrid, Market
+    from .allocation import Market
 
 
 @dataclass
@@ -148,14 +148,11 @@ def _split_game(params: dict) -> GameInstance:
 def scenario_power_split(params: dict, seed: int) -> ResultTable:
     g = _split_game(params)
     total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
-    rows = []
-    for p2 in params["p2_list"]:
-        lam, cost = power_split(g, total_lambda, mu0, p1, p2)
-        rows.append([g.b, g.cs, g.alpha, mu0, total_lambda, p1, p2, lam, cost])
     return ResultTable(
         columns=["b", "cs", "alpha", "mu0", "total_lambda", "p1", "p2",
                  "lambda_star", "cost"],
-        rows=rows,
+        rows=[[g.b, g.cs, g.alpha, mu0, total_lambda, p1, p2,
+               *power_split(g, total_lambda, mu0, p1, p2)] for p2 in params["p2_list"]],
     )
 
 
@@ -182,23 +179,10 @@ def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
     return cases
 
 
-# SimConfig -> SimStats within one `main` call, shared by a scenario and its checks.
-_runs: dict | None = None
-
-
-def _simulate(cfg: SimConfig):
-    """simulate(cfg), run once per config within one `main` call."""
-    if _runs is None:
-        return simulate(cfg)
-    if cfg not in _runs:
-        _runs[cfg] = simulate(cfg)
-    return _runs[cfg]
-
-
 def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
     rows = []
     for model, cfg, rho, kappa in _queue_cases(params, seed, seed + len(params["rho_list"])):
-        stats = _simulate(cfg)
+        stats = simulate(cfg)
         rows.append([model, rho, rho / (1 - rho), kappa * rho / (1 - rho),
                      stats.mean_outstanding, stats.mean_waiting, stats.ci_halfwidth,
                      empirical_pdf_compare(stats, rho), cfg.horizon, cfg.seed])
@@ -245,17 +229,13 @@ def scenario_allocate(params: dict, seed: int) -> ResultTable:
     )
 
 
-def _deviation_grid(params: dict, seed: int) -> DeviationGrid:
-    from .allocation import DeviationGrid
-    return DeviationGrid(n_points=params["grid_points"], n_scenarios=params["n_scenarios"],
-                         span=params["span"], seed=seed)
-
-
 def scenario_audit(params: dict, seed: int) -> ResultTable:
-    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
-                             proportional_allocation, truthfulness_audit)
+    from .allocation import (DeviationGrid, adaptive_uniform_allocation,
+                             pareto_priority_allocation, proportional_allocation,
+                             truthfulness_audit)
     market = _market(params)
-    grid = _deviation_grid(params, seed)
+    grid = DeviationGrid(n_points=params["grid_points"], n_scenarios=params["n_scenarios"],
+                         span=params["span"], seed=seed)
     rows = []
     for mech in (adaptive_uniform_allocation, pareto_priority_allocation,
                  proportional_allocation):
@@ -271,29 +251,33 @@ def scenario_audit(params: dict, seed: int) -> ResultTable:
 
 
 # --------------------------------------------------------------------------
-# --check: the pinned acceptance criteria, evaluated at each scenario's
-# declared defaults.  Each returns (label, passed, measured) triples.
+# --check: the pinned acceptance criteria, read from each scenario's table at
+# its declared defaults.  Each returns (label, passed, measured) triples.
 
 
 def _defaults(name: str) -> dict:
     return SCENARIOS[name][2]
 
 
+def _records(table: ResultTable) -> list[dict]:
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def _near(label: str, value: float, target: float, tol: float):
     return (f"{label} = {target} +/- {tol}", abs(value - target) <= tol, f"{value:.5f}")
 
 
-def check_central(seed: int):
-    g = _game({**_GAME, **_defaults("central")})
-    opt = centralized_optimum(g)
+def check_central(table: ResultTable, seed: int):
+    row = _records(table)[0]
     return [
-        _near("nu_bar", opt.nu, 0.33, 0.01),
-        _near("s_bar", opt.s, 7.29, 0.01),
-        _near("cost", centralized_cost(g), 17.19, 0.01),
+        _near("nu_bar", row["nu_bar"], 0.33, 0.01),
+        _near("s_bar", row["s_bar"], 7.29, 0.01),
+        _near("cost", row["cost"], 17.19, 0.01),
     ]
 
 
-def check_nash(seed: int):
+def check_nash(table: ResultTable, seed: int):
+    # The identities must hold on any instance, so they are checked on 100 random ones.
     params = _defaults("nash")
     rng = random.Random(seed)
     worst_gap = worst_foc = worst_id = 0.0
@@ -333,11 +317,11 @@ def _keeps_argmin(total: list, k: int, share: float) -> bool:
     return k == 0 or share * min(total[:k]) > share * total[k]
 
 
-def check_penalty_contract(seed: int):
+def check_penalty_contract(table: ResultTable, seed: int):
     g = _game(_defaults("penalty-contract"))
-    report = equilibrium_report(g)
-    lo, hi = report.epsilon_range
-    opt = report.central
+    row = _records(table)[0]
+    lo, hi = row["eps_lo"], row["eps_hi"]
+    opt = centralized_optimum(g)
     n = 300
     s_axis, nu_axis, total = _cost_surface(g, 4.0 * opt.s, n)
     # Dual route: the closed-form surface equals the library's costs pointwise.
@@ -356,7 +340,7 @@ def check_penalty_contract(seed: int):
     aligned = all(_keeps_argmin(total, k, share)
                   for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
     return [
-        _near("penalty", report.penalty, 0.0407, 0.0005),
+        _near("penalty", row["penalty"], 0.0407, 0.0005),
         ("closed-form cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
          f"{surface_err:.2e}"),
         ("central gridpoint within 3 cells of (s_bar, nu_bar)", near, f"cell ({i}, {j})"),
@@ -377,32 +361,33 @@ def _split_grid(g: GameInstance, total_lambda: float, mu0: float, p1: float, p2:
     return grid, costs
 
 
-def check_power_split(seed: int):
+def check_power_split(table: ResultTable, seed: int):
     params = _defaults("power-split")
     g = _split_game(params)
     total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
-    checks, lams = [], []
-    for p2 in params["p2_list"]:
-        lam, _ = power_split(g, total_lambda, mu0, p1, p2)
+    # The paper's anchors below are keyed on the P2 price they belong to.
+    lam_at = {row["p2"]: row["lambda_star"] for row in _records(table)}
+    checks = []
+    for p2, lam in lam_at.items():
         grid, costs = _split_grid(g, total_lambda, mu0, p1, p2)
         lam_grid = grid[costs.index(min(costs))]    # the first minimum, as np.argmin takes it
-        lams.append(lam)
         checks.append((f"P2={p2}: golden-section matches 1e-3 grid",
                        abs(lam - lam_grid) <= 1e-3, f"{lam:.4f} vs {lam_grid:.4f}"))
+    lams = list(lam_at.values())
     checks.append(("lambda* nondecreasing in P2",
                    all(a <= b + 1e-9 for a, b in zip(lams, lams[1:])),
                    " <= ".join(f"{lam:.3f}" for lam in lams)))
-    # The paper's anchors, keyed on the P2 price they belong to.
-    lam_at = dict(zip(params["p2_list"], lams))
     checks.append(_near("P2=5.0 lambda*", lam_at[5.0], 0.67, 0.1))
     checks.append(_near("P2=10.0 lambda*", lam_at[10.0], 1.11, 0.1))
     return checks
 
 
-def check_queue_validate(seed: int):
+def check_queue_validate(table: ResultTable, seed: int):
     params = _defaults("queue-validate")
     checks = [_near("h2 interarrival scv", _h2_interarrival(params).scv(), 1.0856, 1e-4)]
-    for model, cfg, rho, kappa in _queue_cases(params, seed, seed + 11):
+    # The table's rows are these cases in order, the h2 one at another seed.
+    for (model, cfg, rho, kappa), row in zip(_queue_cases(params, seed, seed + 11),
+                                              _records(table)):
         if model == "mm1":
             # Run long enough that 5% is >= 4 sd, so no seed decides it: the mean's relative
             # asymptotic variance is 2 (1 + rho) / (rho (1 - rho)^2) per unit time (Whitt
@@ -411,11 +396,15 @@ def check_queue_validate(seed: int):
             needed = 2.0 * (1.0 + rho) / (rho * (1.0 - rho) ** 2) / (0.45 * (0.05 / 4) ** 2)
             cfg = replace(cfg, horizon=max(cfg.horizon, math.ceil(needed)))
         # h2/truncnorm keeps 2M: over seeds 11-210 its error is 9.7% +/- 0.8%, 6.6 sd inside 15%.
-        stats = _simulate(cfg)
+        # A row the table ran is read, and any other run here.
+        if (row["horizon"], row["seed"]) == (cfg.horizon, cfg.seed):
+            mean, sup = row["sim_mean"], row["pmf_sup_distance"]
+        else:
+            stats = simulate(cfg)
+            mean, sup = stats.mean_outstanding, empirical_pdf_compare(stats, rho)
         target = kappa * rho / (1 - rho)
-        rel, ran = abs(stats.mean_outstanding - target) / target, f"horizon={cfg.horizon}"
+        rel, ran = abs(mean - target) / target, f"horizon={cfg.horizon}"
         if model == "mm1":
-            sup = empirical_pdf_compare(stats, rho)
             checks += [(f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}, {ran}"),
                        (f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}, {ran}")]
         else:
@@ -424,21 +413,20 @@ def check_queue_validate(seed: int):
     return checks
 
 
-def check_allocate(seed: int):
-    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
-                             proportional_allocation, social_cost,
-                             social_optimum_bruteforce, truthful_orders)
+def check_allocate(table: ResultTable, seed: int):
+    from .allocation import social_cost, social_optimum_bruteforce
     market = _market(_defaults("allocate"))
-    orders = truthful_orders(market)
-    uniform = adaptive_uniform_allocation(market, orders)
+    rows = _records(table)
+    n_hat = rows[0]["n_hat"]
+    uniform = [row["grant_uniform"] for row in rows]
     _, brute_cost = social_optimum_bruteforce(market)
-    cost_prop = social_cost(market, proportional_allocation(market, orders))
-    cost_pareto = social_cost(market, pareto_priority_allocation(market, orders))
+    cost_prop = social_cost(market, [row["grant_proportional"] for row in rows])
+    cost_pareto = social_cost(market, [row["grant_pareto"] for row in rows])
     return [
-        ("adaptive n_hat = 5", uniform.n_hat == 5, f"{uniform.n_hat}"),
-        _near("uniform grant", max(uniform.grants), 2.9654, 1e-3),
+        ("adaptive n_hat = 5", n_hat == 5, f"{n_hat}"),
+        _near("uniform grant", max(uniform), 2.9654, 1e-3),
         ("feasible: sum grants <= mu0",
-         sum(uniform.grants) <= market.mu0 + 1e-9, f"{sum(uniform.grants):.6f}"),
+         sum(uniform) <= market.mu0 + 1e-9, f"{sum(uniform):.6f}"),
         ("proportional strictly above brute-force optimum",
          cost_prop > brute_cost + 1e-6, f"{cost_prop:.4f} vs {brute_cost:.4f}"),
         ("brute-force agrees with pareto-priority cost to 1e-9",
@@ -446,19 +434,18 @@ def check_allocate(seed: int):
     ]
 
 
-def check_audit(seed: int):
-    from .allocation import (adaptive_uniform_allocation, pareto_priority_allocation,
-                             truthfulness_audit)
-    params = _defaults("audit")
-    market = _market(params)
-    grid = _deviation_grid(params, seed)
-    adaptive = truthfulness_audit(market, adaptive_uniform_allocation, grid)
-    pareto = truthfulness_audit(market, pareto_priority_allocation, grid)
+def check_audit(table: ResultTable, seed: int):
+    rows = _records(table)
+
+    def worst(mechanism: str) -> float:
+        return max(row["max_improvement"] for row in rows if row["mechanism"] == mechanism)
+
+    adaptive, pareto = worst("adaptive_uniform_allocation"), worst("pareto_priority_allocation")
     return [
-        ("adaptive uniform is truthful-dominant", adaptive.max_improvement <= 1e-9,
-         f"max improvement {adaptive.max_improvement:.2e}"),
+        ("adaptive uniform is truthful-dominant", adaptive <= 1e-9,
+         f"max improvement {adaptive:.2e}"),
         ("pareto priority admits a profitable inflation",
-         pareto.max_improvement > 1e-9, f"max improvement {pareto.max_improvement:.4f}"),
+         pareto > 1e-9, f"max improvement {pareto:.4f}"),
     ]
 
 
@@ -520,9 +507,9 @@ def resolve_params(name: str, params: dict) -> dict:
     return resolved
 
 
-def run_checks(name: str, seed: int, stream) -> list:
-    """Run the scenario's pinned checks, writing one PASS/FAIL line each to `stream`."""
-    results = SCENARIOS[name][1](seed)
+def run_checks(name: str, table: ResultTable, seed: int, stream) -> list:
+    """Check `table`, the scenario's at its defaults; one PASS/FAIL line each to `stream`."""
+    results = SCENARIOS[name][1](table, seed)
     for label, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}: {label} ({detail})", file=stream)
     return results
@@ -614,8 +601,7 @@ def run_sweep(name: str, params: dict, sweep: dict, seed: int) -> ResultTable:
         part = run_scenario(name, {**params, key: v}, seed)
         if table is None:
             table = ResultTable(columns=[f"sweep_{key}"] + part.columns, rows=[])
-        for row in part.rows:
-            table.rows.append([v] + row)
+        table.rows.extend([v] + row for row in part.rows)
     table.provenance = {
         "scenario": f"sweep:{name}",
         "sweep": f"{key} in [{values[0]}, {values[-1]}] step {sweep['step']}",
@@ -645,8 +631,6 @@ def main(argv=None) -> int:
     sw.add_argument("--sweep", default=None, metavar="NAME:START:STOP:STEP")
 
     args = parser.parse_args(argv)
-    global _runs
-    _runs = {}
     try:
         sweeping = args.command == "sweep"
         cfg = _load_config(args.config, args.scenario if sweeping else args.command)
@@ -677,14 +661,14 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
 
         if getattr(args, "check", False):
-            if not all(ok for _, ok, _ in run_checks(args.command, seed, sys.stderr)):
+            if params:      # the checks verify the table at the declared defaults
+                table = run_scenario(args.command, {}, seed)
+            if not all(ok for _, ok, _ in run_checks(args.command, table, seed, sys.stderr)):
                 return 3
         return 0
     except GreenstockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        _runs = None
 
 
 if __name__ == "__main__":

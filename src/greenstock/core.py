@@ -84,15 +84,19 @@ def exact_backlog_discrete(s: int, rho: float) -> float:
     """
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1) for a stable queue, got {rho}")
-    return rho ** (_whole("s", s, 0) + 1) / (1.0 - rho)
+    s = _whole("s", s, 0)
+    _nonnegative("s", s)    # an int past float range has no float power
+    return rho ** (s + 1) / (1.0 - rho)
 
 
 def approximation_error(s: int, rho: float) -> float:
     """Relative error of the exponential approximation at integer stock s.
 
     Compares mean_backlog(s, nu) with nu = (1-rho)/rho against the exact
-    geometric value; both agree exactly at s = 0.
+    geometric value; both agree exactly at s = 0.  A stock whose exact
+    backlog underflows to 0 has no relative error and raises ParameterError.
     """
     exact = exact_backlog_discrete(s, rho)
+    _positive(f"the exact backlog at s={s}", exact)
     nu = (1.0 - rho) / rho
     return abs(mean_backlog(float(s), nu) - exact) / exact

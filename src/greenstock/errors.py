@@ -1,6 +1,8 @@
 """Typed errors shared across the toolkit, and the range checks that raise one."""
 
-import math
+import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class GreenstockError(Exception):
@@ -39,14 +41,15 @@ def _whole(name: str, value, low: int) -> int:
 
 
 def _positive(label: str, *values) -> None:
-    """ParameterError unless every value is finite and > 0; nan fails."""
+    """ParameterError unless every value is finite and > 0.  nan fails, and so does an
+    int past float range, since the comparison with _FLOAT_MAX is exact."""
     for value in values:
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value <= _FLOAT_MAX:
             raise ParameterError(f"{label} must be finite and > 0, got {value}")
 
 
 def _nonnegative(label: str, *values) -> None:
-    """ParameterError unless every value is finite and >= 0; nan fails."""
+    """ParameterError unless every value is finite and >= 0; as `_positive`, nan fails."""
     for value in values:
-        if not 0.0 <= value < math.inf:
+        if not 0.0 <= value <= _FLOAT_MAX:
             raise ParameterError(f"{label} must be finite and >= 0, got {value}")

@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError, _positive, _whole
+from .errors import _FLOAT_MAX, ParameterError, _positive, _whole
 
 if TYPE_CHECKING:           # for annotations; each function that needs numpy imports it
     import numpy as np
@@ -74,8 +74,9 @@ class HyperExp2:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
-        # Bounds the ratio of the phase times, which scv() needs in float range.
-        if not all(rate > 0 and 0 < rate * rate < math.inf and 1 / (rate * rate) < math.inf
+        # Bounds the ratio of the phase times, which scv() needs in float range; the
+        # exact comparison with _FLOAT_MAX also refuses an int whose square is past it.
+        if not all(rate > 0 and 0 < rate * rate <= _FLOAT_MAX and 1 / (rate * rate) <= _FLOAT_MAX
                    for rate in (self.rate1, self.rate2)):
             raise ParameterError(f"rates must be finite and > 0, with squares in float range, "
                                  f"got {self.rate1}, {self.rate2}")

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
 The pinned criteria live in one place: each scenario's `--check` function
-in `greenstock.cli`.  The tests below run those functions at seed 0
-(queue-validate also at seed 24), require every returned check to pass,
+in `greenstock.cli`.  The tests below run each scenario at its defaults and
+its checks on the resulting table, as `greenstock <scenario> --check` does,
+at seed 0 (queue-validate also at seed 24), require every check to pass,
 print its PASS lines (visible under pytest -s) and enforce the runtime
 budget.  Criterion 5 has no scenario and is pinned here.  Run with:
 pytest tests/test_acceptance.py -v -s
@@ -12,12 +13,12 @@ import sys
 import time
 
 from greenstock import approximation_error
-from greenstock.cli import run_checks
+from greenstock.cli import run_checks, run_scenario
 
 
 def assert_checks_pass(scenario: str, budget_s: float, seed: int = 0) -> None:
     t0 = time.perf_counter()
-    results = run_checks(scenario, seed, sys.stdout)
+    results = run_checks(scenario, run_scenario(scenario, {}, seed), seed, sys.stdout)
     elapsed = time.perf_counter() - t0
     failed = [f"{label} ({detail})" for label, ok, detail in results if not ok]
     assert results and not failed, failed

@@ -181,6 +181,11 @@ def test_breakeven_zero_backlog_and_all_grid_signal():
                             2.0, 1.0, 10.0) == 0.0
     with pytest.raises(AllGridRegimeError):
         breakeven_lambda(BsProfile(lambda_bar=1.0, b=2.0, index=0), 2.0, 1.0, 3.0)
+    # At b = 0 the break-even rate is 0, so the station orders its full demand.
+    market = Market(profiles=(BsProfile(lambda_bar=1.5, b=0.0, index=0),
+                              BsProfile(lambda_bar=4.0, b=2.0, index=1)),
+                    mu0=20.0, p=2.0, p1=1.0, p2=10.0)
+    assert truthful_orders(market).orders[0] == 1.5
 
 
 def test_breakeven_rate_reference_value():
@@ -281,10 +286,11 @@ _OUT_OF_RANGE = {f"{site}-{kind}": build(value)
     lambda: DeviationGrid(n_scenarios=2.5),
     lambda: DeviationGrid(seed=math.nan),
     lambda: DeviationGrid(seed=-1),
+    lambda: breakeven_lambda(_PR, 1.0, 0.0, 1.35e154),
     *_OUT_OF_RANGE.values(),
 ], ids=["lambda_bar-nan", "lambda_bar-inf", "lambda_bar-subnormal", "lambda_bar-below-normal",
         "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative",
-        *_OUT_OF_RANGE])
+        "breakeven_lambda-gap-square-overflows", *_OUT_OF_RANGE])
 def test_non_finite_or_out_of_range_inputs_rejected(make):
     with pytest.raises(ParameterError):
         make()
@@ -1068,10 +1074,16 @@ def test_every_mechanism_truthful_without_scarcity():
 
 
 def test_adaptive_truthful_across_random_markets():
-    """Dominance holds on random markets, feasible and infeasible alike."""
+    """Dominance holds on random markets, feasible and infeasible alike, and
+    with b = 0 stations in every other market."""
     rng = np.random.default_rng(2718)
-    for _ in range(10):
+    for k in range(10):
         market = random_market(rng)
+        if k % 2:
+            market = Market(profiles=tuple(
+                BsProfile(lambda_bar=pr.lambda_bar, b=0.0 if i % 2 else pr.b, index=i)
+                for i, pr in enumerate(market.profiles)),
+                mu0=market.mu0, p=market.p, p1=market.p1, p2=market.p2)
         report = truthfulness_audit(
             market, adaptive_uniform_allocation,
             DeviationGrid(n_points=50, n_scenarios=3, seed=int(rng.integers(1 << 16))))

@@ -144,6 +144,8 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["allocate", "--set", "p=0"], "incentive price p must be finite and > 0, got 0.0"),
     (["allocate", "--set", "p1=-inf"], "energy prices must be finite and >= 0, got -inf"),
     (["queue-validate", "--set", "service_cv=nan"], "cv must be finite and > 0, got nan"),
+    (["audit", "--set", "span=1.7976931348623157e308"],
+     "station 0's largest deviation order span * mu_hat must be finite and > 0, got inf"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -199,9 +201,22 @@ def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):
 
     scenario, _, defaults = cli.SCENARIOS["central"]
     monkeypatch.setitem(cli.SCENARIOS, "central",
-                        (scenario, lambda seed: [("forced", False, "x")], defaults))
+                        (scenario, lambda table, seed: [("forced", False, "x")], defaults))
     assert main(["central", "--check"]) == 3
     assert "FAIL: forced (x)" in capsys.readouterr().err
+
+    # The check verifies the printed table: a wrong grant column fails it.
+    scenario, check, defaults = cli.SCENARIOS["allocate"]
+
+    def zero_uniform_grants(params, seed):
+        table = scenario(params, seed)
+        k = table.columns.index("grant_uniform")
+        table.rows = [[*row[:k], 0.0, *row[k + 1:]] for row in table.rows]
+        return table
+
+    monkeypatch.setitem(cli.SCENARIOS, "allocate", (zero_uniform_grants, check, defaults))
+    assert main(["allocate", "--check"]) == 3
+    assert "FAIL: uniform grant" in capsys.readouterr().err
 
 
 def test_large_headroom_nash_terminates(deadline):
@@ -504,4 +519,4 @@ def test_keeps_argmin_on_constructed_ties(total, k, share, kept):
 @pytest.mark.parametrize("seed", range(20))
 def test_nash_check_passes_at_every_seed(seed):
     """check_nash's verdict holds whichever 100 instances the seed draws."""
-    assert all(ok for _, ok, _ in cli.check_nash(seed))
+    assert all(ok for _, ok, _ in cli.check_nash(run_scenario("nash", {}, seed), seed))

@@ -174,6 +174,10 @@ def test_exact_backlog_rejects_unstable():
             exact_backlog_discrete(s, 0.5)
         with pytest.raises(ParameterError, match="s must be an integer >= 0"):
             approximation_error(s, 0.5)
+    with pytest.raises(ParameterError, match="s must be finite"):
+        exact_backlog_discrete(10**400, 0.5)
+    with pytest.raises(ParameterError, match="exact backlog at s=1000.* must be finite and > 0"):
+        approximation_error(10**300, 0.5)
 
 
 # ------------------------------------------------- approximation error

@@ -607,7 +607,7 @@ def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
     params = cli.SCENARIOS["penalty-contract"][2]
     for run in (lambda: equilibrium_report(REF),
                 lambda: cli.scenario_penalty_contract(params, 0),
-                lambda: cli.check_penalty_contract(0)):
+                lambda: cli.check_penalty_contract(cli.scenario_penalty_contract(params, 0), 0)):
         calls.clear()
         run()
         assert len(calls) == 1

@@ -165,6 +165,8 @@ def test_distribution_validation():
                  lambda: HyperExp2(prob=math.nan, rate1=1.0, rate2=2.0),
                  lambda: HyperExp2(prob=0.5, rate1=math.nan, rate2=2.0),
                  lambda: HyperExp2(prob=0.5, rate1=1.0, rate2=math.inf),
+                 lambda: Exponential(rate=10**400),   # ints past float range
+                 lambda: HyperExp2(prob=0.5, rate1=10**200, rate2=2.0),
                  *(lambda v=v: Exponential(rate=v) for v in (-math.inf, -1.0)),
                  *(lambda v=v: HyperExp2(prob=0.5, rate1=v, rate2=2.0)
                    for v in (math.inf, -math.inf, -1.0, 0.0)),
