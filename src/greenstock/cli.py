@@ -23,7 +23,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -160,10 +160,10 @@ def _h2_interarrival(params: dict) -> HyperExp2:
     return HyperExp2(prob=params["h2_prob"], rate1=params["h2_rate1"], rate2=params["h2_rate2"])
 
 
-def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
-    """(model, config, rho, kappa) per queue-validate row: M/M/1 at each rho_list
-    load with seed seed+k, then hyperexponential arrivals and truncated-normal
-    service at h2_rho with the kappa = (c_a^2 + c_s^2)/2 heavy-traffic correction."""
+def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
+    """Run k, at seed + k: M/M/1 at each rho_list load, then H2 arrivals and truncated-normal
+    service at h2_rho with the kappa = (c_a^2 + c_s^2)/2 heavy-traffic correction.  Every
+    run is configured, and so validated, before the first simulates."""
     loads = [*params["rho_list"], params["h2_rho"]]
     if not all(0.0 < rho < 1.0 for rho in loads):
         raise ParameterError(f"every load in rho_list and h2_rho must lie in (0, 1), got {loads}")
@@ -174,14 +174,10 @@ def _queue_cases(params: dict, seed: int, h2_seed: int) -> list:
     h2, rho, cv = _h2_interarrival(params), params["h2_rho"], params["service_cv"]
     service = TruncatedNormal(mean=h2.mean_time() * rho, cv=cv)
     cases.append(("h2-truncnorm",
-                  SimConfig(arrival=h2, service=service, horizon=horizon, seed=h2_seed),
+                  SimConfig(arrival=h2, service=service, horizon=horizon, seed=seed + len(cases)),
                   rho, (h2.scv() + cv * cv) / 2.0))
-    return cases
-
-
-def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
     rows = []
-    for model, cfg, rho, kappa in _queue_cases(params, seed, seed + len(params["rho_list"])):
+    for model, cfg, rho, kappa in cases:
         stats = simulate(cfg)
         rows.append([model, rho, rho / (1 - rho), kappa * rho / (1 - rho),
                      stats.mean_outstanding, stats.mean_waiting, stats.ci_halfwidth,
@@ -196,6 +192,9 @@ def scenario_queue_validate(params: dict, seed: int) -> ResultTable:
 
 def _market(params: dict) -> Market:
     from .allocation import BsProfile, Market
+    ignored = " and ".join(key for key in ("n_bs", "lambda_step") if params[key] != _MARKET[key])
+    if params["lambda_bars"] and ignored:
+        raise ParameterError(f"lambda_bars lists every station; {ignored} would be ignored")
     stations = len(params["lambda_bars"]) or params["n_bs"]
     if stations > MAX_MARKET_STATIONS:
         raise ParameterError(
@@ -277,10 +276,12 @@ def check_central(table: ResultTable, seed: int):
 
 
 def check_nash(table: ResultTable, seed: int):
-    # The identities must hold on any instance, so they are checked on 100 random ones.
-    params = _defaults("nash")
+    # The identities must hold on any instance: the printed one and 100 random ones.
+    params, row = _defaults("nash"), _records(table)[0]
     rng = random.Random(seed)
-    worst_gap = worst_foc = worst_id = 0.0
+    worst_gap = row["brd_gap"]
+    worst_foc = abs(row["nu_star"] * row["s_star"] - math.log1p(row["alpha"] * row["b"]))
+    worst_id = abs(row["cost_bs"] - row["s_star"])
     for _ in range(100):
         g = GameInstance(NormalizedParams(
             b_n=rng.uniform(1, 20), cs_n=rng.uniform(1, 10),
@@ -383,27 +384,27 @@ def check_power_split(table: ResultTable, seed: int):
 
 
 def check_queue_validate(table: ResultTable, seed: int):
-    params = _defaults("queue-validate")
-    checks = [_near("h2 interarrival scv", _h2_interarrival(params).scv(), 1.0856, 1e-4)]
-    # The table's rows are these cases in order, the h2 one at another seed.
-    for (model, cfg, rho, kappa), row in zip(_queue_cases(params, seed, seed + 11),
-                                              _records(table)):
+    checks = [_near("h2 interarrival scv",
+                    _h2_interarrival(_defaults("queue-validate")).scv(), 1.0856, 1e-4)]
+    for row in _records(table):
+        model, rho, horizon = row["model"], row["rho"], row["horizon"]
+        mean, sup = row["sim_mean"], row["pmf_sup_distance"]
         if model == "mm1":
             # Run long enough that 5% is >= 4 sd, so no seed decides it: the mean's relative
             # asymptotic variance is 2 (1 + rho) / (rho (1 - rho)^2) per unit time (Whitt
             # 1989), and H events span ~0.45 H post-warmup interarrival times, rho times fewer
             # than Whitt's service-time units, so this errs long: 12.05M events at rho = 0.93.
+            # A shorter row runs again here, at its own seed.
             needed = 2.0 * (1.0 + rho) / (rho * (1.0 - rho) ** 2) / (0.45 * (0.05 / 4) ** 2)
-            cfg = replace(cfg, horizon=max(cfg.horizon, math.ceil(needed)))
-        # h2/truncnorm keeps 2M: over seeds 11-210 its error is 9.7% +/- 0.8%, 6.6 sd inside 15%.
-        # A row the table ran is read, and any other run here.
-        if (row["horizon"], row["seed"]) == (cfg.horizon, cfg.seed):
-            mean, sup = row["sim_mean"], row["pmf_sup_distance"]
-        else:
-            stats = simulate(cfg)
-            mean, sup = stats.mean_outstanding, empirical_pdf_compare(stats, rho)
-        target = kappa * rho / (1 - rho)
-        rel, ran = abs(mean - target) / target, f"horizon={cfg.horizon}"
+            if horizon < needed:
+                horizon = math.ceil(needed)
+                stats = simulate(SimConfig(Exponential(rate=1.0), Exponential(rate=1.0 / rho),
+                                           horizon, row["seed"]))
+                mean, sup = stats.mean_outstanding, empirical_pdf_compare(stats, rho)
+        # h2/truncnorm is read at 2M: over its printed seeds 4-203 (scenario seeds 0-199)
+        # its error is 9.7% +/- 0.8%, at most 11.8%, 6.7 sd inside 15%.
+        target = row["analysis_kappa"]
+        rel, ran = abs(mean - target) / target, f"horizon={horizon}"
         if model == "mm1":
             checks += [(f"mm1 rho={rho}: mean within 5%", rel <= 0.05, f"rel={rel:.4f}, {ran}"),
                        (f"mm1 rho={rho}: pmf sup-distance < 0.01", sup < 0.01, f"{sup:.4f}, {ran}")]
@@ -661,7 +662,8 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
 
         if getattr(args, "check", False):
-            if params:      # the checks verify the table at the declared defaults
+            # The checks verify the table at the defaults (an unset nan default is its own object).
+            if resolve_params(args.command, params) != _defaults(args.command):
                 table = run_scenario(args.command, {}, seed)
             if not all(ok for _, ok, _ in run_checks(args.command, table, seed, sys.stderr)):
                 return 3

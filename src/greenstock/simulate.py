@@ -2,8 +2,9 @@
 
 The simulator tracks the outstanding-order count N of a single-server
 FIFO queue (an order is placed at every demand epoch, the supplier works
-them off one at a time) and derives inventory (s - N)^+ and backlog
-(N - s)^+ from it.  Interarrival and service draws come from pluggable
+them off one at a time).  N's law does not depend on the base stock s, so
+a run takes no s: inventory (s - N)^+ and backlog (N - s)^+ at any s are
+read off N's pmf.  Interarrival and service draws come from pluggable
 distributions so the heavy-traffic approximation can be probed beyond
 the exponential case.  Runs are deterministic for a fixed seed.
 
@@ -198,12 +199,11 @@ DistSpec = Exponential | HyperExp2 | TruncatedNormal
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: distributions, base stock, horizon in events, of
-    which the first horizon // 10 are warmup."""
+    """One simulation run: distributions, horizon in events, of which the
+    first horizon // 10 are warmup, and seed."""
 
     arrival: DistSpec
     service: DistSpec
-    base_stock: int = 0
     horizon: int = 2_000_000
     seed: int = 0
 
@@ -212,7 +212,7 @@ class SimConfig:
             if not isinstance(getattr(self, name), DistSpec):
                 raise ParameterError(f"{name} must be an Exponential, HyperExp2 or "
                                      f"TruncatedNormal law, got {getattr(self, name)!r}")
-        for name, low in (("base_stock", 0), ("horizon", 1), ("seed", 0)):
+        for name, low in (("horizon", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), low))
 
 
@@ -220,16 +220,15 @@ class SimConfig:
 class SimStats:
     """Time-weighted long-run averages over the post-warmup horizon.
 
-    Every mean is a functional of `pdf`, the time-weighted pmf of the
-    outstanding count N.  mean_outstanding counts every unfinished order
-    (system count); mean_waiting excludes the one in service, so both
-    readings of an "average queue length" are available.
+    Each mean, like inventory (s - N)^+ or backlog (N - s)^+ at any s, is
+    a functional of `pdf`, the time-weighted pmf of the outstanding count N.
+    mean_outstanding counts every unfinished order (system count);
+    mean_waiting excludes the one in service, so both readings of an
+    "average queue length" are available.
     """
 
     mean_outstanding: float
     mean_waiting: float
-    mean_inventory: float
-    mean_backlog: float
     pdf: np.ndarray                 # empirical pmf of the outstanding count
     ci_halfwidth: float             # 95% batch-means half-width on mean_outstanding
     events: int
@@ -341,7 +340,7 @@ def simulate(config: SimConfig) -> SimStats:
         if emitted == horizon:
             break
     ci = _halfwidth(batch_area / batch_time) if per_batch else math.inf
-    return _summary(pmf / total, config.base_stock, ci, intervals, total)
+    return _summary(pmf / total, ci, intervals, total)
 
 
 def _halfwidth(means: np.ndarray) -> float:
@@ -393,15 +392,13 @@ def _t_quantile(df: int, p: float) -> float:
     return math.sqrt(df) * math.tan(theta)
 
 
-def _summary(pdf: np.ndarray, s: int, ci: float, events: int, sim_time: float) -> SimStats:
-    """SimStats whose means are the pmf of N dotted with N, (N-1)^+, (s-N)^+ and (N-s)^+."""
+def _summary(pdf: np.ndarray, ci: float, events: int, sim_time: float) -> SimStats:
+    """SimStats whose means are the pmf of N dotted with N and (N-1)^+."""
     import numpy as np
     j = np.arange(pdf.size)
     return SimStats(
         mean_outstanding=float(pdf @ j),
         mean_waiting=float(pdf @ np.maximum(j - 1, 0)),
-        mean_inventory=float(pdf @ np.maximum(s - j, 0)),
-        mean_backlog=float(pdf @ np.maximum(j - s, 0)),
         pdf=pdf,
         ci_halfwidth=ci,
         events=events,
@@ -441,5 +438,5 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     for r in runs:
         pooled_pdf[: r.pdf.size] += r.pdf
     ci = _halfwidth(np.array([r.mean_outstanding for r in runs]))
-    return _summary(pooled_pdf / n_reps, config.base_stock, ci,
-                    sum(r.events for r in runs), float(sum(r.sim_time for r in runs)))
+    return _summary(pooled_pdf / n_reps, ci, sum(r.events for r in runs),
+                    float(sum(r.sim_time for r in runs)))

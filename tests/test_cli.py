@@ -146,6 +146,8 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["queue-validate", "--set", "service_cv=nan"], "cv must be finite and > 0, got nan"),
     (["audit", "--set", "span=1.7976931348623157e308"],
      "station 0's largest deviation order span * mu_hat must be finite and > 0, got inf"),
+    (["allocate", "--set", "lambda_bars=[1,2,3]", "--set", "n_bs=5", "--set", "lambda_step=9"],
+     "lambda_bars lists every station; n_bs and lambda_step would be ignored"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -205,18 +207,24 @@ def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["central", "--check"]) == 3
     assert "FAIL: forced (x)" in capsys.readouterr().err
 
-    # The check verifies the printed table: a wrong grant column fails it.
-    scenario, check, defaults = cli.SCENARIOS["allocate"]
+    # The check verifies the printed table: a wrong column fails it.
+    def printing_zero(name, column):
+        scenario, check, defaults = cli.SCENARIOS[name]
 
-    def zero_uniform_grants(params, seed):
-        table = scenario(params, seed)
-        k = table.columns.index("grant_uniform")
-        table.rows = [[*row[:k], 0.0, *row[k + 1:]] for row in table.rows]
-        return table
+        def patched(params, seed):
+            table = scenario(params, seed)
+            k = table.columns.index(column)
+            table.rows = [[*row[:k], 0.0, *row[k + 1:]] for row in table.rows]
+            return table
 
-    monkeypatch.setitem(cli.SCENARIOS, "allocate", (zero_uniform_grants, check, defaults))
+        monkeypatch.setitem(cli.SCENARIOS, name, (patched, check, defaults))
+
+    printing_zero("allocate", "grant_uniform")
     assert main(["allocate", "--check"]) == 3
     assert "FAIL: uniform grant" in capsys.readouterr().err
+    printing_zero("nash", "s_star")
+    assert main(["nash", "--check"]) == 3
+    assert "FAIL: nu*s* = ln(1+alpha b) to 1e-9" in capsys.readouterr().err
 
 
 def test_large_headroom_nash_terminates(deadline):
@@ -431,9 +439,16 @@ def test_analytic_cold_path_never_imports_numpy():
     assert done.returncode == 0, done.stderr
 
 
-def test_queue_validate_check_reuses_the_scenario_runs(monkeypatch, capsys):
-    """The scenario's five runs and the check's five share three M/M/1 configs,
-    so one call simulates seven, none twice; the next call simulates them anew."""
+@pytest.mark.parametrize("sets, printed", [
+    ([], 0),
+    (["--set", "horizon=2000000"], 0),      # the default, set: the printed table is checked
+    (["--set", "horizon=200000"], 5),       # not the default: the defaults run after it
+], ids=["unset", "default-set", "other"])
+def test_queue_validate_check_reuses_the_scenario_runs(sets, printed, monkeypatch, capsys):
+    """The check reads every row of the table at the defaults and simulates only
+    rho = 0.93, whose 2M events are shorter than its sized horizon, at the row's
+    seed; so one call simulates the printed runs and six more, none twice, and
+    the next call simulates them anew."""
     real, runs = cli.simulate, []
 
     def counted(cfg):
@@ -441,10 +456,34 @@ def test_queue_validate_check_reuses_the_scenario_runs(monkeypatch, capsys):
         return real(replace(cfg, horizon=20_000))    # counted, not checked: short runs
 
     monkeypatch.setattr(cli, "simulate", counted)
-    assert main(["queue-validate", "--check"]) in (0, 3)
-    assert len(runs) == 7 and len(set(runs)) == 7
-    assert main(["queue-validate", "--check"]) in (0, 3)
-    assert runs[7:] == runs[:7]
+    assert main(["queue-validate", "--check", *sets]) in (0, 3)
+    calls = len(runs)
+    assert calls == len(set(runs)) == printed + 6
+    checked = [(cfg.horizon, cfg.seed) for cfg in runs[printed:]]
+    assert checked == [*((2_000_000, k) for k in range(5)), (12_046_912, 3)]
+    assert main(["queue-validate", "--check", *sets]) in (0, 3)
+    assert runs[calls:] == runs[:calls]
+
+
+@pytest.mark.parametrize("name, sets, runs", [
+    ("central", ["--set", "b=10"], 1),
+    ("central", ["--set", "b=3"], 2),
+    ("penalty-contract", [], 1),                    # the nan default is its own object
+    ("penalty-contract", ["--set", "epsilon=NaN"], 2),
+], ids=["central-default-set", "central-other", "penalty-contract-unset", "penalty-contract-nan-set"])
+def test_check_reruns_the_scenario_only_off_its_defaults(name, sets, runs, monkeypatch, capsys):
+    """--check reads the printed table when the resolved parameters equal the
+    defaults, and otherwise runs the scenario once more at the defaults."""
+    scenario, check, defaults = cli.SCENARIOS[name]
+    calls = []
+
+    def counted(params, seed):
+        calls.append(params)
+        return scenario(params, seed)
+
+    monkeypatch.setitem(cli.SCENARIOS, name, (counted, check, defaults))
+    assert main([name, "--check", *sets]) == 0
+    assert len(calls) == runs
 
 
 _lambdas = st.floats(1e-4, 4.0) | st.integers(1, 4000).map(lambda k: k / 1000)

@@ -30,9 +30,16 @@ from greenstock import (
 sim_module = importlib.import_module("greenstock.simulate")
 
 
-def mm1_config(rho, s=0, horizon=400_000, seed=7):
+def mm1_config(rho, horizon=400_000, seed=7):
     return SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.0 / rho),
-                     base_stock=s, horizon=horizon, seed=seed)
+                     horizon=horizon, seed=seed)
+
+
+def stock_means(stats, s):
+    """Mean inventory (s - N)^+ and backlog (N - s)^+ at base stock s, read off
+    the run's pmf of the outstanding count N, whose law does not depend on s."""
+    j = np.arange(stats.pdf.size)
+    return float(stats.pdf @ np.maximum(s - j, 0)), float(stats.pdf @ np.maximum(j - s, 0))
 
 
 # ----------------------------------------------------------- distributions
@@ -183,7 +190,7 @@ def test_distribution_validation():
 def test_mm1_mean_outstanding():
     """Arrivals at 1.5, service at 2.0 (rho=0.75): mean outstanding near 3."""
     cfg = SimConfig(arrival=Exponential(rate=1.5), service=Exponential(rate=2.0),
-                    base_stock=0, horizon=2_000_000, seed=7)
+                    horizon=2_000_000, seed=7)
     stats = simulate(cfg)
     assert stats.mean_outstanding == pytest.approx(3.0, rel=0.05)
 
@@ -191,46 +198,46 @@ def test_mm1_mean_outstanding():
 def test_identity_inventory_backlog_outstanding():
     """(s-N)^+ = s - N + (N-s)^+ holds pathwise, so the averages tie out."""
     for s in (0, 3, 7):
-        stats = simulate(mm1_config(0.8, s=s, seed=s + 1))
-        lhs = stats.mean_inventory
-        rhs = s - stats.mean_outstanding + stats.mean_backlog
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        stats = simulate(mm1_config(0.8, seed=s + 1))
+        inventory, backlog = stock_means(stats, s)
+        assert inventory == pytest.approx(s - stats.mean_outstanding + backlog, abs=1e-9)
 
 
 def test_backlog_against_exact_geometric():
-    stats = simulate(mm1_config(0.9, s=5, horizon=2_000_000, seed=42))
-    assert stats.mean_backlog == pytest.approx(
+    stats = simulate(mm1_config(0.9, horizon=2_000_000, seed=42))
+    assert stock_means(stats, 5)[1] == pytest.approx(
         exact_backlog_discrete(5, 0.9), rel=0.07)
 
 
 def test_inventory_against_continuous_approximation():
     # matched load: nu = (1-rho)/rho with the continuous stock at s
     rho = 1.0 / 1.3287
-    stats = simulate(mm1_config(rho, s=7, horizon=2_000_000, seed=8))
+    stats = simulate(mm1_config(rho, horizon=2_000_000, seed=8))
     approx = mean_inventory(7.0, (1 - rho) / rho)
-    assert stats.mean_inventory == pytest.approx(approx, rel=0.07)
+    assert stock_means(stats, 7)[0] == pytest.approx(approx, rel=0.07)
 
 
 def test_state_support_consistency():
     """Inventory cannot exceed s; inventory and backlog are never both
     positive at the same instant (disjoint supports of the state law)."""
-    stats = simulate(mm1_config(0.7, s=4, seed=5))
+    stats = simulate(mm1_config(0.7, seed=5))
     pdf = stats.pdf
+    inventory, backlog = stock_means(stats, 4)
     inv_mass = sum((4 - j) * pdf[j] for j in range(min(4, len(pdf))))
     back_mass = sum((j - 4) * pdf[j] for j in range(5, len(pdf)))
-    assert stats.mean_inventory == pytest.approx(inv_mass, abs=1e-9)
-    assert stats.mean_backlog == pytest.approx(back_mass, abs=1e-9)
-    assert stats.mean_inventory <= 4.0
+    assert inventory == pytest.approx(inv_mass, abs=1e-9)
+    assert backlog == pytest.approx(back_mass, abs=1e-9)
+    assert inventory <= 4.0
 
 
 def test_seed_determinism_is_bit_exact():
-    a = simulate(mm1_config(0.8, s=2, seed=123))
-    b = simulate(mm1_config(0.8, s=2, seed=123))
+    a = simulate(mm1_config(0.8, seed=123))
+    b = simulate(mm1_config(0.8, seed=123))
     assert a.mean_outstanding == b.mean_outstanding
-    assert a.mean_inventory == b.mean_inventory
+    assert stock_means(a, 2) == stock_means(b, 2)
     assert a.ci_halfwidth == b.ci_halfwidth
     assert np.array_equal(a.pdf, b.pdf)
-    c = simulate(mm1_config(0.8, s=2, seed=124))
+    c = simulate(mm1_config(0.8, seed=124))
     assert c.mean_outstanding != a.mean_outstanding
 
 
@@ -253,9 +260,7 @@ def test_unstable_configuration_warns_or_refuses():
 
 def test_config_validation():
     """Every bad field is a ParameterError at construction, not a failure in simulate."""
-    for bad in ({"horizon": 0}, {"base_stock": -1}, {"base_stock": math.nan},
-                {"base_stock": math.inf}, {"base_stock": 1.5}, {"base_stock": True},
-                {"horizon": 1000.5}, {"horizon": math.inf}, {"horizon": "1000"},
+    for bad in ({"horizon": 0}, {"horizon": 1000.5}, {"horizon": math.inf}, {"horizon": "1000"},
                 {"horizon": True}, {"seed": -1}, {"seed": 0.5}, {"seed": None},
                 {"seed": True}, {"arrival": None}, {"service": 2.0}):
         fields = {"arrival": Exponential(rate=1.0), "service": Exponential(rate=2.0), **bad}
@@ -265,9 +270,9 @@ def test_config_validation():
 
 def test_config_accepts_integral_floats():
     cfg = SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=2.0),
-                    base_stock=3.0, horizon=2e3, seed=np.int64(4))
-    assert (cfg.base_stock, cfg.horizon, cfg.seed) == (3, 2000, 4)
-    assert all(type(v) is int for v in (cfg.base_stock, cfg.horizon, cfg.seed))
+                    horizon=2e3, seed=np.int64(4))
+    assert (cfg.horizon, cfg.seed) == (2000, 4)
+    assert all(type(v) is int for v in (cfg.horizon, cfg.seed))
 
 
 # -------------------------------------------------------------- epdf check
@@ -329,9 +334,10 @@ def _law_generators(seed):
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
 
 
-def _direct_means(cfg):
-    """Reference: the four time-weighted sums over the run's events, taken
-    directly from a +/-1 step array instead of through the pmf."""
+def _direct_means(cfg, s):
+    """Reference: the time-weighted means of N, (N-1)^+, (s-N)^+ and (N-s)^+
+    over the run's events, taken directly from a +/-1 step array instead of
+    through the pmf."""
     arrival_rng, service_rng = _law_generators(cfg.seed)
     n = cfg.horizon // 2 + 2
     arrivals = np.cumsum(cfg.arrival.sample(arrival_rng, n))
@@ -344,7 +350,7 @@ def _direct_means(cfg):
     warm = cfg.horizon // 10
     state = np.cumsum(steps[order])[:-1][warm:]
     hold = np.diff(times[order])[warm:]
-    s, total = cfg.base_stock, hold.sum()
+    total = hold.sum()
     return [float((f * hold).sum() / total) for f in (
         state, np.maximum(state - 1, 0), np.maximum(s - state, 0), np.maximum(state - s, 0))]
 
@@ -378,13 +384,12 @@ def test_means_are_functionals_of_the_pmf(arrival, service, a_shape, s_shape, rh
     """Over the SimConfig domain the means read from the pmf equal the direct
     time-weighted sums, tie out pathwise, and pool across replicates."""
     cfg = SimConfig(arrival=_law(arrival, 1.0, a_shape), service=_law(service, rho, s_shape),
-                    base_stock=s, horizon=horizon, seed=seed)
+                    horizon=horizon, seed=seed)
     stats = simulate(cfg)
-    means = [stats.mean_outstanding, stats.mean_waiting, stats.mean_inventory,
-             stats.mean_backlog]
-    assert max(_rel(m, ref) for m, ref in zip(means, _direct_means(cfg))) <= 1e-12
-    assert stats.mean_inventory - stats.mean_backlog == pytest.approx(
-        s - stats.mean_outstanding, abs=1e-9)
+    inventory, backlog = stock_means(stats, s)
+    means = [stats.mean_outstanding, stats.mean_waiting, inventory, backlog]
+    assert max(_rel(m, ref) for m, ref in zip(means, _direct_means(cfg, s))) <= 1e-12
+    assert inventory - backlog == pytest.approx(s - stats.mean_outstanding, abs=1e-9)
     assert stats.pdf.sum() == pytest.approx(1.0, abs=1e-12)
     singles = [simulate(replace(cfg, seed=seed + i)).mean_outstanding for i in range(k)]
     assert _rel(replicate(cfg, k).mean_outstanding, float(np.mean(singles))) <= 1e-12
@@ -401,14 +406,24 @@ def _edge_configs():
             "h2": (h2, TruncatedNormal(mean=h2.mean_time() * 0.8, cv=0.5))}
     for name, (arrival, service) in laws.items():
         for horizon in (2, 9, 21, 22, 2_001, 3_000):
-            yield name, SimConfig(arrival=arrival, service=service, base_stock=2,
+            yield name, SimConfig(arrival=arrival, service=service,
                                   horizon=horizon, seed=horizon)
+
+
+_READINGS = ("mean_outstanding", "mean_waiting", "inventory", "backlog", "sim_time",
+             "ci_halfwidth")
+
+
+def _readings(stats):
+    """A run's figures, inventory and backlog at s = 2 among them, in _READINGS' order."""
+    return (stats.mean_outstanding, stats.mean_waiting, *stock_means(stats, 2),
+            stats.sim_time, stats.ci_halfwidth)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_chunk_size_does_not_change_the_run(chunk, monkeypatch):
     """Any chunk size reproduces the default run: same events and pmf support,
-    means and half-width within 1e-12."""
+    means (inventory and backlog at s = 2 among them) and half-width within 1e-12."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reference = [simulate(cfg) for _, cfg in _edge_configs()]
@@ -416,9 +431,7 @@ def test_chunk_size_does_not_change_the_run(chunk, monkeypatch):
         chunked = [simulate(cfg) for _, cfg in _edge_configs()]
     for (name, cfg), ref, got in zip(_edge_configs(), reference, chunked):
         assert (got.events, got.pdf.size) == (ref.events, ref.pdf.size), (name, cfg)
-        for field in ("mean_outstanding", "mean_waiting", "mean_inventory", "mean_backlog",
-                      "sim_time", "ci_halfwidth"):
-            a, b = getattr(got, field), getattr(ref, field)
+        for field, a, b in zip(_READINGS, _readings(got), _readings(ref)):
             assert a == b or _rel(a, b) <= 1e-12, (name, cfg, field, a, b)
 
 
