@@ -340,40 +340,62 @@ def check_penalty_contract(table: ResultTable, seed: int):
     # Under the contract the BS minimizes (1-eps)*C and the supplier eps*C.
     aligned = all(_keeps_argmin(total, k, share)
                   for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
+    # The contract splits the central cost: the BS pays (1 - eps) C, the supplier eps C.
+    bs, rps = row["cost_bs_coord"], row["cost_rps_coord"]
+    sum_err = abs(bs + rps - row["cost_central"])
+    share_err = abs(rps - row["epsilon"] * (bs + rps))
     return [
         _near("penalty", row["penalty"], 0.0407, 0.0005),
         ("closed-form cost surface = cost_bs + cost_rps to 1e-9", surface_err <= 1e-9,
          f"{surface_err:.2e}"),
+        ("cost_bs_coord + cost_rps_coord = cost_central to 1e-9", sum_err <= 1e-9,
+         f"{sum_err:.2e}"),
+        ("cost_rps_coord = epsilon * (their sum) to 1e-9", share_err <= 1e-9,
+         f"{share_err:.2e}"),
         ("central gridpoint within 3 cells of (s_bar, nu_bar)", near, f"cell ({i}, {j})"),
         ("BS and supplier grid argmins at the central gridpoint", aligned,
          f"eps in [{lo:.4f},{hi:.4f}]"),
     ]
 
 
+def _split_costs(g: GameInstance, total_lambda: float, mu0: float, p1: float, p2: float,
+                 lams: list) -> list:
+    """power_split's cost at each lambda in closed form; lambda = 0 is all-grid."""
+    f, gamma = auxiliary_f(g), math.log1p(g.alpha * g.b)
+
+    def cost(lam: float) -> float:
+        if lam <= 0.0:
+            return p2 * total_lambda
+        phi = mu0 / lam - 1.0
+        return (math.sqrt(1.0 + phi) + f) * gamma / (f * phi) + p1 * lam + p2 * (total_lambda - lam)
+
+    return [cost(lam) for lam in lams]
+
+
 def _split_grid(g: GameInstance, total_lambda: float, mu0: float, p1: float, p2: float):
     """power_split's 1e-3 grid oracle: the points k * 1e-3 of its interval, as
-    np.arange spaces them, and the cost at each; lambda = 0 is all-grid."""
+    np.arange spaces them, and the cost at each."""
     stop = min(total_lambda, mu0 * (1 - 1e-6)) + 1e-9
     grid = [k * 1e-3 for k in range(math.ceil(stop / 1e-3))]
-    f, gamma = auxiliary_f(g), math.log1p(g.alpha * g.b)
-    costs = [p2 * total_lambda] + [
-        (math.sqrt(1.0 + phi) + f) * gamma / (f * phi) + p1 * lam + p2 * (total_lambda - lam)
-        for lam, phi in ((lam, mu0 / lam - 1.0) for lam in grid[1:])]
-    return grid, costs
+    return grid, _split_costs(g, total_lambda, mu0, p1, p2, grid)
 
 
 def check_power_split(table: ResultTable, seed: int):
     params = _defaults("power-split")
     g = _split_game(params)
     total_lambda, mu0, p1 = params["total_lambda"], params["mu0"], params["p1"]
-    # The paper's anchors below are keyed on the P2 price they belong to.
-    lam_at = {row["p2"]: row["lambda_star"] for row in _records(table)}
-    checks = []
-    for p2, lam in lam_at.items():
+    rows, checks = _records(table), []
+    for row in rows:
+        p2, lam = row["p2"], row["lambda_star"]
         grid, costs = _split_grid(g, total_lambda, mu0, p1, p2)
         lam_grid = grid[costs.index(min(costs))]    # the first minimum, as np.argmin takes it
         checks.append((f"P2={p2}: golden-section matches 1e-3 grid",
                        abs(lam - lam_grid) <= 1e-3, f"{lam:.4f} vs {lam_grid:.4f}"))
+        err = abs(row["cost"] - _split_costs(g, total_lambda, mu0, p1, p2, [lam])[0])
+        checks.append((f"P2={p2}: cost = closed form at lambda* to 1e-9", err <= 1e-9,
+                       f"{err:.2e}"))
+    # The paper's anchors below are keyed on the P2 price they belong to.
+    lam_at = {row["p2"]: row["lambda_star"] for row in rows}
     lams = list(lam_at.values())
     checks.append(("lambda* nondecreasing in P2",
                    all(a <= b + 1e-9 for a, b in zip(lams, lams[1:])),

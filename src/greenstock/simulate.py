@@ -15,10 +15,23 @@ rejection) and 2n uniforms for `HyperExp2`.  Interarrival times draw from
 child 0 of `np.random.SeedSequence(seed)` and service times from child 1,
 and `simulate` draws both in chunks of `_CHUNK` customers, so by the
 contract each law's times are bit-equal to one whole-run draw from its
-generator, whatever the chunk size.  Memory is O(chunk + outstanding
-orders): a stable run's horizon is bounded by time alone, while an
-unstable run's pending departures and pmf grow with its backlog, and it
-stays capped at 1e8 events.
+generator, whatever the chunk size.
+
+A run of more than one chunk runs on two threads.  The calling thread
+runs the Lindley recursion: the draws, their cumulative sums, the running
+maximum, and the cut of the departures that precede the chunk's last
+arrival; its carries (that arrival, N after it, the events so far)
+follow from the chunk's own counts, so it never waits.  One worker
+thread, started for the run, tallies chunk k while chunk k+1 is drawn:
+the stable merge, N's +/-1 counts, the holding times, and the chunk's
+pmf bins, total and batch partials.  The calling thread folds those
+partials in chunk order, so each float sum adds the same terms in the
+same order as one thread would, and a run's figures are bit-identical
+however the stages overlap.  A one-chunk run tallies inline and starts
+no thread.  Memory is O(two chunks + outstanding orders): a stable run's
+horizon is bounded by time alone, while an unstable run's pending
+departures and pmf grow with its backlog, and it stays capped at 1e8
+events.
 
 Importing the module loads none of numpy, scipy and statistics.  Each
 function that draws or simulates imports numpy when it runs, the first
@@ -34,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -250,6 +264,122 @@ def _customer_chunks(config: SimConfig, n: int):
                config.service.sample(service_rng, size), start + size == n)
 
 
+def _recursion(config: SimConfig, horizon: int):
+    """The calling thread's stage: per chunk of customers, the inputs of its
+    `_Tally` call (head, n_out, start, arrivals, departed), until the run
+    has `horizon` events.  Each carry follows from the chunk's own counts,
+    so the recursion never waits for a tally."""
+    import numpy as np
+    a_last = cs_last = 0.0                # carried: last arrival, last cumulative service,
+    run_max = -math.inf                   # the recursion's running maximum,
+    pending = deque()                     # sorted runs of departures not before the last arrival,
+    head = np.empty(0)                    # the last event's time (slot 0 of the next merge)
+    n_out = emitted = 0                   # and N after it; events so far
+    for inter, serv, last in _customer_chunks(config, horizon // 2 + 2):
+        inter[0] += a_last                # left-to-right sums, bit-equal to one cumsum
+        arrivals = inter.cumsum(out=inter)
+        first, serv[0] = serv[0], serv[0] + cs_last
+        cum_serv = serv.cumsum()
+        serv[0] = first
+        # Departure recursion D_k = S_k + max(T_k, D_{k-1}) collapses to a
+        # running maximum: D = cumsum(S) + max_{j<=k} (T_j - cumsum(S)_{j-1}).
+        lead = arrivals - (cum_serv - serv)
+        lead[0] = max(lead[0], run_max)
+        np.maximum.accumulate(lead, out=lead)
+        pending.append(cum_serv + lead)
+        a_last, cs_last, run_max = arrivals[-1], cum_serv[-1], lead[-1]
+
+        # Departures before the last arrival precede every later event.  FIFO
+        # departures do not decrease, so they are the whole runs below a_last
+        # and the front of the run that crosses it.
+        departed = []
+        while pending and (last or pending[0][-1] < a_last):
+            departed.append(pending.popleft())
+        if pending:
+            split = int(np.searchsorted(pending[0], a_last))
+            departed.append(pending[0][:split])
+            pending[0] = pending[0][split:]
+        yield head, n_out, emitted - head.size, arrivals, departed
+        # The merge ends at a_last unless it reaches the horizon, which ends the run.
+        cut = sum(d.size for d in departed)
+        emitted += arrivals.size + cut
+        if emitted >= horizon:
+            return
+        head, n_out = arrivals[-1:], n_out + arrivals.size - cut
+
+
+class _Tally:
+    """The worker's stage: merges one chunk's events into time order and sums
+    its post-warmup intervals.  A call returns (low, weights, held, batches):
+    N's holding times binned from N = low, their total, and, inside the
+    batch-means window, (first batch, areas, times) of the batches touched;
+    None when every interval is in the warmup.
+
+    The two merge buffers are kept from chunk to chunk: freed and allocated
+    afresh, a chunk's megabytes go back to the OS and fault in again."""
+
+    def __init__(self, horizon: int, warm: int, usable: int, per_batch: int):
+        import numpy as np
+        self.horizon, self.warm, self.usable, self.per_batch = horizon, warm, usable, per_batch
+        self.buffers = np.empty(0), np.empty(0)
+
+    def __call__(self, head, n_out, start, arrivals, departed):
+        import numpy as np
+        n = head.size + arrivals.size + sum(d.size for d in departed)
+        if n > self.buffers[0].size:
+            self.buffers = np.empty(n), np.empty(n)
+        merged, spare = self.buffers
+        # The stable merge puts arrivals first on ties, as one whole-run sort would.
+        np.concatenate([head, arrivals, *departed], out=merged[:n])
+        order = np.argsort(merged[:n], kind="stable")[: self.horizon - start]
+        times = merged.take(order, out=spare[: order.size], mode="clip")   # order is in range
+        count = np.greater_equal(order, head.size + arrivals.size, out=order)   # order is spent
+        count *= -2
+        count += 1                        # +1 arrival, -1 departure
+        if head.size:
+            count[0] = n_out
+        count.cumsum(out=count)
+
+        skip = max(self.warm - start, 0)
+        hold = np.subtract(times[skip + 1:], times[skip:-1],
+                           out=merged[: max(times.size - skip - 1, 0)])
+        if not hold.size:
+            return None
+        state = count[skip:-1]
+        batches = None
+        j0 = start + skip - self.warm     # post-warmup index of hold[0]
+        if j0 < self.usable:
+            m = min(hold.size, self.usable - j0)
+            edges = np.arange(-(j0 % self.per_batch), m, self.per_batch)
+            edges[0] = 0
+            area = np.multiply(state[:m], hold[:m], out=spare[:m])
+            batches = (j0 // self.per_batch, np.add.reduceat(area, edges),
+                       np.add.reduceat(hold[:m], edges))
+        low = int(state.min())
+        if low:
+            state -= low
+        return low, np.bincount(state, weights=hold), float(hold.sum()), batches
+
+
+def _tallies(jobs, tally, inline: bool):
+    """tally(*job) for each job, in order: inline, or on one worker thread
+    while the calling thread computes the next job."""
+    if inline:
+        for job in jobs:
+            yield tally(*job)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="greenstock-tally") as worker:
+        ahead = None
+        for job in jobs:
+            future = worker.submit(tally, *job)
+            if ahead is not None:
+                yield ahead.result()
+            ahead = future
+        yield ahead.result()
+
+
 def simulate(config: SimConfig) -> SimStats:
     """Run one event-driven simulation of the make-to-stock queue.
 
@@ -258,7 +388,6 @@ def simulate(config: SimConfig) -> SimStats:
     averages are exact time-weighted sums over the post-warmup window.
     Deterministic for a fixed config (one generator per law, fixed draw order).
     """
-    import numpy as np
     lam_rate = 1.0 / config.arrival.mean_time()
     mu_rate = 1.0 / config.service.mean_time()
     if lam_rate >= mu_rate:
@@ -280,67 +409,37 @@ def simulate(config: SimConfig) -> SimStats:
                       f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
     usable = per_batch * _BATCHES
 
-    a_last = cs_last = 0.0                # carried: last arrival, last cumulative service,
-    run_max = -math.inf                   # the recursion's running maximum,
-    pending = np.empty(0)                 # departures not before the last arrival,
-    head = np.empty(0)                    # the last event's time (slot 0 of the next merge)
-    n_out = emitted = 0                   # and N after it; events so far
-    pmf, total = np.zeros(0), 0.0
-    batch_area, batch_time = np.zeros(_BATCHES), np.zeros(_BATCHES)   # sums of N * hold, hold
-    for inter, serv, last in _customer_chunks(config, horizon // 2 + 2):
-        inter[0] += a_last                # left-to-right sums, bit-equal to one cumsum
-        arrivals = np.cumsum(inter, out=inter)
-        first, serv[0] = serv[0], serv[0] + cs_last
-        cum_serv = np.cumsum(serv)
-        serv[0] = first
-        # Departure recursion D_k = S_k + max(T_k, D_{k-1}) collapses to a
-        # running maximum: D = cumsum(S) + max_{j<=k} (T_j - cumsum(S)_{j-1}).
-        lead = arrivals - (cum_serv - serv)
-        lead[0] = max(lead[0], run_max)
-        np.maximum.accumulate(lead, out=lead)
-        departures = cum_serv + lead
-        a_last, cs_last, run_max = arrivals[-1], cum_serv[-1], lead[-1]
-
-        # Departures before the last arrival precede every later event; the
-        # stable merge puts arrivals first on ties, as one whole-run sort would.
-        if pending.size:
-            departures = np.concatenate([pending, departures])
-        cut = departures.size if last else int(np.searchsorted(departures, a_last))
-        pending = departures[cut:]
-        times = np.concatenate([head, arrivals, departures[:cut]])
-        order = np.argsort(times, kind="stable")[: head.size + horizon - emitted]
-        times = times[order]
-        count = np.where(order < head.size + arrivals.size, 1, -1)
-        if head.size:
-            count[0] = n_out
-        np.cumsum(count, out=count)
-
-        start = emitted - head.size       # event index of times[0]
-        skip = max(warm - start, 0)
-        hold = times[skip + 1:] - times[skip:-1]
-        state = count[skip:-1]
-        emitted = start + times.size
-        head, n_out = times[-1:], count[-1]
-        if hold.size:
-            weights = np.bincount(state, weights=hold)
-            if weights.size > pmf.size:
-                weights[: pmf.size] += pmf
-                pmf = weights
-            else:
-                pmf[: weights.size] += weights
-            total += float(hold.sum())
-            j0 = start + skip - warm      # post-warmup index of hold[0]
-            if j0 < usable:
-                m = min(hold.size, usable - j0)
-                edges = np.arange(-(j0 % per_batch), m, per_batch)
-                edges[0] = 0
-                q0 = j0 // per_batch
-                batch_area[q0:q0 + edges.size] += np.add.reduceat(state[:m] * hold[:m], edges)
-                batch_time[q0:q0 + edges.size] += np.add.reduceat(hold[:m], edges)
-        if emitted == horizon:
-            break
+    parts = _tallies(_recursion(config, horizon), _Tally(horizon, warm, usable, per_batch),
+                     inline=horizon // 2 + 2 <= _CHUNK)     # a one-chunk run starts no thread
+    weights, total, batch_area, batch_time = _fold(parts)
     ci = _halfwidth(batch_area / batch_time) if per_batch else math.inf
-    return _summary(pmf / total, ci, intervals, total)
+    return _summary(weights / total, ci, intervals, total)
+
+
+def _fold(parts):
+    """The tallies' partials summed in chunk order, so that each sum adds the
+    same floats in the same order as one pass over the run: N's time
+    weights, their total, and the batches' sums of N * hold and of hold."""
+    import numpy as np
+    pmf, size, total = np.zeros(0), 0, 0.0            # pmf[:size] holds N's time weights
+    batch_area, batch_time = np.zeros(_BATCHES), np.zeros(_BATCHES)
+    for part in parts:
+        if part is None:
+            continue
+        low, weights, held, batches = part
+        top = low + weights.size
+        if top > pmf.size:                # grown geometrically; a new bin adds to 0.0
+            grown = np.zeros(max(top, 2 * pmf.size))
+            grown[:size] = pmf[:size]
+            pmf = grown
+        pmf[low:top] += weights
+        size = max(size, top)
+        total += held
+        if batches:
+            q0, area, time = batches
+            batch_area[q0:q0 + area.size] += area
+            batch_time[q0:q0 + time.size] += time
+    return pmf[:size], total, batch_area, batch_time
 
 
 def _halfwidth(means: np.ndarray) -> float:

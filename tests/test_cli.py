@@ -219,12 +219,22 @@ def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setitem(cli.SCENARIOS, name, (patched, check, defaults))
 
+    penalty_contract = cli.SCENARIOS["penalty-contract"]
     printing_zero("allocate", "grant_uniform")
     assert main(["allocate", "--check"]) == 3
     assert "FAIL: uniform grant" in capsys.readouterr().err
     printing_zero("nash", "s_star")
     assert main(["nash", "--check"]) == 3
     assert "FAIL: nu*s* = ln(1+alpha b) to 1e-9" in capsys.readouterr().err
+    printing_zero("power-split", "cost")
+    assert main(["power-split", "--check"]) == 3
+    assert "FAIL: P2=5.0: cost = closed form at lambda* to 1e-9" in capsys.readouterr().err
+    for column, label in (("cost_bs_coord", "cost_bs_coord + cost_rps_coord = cost_central"),
+                          ("cost_rps_coord", "cost_rps_coord = epsilon * (their sum)")):
+        monkeypatch.setitem(cli.SCENARIOS, "penalty-contract", penalty_contract)
+        printing_zero("penalty-contract", column)
+        assert main(["penalty-contract", "--check"]) == 3
+        assert f"FAIL: {label} to 1e-9" in capsys.readouterr().err
 
 
 def test_large_headroom_nash_terminates(deadline):

@@ -1,11 +1,17 @@
 """Event simulator vs the closed-form queue laws."""
 
+import hashlib
 import importlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +476,100 @@ def test_memory_does_not_grow_with_the_horizon(horizon):
         tracemalloc.stop()
     assert stats.events == horizon - 1 - horizon // 10
     assert peak < 24 * 2**20
+
+
+# ------------------------------------------------- two-thread pipeline
+
+_H2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
+# Runs of at least four chunks and their figures as one thread computed them:
+# the pmf's sha256, then mean_outstanding, mean_waiting, ci_halfwidth and sim_time.
+_PINNED = {
+    "mm1-0.93": (mm1_config(0.93, horizon=600_000, seed=3), (
+        "c93331b60f4fc4c339aec19fd699a4345c56553d25026c30d507facf540ce5c2",
+        "0x1.bb2f0b6248a4bp+3", "0x1.9d73accc6cda5p+3", "0x1.eb903265911b4p+0",
+        "0x1.076da89e1fa1ep+18")),
+    "h2-truncnorm": (SimConfig(arrival=_H2, service=TruncatedNormal(mean=_H2.mean_time() * 0.8,
+                                                                   cv=0.5),
+                               horizon=600_000, seed=4), (
+        "2fd69c1278f4358cc1b923cedd941b7e3b8a8bc42210c6ad50e98a0bf7745c85",
+        "0x1.750e3d8c5afe9p+1", "0x1.0ec7f8497c1a4p+1", "0x1.66bd9ffbad959p-4",
+        "0x1.7be47adb29468p+16")),
+    "unstable-1.2": (mm1_config(1.2, horizon=2_000_000, seed=0), (
+        "e3f1455435a747e2c72ed197b182e62869d9fa9f727f8877012f903d6fd0a2de",
+        "0x1.65271734f54fap+16", "0x1.65261734f54f8p+16", "0x1.4099a4d86df62p+14",
+        "0x1.0aea30067ac93p+20")),
+}
+
+
+def _figures(stats):
+    return (hashlib.sha256(stats.pdf.tobytes()).hexdigest(), stats.mean_outstanding.hex(),
+            stats.mean_waiting.hex(), stats.ci_halfwidth.hex(), stats.sim_time.hex())
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pipelined_run_is_bit_identical_to_one_thread(name):
+    """The worker tallies while the next chunk is drawn, and the partials are
+    folded in chunk order, so the figures keep every bit; the unstable run
+    keeps them with its pending departures held as sorted runs."""
+    cfg, pinned = _PINNED[name]
+    assert cfg.horizon // 2 + 2 >= 4 * sim_module._CHUNK
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _figures(simulate(cfg)) == pinned
+
+
+def test_pipeline_keeps_its_bits_under_rapid_thread_switching(deadline):
+    """The stages share no array that either writes after the hand-off, so
+    switching threads every microsecond changes no bit and deadlocks nothing."""
+    cfg, pinned = _PINNED["h2-truncnorm"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(60):
+            figures = _figures(simulate(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert figures == pinned
+
+
+def test_worker_error_surfaces_and_the_next_run_is_whole(monkeypatch):
+    """An exception in the worker's tally is raised from simulate; every
+    chunk is tallied on one thread, not the caller's, and the next call
+    starts afresh."""
+    calls, threads = [], []
+
+    class Failing(sim_module._Tally):
+        def __call__(self, *job):
+            calls.append(None)
+            threads.append(threading.current_thread())
+            if len(calls) == 2:
+                raise RuntimeError("tally failed on chunk 2")
+            return super().__call__(*job)
+
+    cfg, pinned = _PINNED["mm1-0.93"]
+    monkeypatch.setattr(sim_module, "_Tally", Failing)
+    with pytest.raises(RuntimeError, match="tally failed on chunk 2"):
+        simulate(cfg)
+    threads.clear()
+    assert _figures(simulate(cfg)) == pinned
+    assert len(threads) >= 4 and len(set(threads)) == 1
+    assert threads[0] is not threading.current_thread()
+
+
+def test_one_chunk_run_starts_no_thread():
+    """A run that fits in one chunk tallies inline: in a fresh interpreter a
+    2,000-event run loads no concurrent.futures and starts no thread."""
+    code = ("import sys, threading\n"
+            "from greenstock import Exponential, SimConfig, simulate\n"
+            "threads = threading.active_count()\n"
+            "simulate(SimConfig(arrival=Exponential(rate=1.0), service=Exponential(rate=1.25),"
+            " horizon=2_000, seed=1))\n"
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures loaded'\n"
+            "assert threading.active_count() == threads, threading.enumerate()\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sim_module.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # --------------------------------------------- general-distribution run
