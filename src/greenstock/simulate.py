@@ -33,13 +33,13 @@ horizon is bounded by time alone, while an unstable run's pending
 departures and pmf grow with its backlog, and it stays capped at 1e8
 events.
 
-Importing the module loads none of numpy, scipy and statistics.  Each
-function that draws or simulates imports numpy when it runs, the first
-truncated-normal draw imports scipy.special for its inverse normal CDF
-(`ndtri`), and the two scalar inverse normal CDFs (a `TruncatedNormal`'s
+Importing the module loads neither numpy nor statistics, and nothing here
+loads scipy.  Each function that draws or simulates imports numpy when it
+runs, and the two scalar inverse normal CDFs (a `TruncatedNormal`'s
 largest draw and the Student-t start) import `statistics.NormalDist`, so
-the analytic scenarios load none of them.  The scalar normal CDF, hazard
-and Student-t quantile are computed here from `math`.
+the analytic scenarios load neither.  The scalar normal CDF, hazard and
+Student-t quantile are computed here from `math`, and the truncated-normal
+draws' inverse normal CDF is a numpy kernel of the stdlib's algorithm.
 """
 
 from __future__ import annotations
@@ -139,6 +139,66 @@ def _norm_hazard(x: float) -> float:
     return math.sqrt(2.0 / math.pi) / _erfcx(x / math.sqrt(2.0))
 
 
+# Wichura's AS241 (PPND16) rationals as CPython's `statistics.NormalDist.inv_cdf`
+# writes them: per Horner step, highest degree first, the numerator's
+# coefficient + 1j * the denominator's.
+_AS241_CENTRAL = tuple(map(complex, (          # |q| <= 0.425, at 0.180625 - q*q
+    2.50908092873012267270e+3, 3.34305755835881281050e+4, 6.72657709270087008530e+4,
+    4.59219539315498714570e+4, 1.37316937655094611250e+4, 1.97159095030655144270e+3,
+    1.33141667891784377450e+2, 3.38713287279636660800e+0), (
+    5.22649527885285456100e+3, 2.87290857357219426740e+4, 3.93078958000927106100e+4,
+    2.12137943015865958670e+4, 5.39419602142475110770e+3, 6.87187007492057908300e+2,
+    4.23133307016009112520e+1, 1.0)))
+_AS241_NEAR = tuple(map(complex, (             # r <= 5, at r - 1.6
+    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+    1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+    4.63033784615654529590e+0, 1.42343711074968357734e+0), (
+    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+    2.05319162663775882187e+0, 1.0)))
+_AS241_FAR = tuple(map(complex, (              # r > 5, at r - 5
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+    5.46378491116411436990e+0, 6.65790464350110377720e+0), (
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1, 1.0)))
+
+
+def _as241(coefs: tuple, z: np.ndarray) -> np.ndarray:
+    """Numerator + 1j * denominator of one AS241 rational at each z = r + 0j,
+    in one complex Horner pass: each product with the zero imaginary part
+    is exact, so each part has the bits of its own real pass."""
+    h = z * coefs[0]
+    h += coefs[1]
+    for c in coefs[2:]:
+        h *= z
+        h += c
+    return h
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile at each p in (0, 1): AS241 with the
+    stdlib's coefficients and operation order, so it is bit-equal to
+    `NormalDist().inv_cdf` where |p - 1/2| <= 0.425, and off only by
+    numpy's `log` in the tails."""
+    import numpy as np
+    q = p - 0.5
+    h = _as241(_AS241_CENTRAL, np.subtract(0.180625, q * q, dtype=complex))
+    x = h.real * q                        # every p as central; the tails are redone below
+    x /= h.imag
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        near = p[tails]
+        r = np.sqrt(-np.log(np.minimum(near, 1.0 - near)))
+        h = _as241(_AS241_NEAR, np.subtract(r, 1.6, dtype=complex))
+        if r.max() > 5.0:
+            far = r > 5.0
+            h[far] = _as241(_AS241_FAR, np.subtract(r[far], 5.0, dtype=complex))
+        x[tails] = np.copysign(h.real / h.imag, q[tails])
+    return x
+
+
 @dataclass(frozen=True)
 class TruncatedNormal:
     """Left-truncated normal with the *requested* mean and cv.
@@ -202,10 +262,8 @@ class TruncatedNormal:
         return floor - a * sigma0, sigma0, min(_ndtr(-a), 1.0 - 2.0**-53)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        from scipy.special import ndtri   # deferred: only a draw needs scipy (see module docstring)
-
         mu0, sigma0, tail = self._base    # Z > a is -ndtri(u*Phi(-a)), u uniform on (0, 1]
-        return mu0 - sigma0 * ndtri((1.0 - rng.random(n)) * tail)
+        return mu0 - sigma0 * _ndtri((1.0 - rng.random(n)) * tail)
 
 
 DistSpec = Exponential | HyperExp2 | TruncatedNormal
@@ -329,36 +387,46 @@ class _Tally:
         if n > self.buffers[0].size:
             self.buffers = np.empty(n), np.empty(n)
         merged, spare = self.buffers
-        # The stable merge puts arrivals first on ties, as one whole-run sort would.
+        # One sort of packed keys: the bits of a time, finite and >= 0 so they
+        # sort as the float does, shifted left past a departure flag.  Arrivals
+        # come first on ties, as in one whole-run stable merge, and the head
+        # (an arrival's time) before them all.
         np.concatenate([head, arrivals, *departed], out=merged[:n])
-        order = np.argsort(merged[:n], kind="stable")[: self.horizon - start]
-        times = merged.take(order, out=spare[: order.size], mode="clip")   # order is in range
-        count = np.greater_equal(order, head.size + arrivals.size, out=order)   # order is spent
+        keys = merged[:n].view(np.uint64)
+        keys <<= 1
+        keys[head.size + arrivals.size:] |= 1
+        keys.sort(kind="stable")          # finds the sorted runs: a linear merge
+        keys = keys[: self.horizon - start]
+        count = np.bitwise_and(keys, 1, out=spare[: keys.size].view(np.int64))
         count *= -2
         count += 1                        # +1 arrival, -1 departure
         if head.size:
             count[0] = n_out
         count.cumsum(out=count)
+        keys >>= 1
+        times = keys.view(np.float64)
 
         skip = max(self.warm - start, 0)
-        hold = np.subtract(times[skip + 1:], times[skip:-1],
-                           out=merged[: max(times.size - skip - 1, 0)])
+        # In place: numpy makes an overlapping ufunc act as if its input were copied.
+        hold = np.subtract(times[skip + 1:], times[skip:-1], out=times[skip:-1])
         if not hold.size:
             return None
         state = count[skip:-1]
-        batches = None
+        low = int(state.min())
+        if low:
+            state -= low
+        weights, held, batches = np.bincount(state, weights=hold), float(hold.sum()), None
         j0 = start + skip - self.warm     # post-warmup index of hold[0]
         if j0 < self.usable:
             m = min(hold.size, self.usable - j0)
             edges = np.arange(-(j0 % self.per_batch), m, self.per_batch)
             edges[0] = 0
-            area = np.multiply(state[:m], hold[:m], out=spare[:m])
-            batches = (j0 // self.per_batch, np.add.reduceat(area, edges),
-                       np.add.reduceat(hold[:m], edges))
-        low = int(state.min())
-        if low:
-            state -= low
-        return low, np.bincount(state, weights=hold), float(hold.sum()), batches
+            time = np.add.reduceat(hold[:m], edges)
+            if low:
+                state[:m] += low
+            area = np.multiply(state[:m], hold[:m], out=hold[:m])    # hold is spent
+            batches = (j0 // self.per_batch, np.add.reduceat(area, edges), time)
+        return low, weights, held, batches
 
 
 def _tallies(jobs, tally, inline: bool):
@@ -399,21 +467,24 @@ def simulate(config: SimConfig) -> SimStats:
             f"unstable configuration: arrival rate {lam_rate:.6g} >= "
             f"service rate {mu_rate:.6g}; long-run averages will not settle",
             stacklevel=2)
-    horizon, warm = config.horizon, config.horizon // 10
-    intervals = horizon - 1 - warm        # N is count[k] during [t_k, t_{k+1}), k >= warm
+    intervals = config.horizon - 1 - config.horizon // 10   # N is count[k] during [t_k, t_{k+1})
     if intervals <= 0:
         raise ParameterError("horizon too short: no post-warmup intervals")
-    per_batch = intervals // _BATCHES     # batch means over 20 equal-count interval batches
-    if not per_batch:
+    if intervals < _BATCHES:
         warnings.warn(f"{intervals} post-warmup intervals are fewer than the "
                       f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
-    usable = per_batch * _BATCHES
-
-    parts = _tallies(_recursion(config, horizon), _Tally(horizon, warm, usable, per_batch),
-                     inline=horizon // 2 + 2 <= _CHUNK)     # a one-chunk run starts no thread
-    weights, total, batch_area, batch_time = _fold(parts)
-    ci = _halfwidth(batch_area / batch_time) if per_batch else math.inf
+    weights, total, batch_area, batch_time = _run(config)
+    ci = _halfwidth(batch_area / batch_time) if intervals >= _BATCHES else math.inf
     return _summary(weights / total, ci, intervals, total)
+
+
+def _run(config: SimConfig):
+    """One run's chunks drawn, tallied and folded (see `_fold`)."""
+    horizon, warm = config.horizon, config.horizon // 10
+    per_batch = (horizon - 1 - warm) // _BATCHES    # batch means over 20 equal-count batches
+    tally = _Tally(horizon, warm, per_batch * _BATCHES, per_batch)
+    return _fold(_tallies(_recursion(config, horizon), tally,
+                          inline=horizon // 2 + 2 <= _CHUNK))   # a one-chunk run starts no thread
 
 
 def _fold(parts):
@@ -529,13 +600,19 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     """
     import numpy as np
     n_reps = _whole("n_reps", n_reps, 1)
-    runs = [simulate(replace(config, seed=config.seed + k)) for k in range(n_reps)]
+    first = simulate(config)
     if n_reps == 1:
-        return runs[0]
+        return first
 
-    pooled_pdf = np.zeros(max(r.pdf.size for r in runs))
-    for r in runs:
-        pooled_pdf[: r.pdf.size] += r.pdf
-    ci = _halfwidth(np.array([r.mean_outstanding for r in runs]))
-    return _summary(pooled_pdf / n_reps, ci, sum(r.events for r in runs),
-                    float(sum(r.sim_time for r in runs)))
+    # The later replicates keep what the pool reads, summed in replicate order.
+    pooled, means, sim_time = first.pdf.copy(), [first.mean_outstanding], first.sim_time
+    for k in range(1, n_reps):
+        weights, total, _, _ = _run(replace(config, seed=config.seed + k))
+        pdf = weights / total
+        if pdf.size > pooled.size:
+            pooled = np.concatenate([pooled, np.zeros(pdf.size - pooled.size)])
+        pooled[: pdf.size] += pdf
+        means.append(float(pdf @ np.arange(pdf.size)))
+        sim_time += total
+    return _summary(pooled / n_reps, _halfwidth(np.array(means)), n_reps * first.events,
+                    sim_time)

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -322,6 +323,34 @@ def test_replicate_deterministic():
     assert np.array_equal(a.pdf, b.pdf)
 
 
+def _pooled_simulate_calls(cfg, k):
+    """Reference: k whole simulate calls, replicate j at seed + j, pooled."""
+    runs = [simulate(replace(cfg, seed=cfg.seed + j)) for j in range(k)]
+    pooled = np.zeros(max(r.pdf.size for r in runs))
+    for r in runs:
+        pooled[: r.pdf.size] += r.pdf
+    ci = sim_module._halfwidth(np.array([r.mean_outstanding for r in runs]))
+    return sim_module._summary(pooled / k, ci, sum(r.events for r in runs),
+                               float(sum(r.sim_time for r in runs)))
+
+
+@pytest.mark.parametrize("chunk", [7, sim_module._CHUNK])
+@pytest.mark.parametrize("name", ["mm1", "unstable", "h2"])
+def test_replicate_is_bit_equal_to_pooled_simulate_calls(name, chunk, monkeypatch):
+    """Replicates after the first keep only their pmf, mean and clock, and
+    the pooled report keeps every bit of pooling whole simulate calls, also
+    where the replicates' pmf supports differ and where runs span chunks."""
+    monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+    laws = {"mm1": (Exponential(rate=1.0), Exponential(rate=1.0 / 0.8)),
+            "unstable": (Exponential(rate=1.0), Exponential(rate=1.0 / 1.2)),
+            "h2": (_H2, TruncatedNormal(mean=_H2.mean_time() * 0.8, cv=0.5))}
+    cfg = SimConfig(*laws[name], horizon=2_000, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, ref = replicate(cfg, 5), _pooled_simulate_calls(cfg, 5)
+    assert _figures(got) + (got.events,) == _figures(ref) + (ref.events,)
+
+
 def test_replicate_rejects_bad_count():
     for n_reps in (0, -1, 2.5, math.nan, math.inf, "3", None):
         with pytest.raises(ParameterError, match="n_reps must be an integer >= 1"):
@@ -491,8 +520,8 @@ _PINNED = {
     "h2-truncnorm": (SimConfig(arrival=_H2, service=TruncatedNormal(mean=_H2.mean_time() * 0.8,
                                                                    cv=0.5),
                                horizon=600_000, seed=4), (
-        "2fd69c1278f4358cc1b923cedd941b7e3b8a8bc42210c6ad50e98a0bf7745c85",
-        "0x1.750e3d8c5afe9p+1", "0x1.0ec7f8497c1a4p+1", "0x1.66bd9ffbad959p-4",
+        "1af5b60a272975989f15f48531bceef4a55ff16e8c6c5c5b358f41ea8789ec90",
+        "0x1.750e3d8c5afe8p+1", "0x1.0ec7f8497c1a4p+1", "0x1.66bd9ffbad912p-4",
         "0x1.7be47adb29468p+16")),
     "unstable-1.2": (mm1_config(1.2, horizon=2_000_000, seed=0), (
         "e3f1455435a747e2c72ed197b182e62869d9fa9f727f8877012f903d6fd0a2de",
@@ -596,6 +625,60 @@ def test_t_quantile_matches_scipy():
     np.testing.assert_allclose(ours, special.stdtrit(df, 0.975), rtol=1e-12, atol=0)
     assert sim_module._t_quantile(1, 0.975) == pytest.approx(12.7062047361747, rel=1e-13)
     assert sim_module._t_quantile(19, 0.975) == pytest.approx(2.09302405440831, rel=1e-13)
+
+
+def _ndtri_points():
+    """About 106k probabilities: uniform on (0, 1), log-uniform in both tails
+    down to the least subnormal and up to 1 - 2^-53, and the edges: the
+    least truncated-normal draws' 2^-53 * Phi(-a), both ends of AS241's
+    central region to the ulp, and where its tail variable r crosses 5."""
+    def around(x):                      # x and its neighbours, one ulp each side
+        return [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+
+    rng = np.random.default_rng(20)
+    crossover = math.exp(-25.0)         # r = sqrt(-log p) = 5
+    edges = [5e-324, sys.float_info.min, 1e-300, 0.5, 1.0 - 2.0**-53,
+             *(2.0**-53 * TruncatedNormal(mean=1.0, cv=cv)._base[2] for cv in (0.5, 0.97)),
+             2.0**-53 * (1.0 - 2.0**-53), *around(0.075), *around(0.925),
+             *around(np.nextafter(crossover, 0.0)), *around(np.nextafter(crossover, 1.0))]
+    return np.concatenate([rng.random(50_000), 10.0 ** -rng.uniform(0.0, 323.0, 28_000),
+                           1.0 - 10.0 ** -rng.uniform(0.0, 15.9, 28_000), edges])
+
+
+def _ulps_apart(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def test_ndtri_is_within_4_ulps_of_the_stdlib_and_warns_of_nothing():
+    """The vectorized AS241 kernel follows `NormalDist().inv_cdf` to 4 ulps
+    over (0, 1), the log in its tails being numpy's, not libm's; it raises
+    no RuntimeWarning and every quantile is finite."""
+    from statistics import NormalDist
+    p = _ndtri_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sim_module._ndtri(p)
+    ref = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    assert np.all(np.isfinite(got))
+    assert _ulps_apart(got, ref).max() <= 4
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the stdlib's C rationals may be compiled with fused multiply-adds")
+def test_ndtri_is_bit_equal_to_the_stdlib_in_the_central_region():
+    """Where |p - 1/2| <= 0.425 the kernel makes the stdlib's roundings, in its order."""
+    from statistics import NormalDist
+    p = _ndtri_points()
+    central = p[np.abs(p - 0.5) <= 0.425]
+    assert central.size > 40_000
+    ref = np.array([NormalDist().inv_cdf(v) for v in central.tolist()])
+    assert np.array_equal(sim_module._ndtri(central), ref)
+
+
+def test_ndtri_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    p = _ndtri_points()
+    assert _ulps_apart(sim_module._ndtri(p), special.ndtri(p)).max() <= 8
 
 
 def test_normal_cdf_and_hazard_match_scipy():
