@@ -389,7 +389,7 @@ def check_power_split(table: ResultTable, seed: int):
         p2, lam = row["p2"], row["lambda_star"]
         grid, costs = _split_grid(g, total_lambda, mu0, p1, p2)
         lam_grid = grid[costs.index(min(costs))]    # the first minimum, as np.argmin takes it
-        checks.append((f"P2={p2}: golden-section matches 1e-3 grid",
+        checks.append((f"P2={p2}: lambda* matches 1e-3 grid",
                        abs(lam - lam_grid) <= 1e-3, f"{lam:.4f} vs {lam_grid:.4f}"))
         err = abs(row["cost"] - _split_costs(g, total_lambda, mu0, p1, p2, [lam])[0])
         checks.append((f"P2={p2}: cost = closed form at lambda* to 1e-9", err <= 1e-9,

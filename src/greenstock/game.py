@@ -23,9 +23,6 @@ from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean
 from .errors import (ConvergenceError, DegenerateGameError, ParameterError, _nonnegative,
                      _positive, _whole)
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class GameInstance:
     """One game, fully described by its normalized parameters."""
@@ -320,44 +317,32 @@ def coordinated_costs(
     return (1.0 - contract.epsilon) * c, contract.epsilon * c
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer on [lo, hi]; returns the midpoint of the bracket."""
-    a, b = lo, hi
-    # Below a few ulps of the bracket the probes stop moving.
-    tol = max(tol, 4.0 * math.ulp(hi))
-    c = b - (b - a) * _INV_GOLDEN
-    d = a + (b - a) * _INV_GOLDEN
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_GOLDEN
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_GOLDEN
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def power_split(
-    g: GameInstance,
-    total_lambda: float,
-    mu0: float,
-    p1: float,
-    p2: float,
-) -> tuple[float, float]:
+def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
+                p2: float) -> tuple[float, float]:
     """Split `total_lambda` between renewable service (rate lambda) and grid.
 
-    The per-time cost of routing lambda to the renewable chain is the
-    equilibrium BS cost rebuilt at headroom phi(lambda) = mu0/lambda - 1
-    plus the energy bills:
+    Routing lambda to the renewable chain costs the equilibrium BS stock at
+    headroom phi = mu0/lambda - 1 plus the energy bills.  With L = ln(1 + alpha*b),
+    f = `auxiliary_f`, q = p2 - p1 and t = sqrt(lambda/mu0):
 
-        C_ls(lambda) = s*(lambda) + p1*lambda + p2*(total_lambda - lambda).
+        C(lambda)  = L ((1/f) sqrt(mu0 lambda) + lambda)/(mu0 - lambda)
+                     + p1 lambda + p2 (total_lambda - lambda),
+        C'(lambda) = (L/(2 f mu0)) h(t) - q,   h(t) = (1 + 2ft + t^2)/(t (1 - t^2)^2).
 
-    Minimized over lambda in [0, min(total_lambda, mu0*(1-1e-6))] by a
-    coarse presweep plus golden-section refinement (tolerance 1e-6),
-    compared against both boundary values.  lambda = 0 means all-grid.
+    h' has the sign of Q(t) = 3t^4 + 8f t^3 + 6t^2 - 1, which increases from
+    Q(0) = -1 to Q(1) > 0: h falls from +inf to its minimum at the root t_m of
+    Q, then rises to +inf at t = 1.  So C has at most one interior local
+    minimum, at the root t_2 > t_m of h = k = 2f mu0 q/L, and lambda* is the
+    cheapest of 0 (all-grid), hi = min(total_lambda, mu0 (1 - 1e-6)) and
+    mu0 t_2^2, the smaller on a tie; only 0 and hi when L = 0 or q <= 0.  All is
+    computed in 1/f, finite where f overflows (a subnormal c_s); 1/f is inf
+    when alpha = 1 or b = 0, where the renewable cost is inf and lambda* = 0.
+
+    Termination: Newton on Q/f = (3t^4 + 6t^2 - 1)/f + 8t^3, convex and
+    increasing on t > 0, decreases t monotonically from t = 1 toward t_m and
+    stops when a step no longer decreases it, which a strictly decreasing
+    float sequence must reach; when 1/f = 0, t_m = 0.  t_2 bisects ln h - ln k,
+    increasing on [t_m, sqrt(hi/mu0)], until the midpoint equals an end.
     A bill p1 * total_lambda or p2 * total_lambda past float range is refused.
     """
     _positive("total_lambda", total_lambda)
@@ -365,28 +350,42 @@ def power_split(
     _nonnegative("energy prices", p1, p2)
     _nonnegative("the bill p1 * total_lambda", p1 * total_lambda)
     _nonnegative("the bill p2 * total_lambda", p2 * total_lambda)
-    f = auxiliary_f(g)
-    log_ab = math.log1p(g.alpha * g.b)
-    hi = min(total_lambda, mu0 * (1.0 - 1e-6))
+    if g.cs <= 0:
+        raise ParameterError("cs_n must be > 0 for the auxiliary function")
+    residual, ab = (1.0 - g.alpha) * g.b, g.alpha * g.b
+    if residual <= 0.0:
+        return 0.0, p2 * total_lambda
+    log_ab = math.log1p(ab)
+    # Three roots, not one of the quotient, which can leave float range where 1/f does not.
+    inv_f = math.sqrt(g.cs) / math.sqrt(residual) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
+    hi, q = min(total_lambda, mu0 * (1.0 - 1e-6)), p2 - p1
+    lams = [0.0, hi]
+    if log_ab > 0.0 and q > 0.0:
+        t_m = 1.0 if inv_f > 0.0 else 0.0
+        while t_m > 0.0:
+            tt = t_m * t_m
+            newton = t_m - ((inv_f * (3.0 * tt * tt + 6.0 * tt - 1.0) + 8.0 * tt * t_m)
+                            / (12.0 * inv_f * t_m * (tt + 1.0) + 24.0 * tt))
+            if not newton < t_m:
+                break
+            t_m = newton
+        up = math.sqrt(hi / mu0)
+        lo, level = min(t_m, up), math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
+        while lo < (mid := 0.5 * (lo + up)) < up:
+            tt = mid * mid
+            # ln(h / f) against ln(k / f).
+            if math.log(inv_f * (1.0 + tt) / mid + 2.0) - 2.0 * math.log1p(-tt) < level:
+                lo = mid
+            else:
+                up = mid
+        lams.append(min(mu0 * mid * mid, hi))
 
     def cost(lam: float) -> float:
-        if lam <= 0.0:
-            return p2 * total_lambda
-        phi = mu0 / lam - 1.0
-        if phi <= DOMAIN_EPS or f <= 0.0:
-            return math.inf
-        s_star = (math.sqrt(1.0 + phi) + f) * log_ab / (f * phi)
-        return s_star + p1 * lam + p2 * (total_lambda - lam)
+        if lam >= mu0:
+            return math.inf    # hi rounds to mu0 when mu0 is subnormal
+        # L last: it can be subnormal, and the factor it scales is not.
+        stock = (inv_f * math.sqrt(lam) * math.sqrt(mu0) + lam) / (mu0 - lam) * log_ab
+        return stock + p1 * lam + p2 * (total_lambda - lam)
 
-    # Presweep brackets the minimum in case the profile is not unimodal.
-    n_coarse = 128
-    grid = [hi * k / n_coarse for k in range(n_coarse + 1)]
-    values = [cost(x) for x in grid]
-    k_best = min(range(len(grid)), key=values.__getitem__)
-    lo_b = grid[max(k_best - 1, 0)]
-    hi_b = grid[min(k_best + 1, n_coarse)]
-    lam_star = _golden_section(cost, lo_b, hi_b, 1e-6)
-
-    candidates = [(cost(0.0), 0.0), (cost(hi), hi), (cost(lam_star), lam_star)]
-    best_cost, best_lam = min(candidates)
+    best_cost, best_lam = min((cost(lam), lam) for lam in lams)
     return best_lam, best_cost

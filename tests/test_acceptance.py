@@ -75,6 +75,6 @@ def test_criterion_7_lemma_reproduction():
 
 
 def test_criterion_8_power_split():
-    """Golden-section matches a 1e-3 grid oracle across the grid prices, the
-    split rises with the grid price, and the two anchors hold, < 5 s."""
+    """lambda* matches a 1e-3 grid oracle across the grid prices, the split
+    rises with the grid price, and the two anchors hold, < 5 s."""
     assert_checks_pass("power-split", 5.0)

@@ -296,8 +296,13 @@ def test_game_solvers_on_the_parameter_domain(deadline, g, total_lambda, mu0, p1
         assert abs(fixed.nu - ne.nu) <= 1e-6 * max(1.0, ne.nu)
         assert abs(fixed.s - ne.s) <= (1e-6 + 1e-12 / ne.nu) * max(1.0, ne.s)
 
-    lam, _ = within(deadline, lambda: power_split(g, total_lambda, mu0, p1, p2))
-    assert 0.0 <= lam <= min(total_lambda, mu0 * (1.0 - 1e-6))
+    lam, cost = within(deadline, lambda: power_split(g, total_lambda, mu0, p1, p2))
+    hi = min(total_lambda, mu0 * (1.0 - 1e-6))
+    assert 0.0 <= lam <= hi
+    best = min(split_cost_oracle(g, x, total_lambda, mu0, p1, p2)
+               for x in np.linspace(0.0, hi, 2_001))
+    # A subnormal cost (a price such as 5e-324) rounds by whole multiples of 5e-324.
+    assert cost <= best * (1 + 1e-12) + 8 * math.ulp(0.0)
 
 
 # ------------------------------------------------------- Nash equilibrium
@@ -660,9 +665,11 @@ SPLIT_GAME = GameInstance(NormalizedParams(b_n=5.0, cs_n=5.0, phi=1.0, alpha=0.5
 def split_cost_oracle(g, lam, total_lambda, mu0, p1, p2):
     if lam <= 0:
         return p2 * total_lambda
-    phi = mu0 / lam - 1.0
+    # Not mu0 / lam - 1, which loses digits as lam nears mu0; and ln(1 + alpha*b),
+    # which can be subnormal, multiplies last.
+    phi = (mu0 - lam) / lam
     f = auxiliary_f(g)
-    s = (math.sqrt(1 + phi) + f) * math.log1p(g.alpha * g.b) / (f * phi)
+    s = (math.sqrt(1 + phi) + f) / (f * phi) * math.log1p(g.alpha * g.b)
     return s + p1 * lam + p2 * (total_lambda - lam)
 
 
@@ -678,6 +685,13 @@ def test_power_split_all_grid_when_grid_cheap():
     assert cost == pytest.approx(1.8, abs=1e-12)
     lam, _ = power_split(SPLIT_GAME, 1.8, 2.0, 1.0, 0.5)      # p2 < p1
     assert lam == 0.0
+    # The degenerate games: at alpha = 1 or b = 0 the renewable cost is inf
+    # (1/f is), and at alpha = 0 it is 0, so every unit the interval admits
+    # goes renewable.
+    for g in (make_game(5.0, 5.0, 1.0, 1.0), make_game(0.0, 5.0, 1.0, 0.5)):
+        assert power_split(g, 1.8, 2.0, 1.0, 7.5) == (0.0, pytest.approx(13.5, abs=1e-12))
+    assert power_split(make_game(5.0, 5.0, 1.0, 0.0), 1.8, 2.0, 1.0, 7.5) == (
+        1.8, pytest.approx(1.8, abs=1e-12))
 
 
 def test_power_split_monotone_in_grid_price():
@@ -695,26 +709,27 @@ def test_power_split_matches_grid_oracle():
         assert cost <= vals[k] + 1e-9
 
 
-def test_solvers_terminate_below_float_spacing(deadline, monkeypatch):
+def test_solvers_terminate_below_float_spacing(deadline):
     # A tolerance below the float spacing of the bracket must not loop forever.
-    from greenstock import game
     with deadline(5):
         nu = rps_best_response(REF, 5.5065, tol=1e-300)
     assert nu == pytest.approx(rps_best_response(REF, 5.5065), abs=1e-9)
-    # At mu0 = 4e9 four ulps of the golden-section bracket exceed its 1e-6
-    # tolerance, so only the 4-ulp floor ends the search.
-    golden, brackets = game._golden_section, []
-
-    def spy(fn, lo, hi, tol):
-        brackets.append((lo, hi, tol))
-        return golden(fn, lo, hi, tol)
-
-    monkeypatch.setattr(game, "_golden_section", spy)
+    # At mu0 = 4e9 the float spacing of lambda is about 5e-7: both roots
+    # still end, on the minimum.
     with deadline(5):
         lam, cost = power_split(SPLIT_GAME, 8e9, 4e9, 1.0, 7.5)
-    (lo, hi, tol), = brackets
-    assert 4.0 * math.ulp(hi) > tol
-    assert lo < lam < hi
+    hi = 4e9 * (1.0 - 1e-6)
+    assert 0.0 <= lam <= hi
     best = min(split_cost_oracle(SPLIT_GAME, x, 8e9, 4e9, 1.0, 7.5)
-               for x in np.linspace(lo, hi, 10_001))
+               for x in np.linspace(lam * (1 - 1e-3), min(lam * (1 + 1e-3), hi), 10_001))
     assert cost <= best * (1 + 1e-12)
+
+
+def test_power_split_at_a_subnormal_supply_cost():
+    # f = auxiliary_f overflows to inf at cs_n = 5e-324; 1/f does not, so the
+    # split matches its value at cs_n = 1e-300 instead of falling to all-grid.
+    for p2 in (5.0, 7.5, 10.0):
+        lam, cost = power_split(make_game(5.0, 5e-324, 1.0, 0.5), 1.8, 2.0, 1.0, p2)
+        ref_lam, ref_cost = power_split(make_game(5.0, 1e-300, 1.0, 0.5), 1.8, 2.0, 1.0, p2)
+        assert lam == pytest.approx(ref_lam, abs=1e-9) and lam > 0.0
+        assert cost == pytest.approx(ref_cost, abs=1e-9)
