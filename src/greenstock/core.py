@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, _nonnegative, _positive, _whole
+from .errors import _FLOAT_MAX, ParameterError, _nonnegative, _positive, _whole
 
 # Open-interval domain checks exclude the endpoints with this slack.
 DOMAIN_EPS = 1e-12
@@ -53,8 +53,11 @@ class StrategyPair:
     nu: float
 
     def __post_init__(self):
-        _nonnegative("s", self.s)
-        _positive("nu", self.nu)
+        # Chained comparisons first: the dynamics build one pair per iterate.
+        if not 0.0 <= self.s <= _FLOAT_MAX:
+            _nonnegative("s", self.s)
+        if not 0.0 < self.nu <= _FLOAT_MAX:
+            _positive("nu", self.nu)
 
 
 def _check_s_nu(s: float, nu: float) -> None:

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
-from .errors import (ConvergenceError, DegenerateGameError, ParameterError, _nonnegative,
-                     _positive, _whole)
+from .errors import (_FLOAT_MAX, ConvergenceError, DegenerateGameError, ParameterError,
+                     _nonnegative, _positive, _whole)
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -107,10 +107,15 @@ def auxiliary_f(g: GameInstance) -> float:
 
 
 def bs_best_response(g: GameInstance, nu: float) -> float:
-    """Optimal base stock for a fixed supply rate: s*(nu) = ln(1 + alpha*b)/nu."""
-    if not nu > 0:
-        raise ParameterError(f"nu must be > 0, got {nu}")
-    return math.log1p(g.alpha * g.b) / nu
+    """Optimal base stock for a fixed supply rate: s*(nu) = ln(1 + alpha*b)/nu.
+
+    nu must be finite and > 0, and a stock past float range is refused."""
+    if not 0.0 < nu <= _FLOAT_MAX:
+        _positive("nu", nu)
+    s = math.log1p(g.alpha * g.b) / nu
+    if not s <= _FLOAT_MAX:
+        raise ParameterError(f"the stock ln(1 + alpha*b)/nu overflows float range at nu={nu}")
+    return s
 
 
 def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
@@ -146,30 +151,34 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
     2*log2(phi/tol) evaluations a step falls below `tol`, and its probe
     either closes the bracket or is followed by a midpoint.
     """
-    _positive("tol", tol)
-    _positive("s", s)
-    if g.cs <= 0:
+    if not 0.0 < tol <= _FLOAT_MAX:
+        _positive("tol", tol)
+    if not 0.0 < s <= _FLOAT_MAX:
+        _positive("s", s)
+    norm = g.norm
+    b, cs, phi, alpha = norm.b_n, norm.cs_n, norm.phi, norm.alpha
+    if cs <= 0:
         raise ParameterError("cs_n must be > 0")
-    residual_b = (1.0 - g.alpha) * g.b
+    residual_b = (1.0 - alpha) * b
     if residual_b <= 0:
         raise DegenerateGameError(
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
-    phi = g.phi
     lo, hi = DOMAIN_EPS, phi - DOMAIN_EPS
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
     # Below a few ulps of the bracket the iterate stops moving.
     tol = max(tol, 4.0 * math.ulp(hi))
+    log, log1p = math.log, math.log1p
     # Three logs, not one of the quotient, which can underflow to 0.
-    level = math.log(residual_b) - math.log(g.cs) - math.log1p(phi)
+    level = log(residual_b) - log(cs) - log1p(phi)
     nu = 0.5 * (lo + hi)
     step = step_old = hi - lo
     probed = False
     while True:
         ns = nu * s
         gap = phi - nu
-        h = level - ns + math.log1p(ns) + 2.0 * math.log(gap / nu)
+        h = level - ns + log1p(ns) + 2.0 * log(gap / nu)
         if h > 0.0:
             lo = nu
         else:
@@ -200,7 +209,7 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         # Near the lower end, h there tells a root inside the bracket from
         # one below it, which no nu in the bracket approximates.
         ns = DOMAIN_EPS * s
-        if level - ns + math.log1p(ns) + 2.0 * math.log((phi - DOMAIN_EPS) / DOMAIN_EPS) < 0.0:
+        if level - ns + log1p(ns) + 2.0 * log((phi - DOMAIN_EPS) / DOMAIN_EPS) < 0.0:
             raise DegenerateGameError(
                 f"the supplier's best response lies below the bracket "
                 f"[{DOMAIN_EPS}, {phi - DOMAIN_EPS}] for nu (s={s}): the first-order "
@@ -247,12 +256,14 @@ def best_response_dynamics(
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
     s_cur, nu_cur = start.s, start.nu
+    inner_tol = min(tol, 1e-10) * 1e-2
     for _ in range(max_iter):
         s_next = bs_best_response(g, nu_cur)
-        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), tol=min(tol, 1e-10) * 1e-2)
-        trace.append(StrategyPair(s=s_next, nu=nu_next))
+        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), tol=inner_tol)
+        pair = StrategyPair(s=s_next, nu=nu_next)
+        trace.append(pair)
         if abs(s_next - s_cur) < tol and abs(nu_next - nu_cur) < tol:
-            return StrategyPair(s=s_next, nu=nu_next), trace
+            return pair, trace
         s_cur, nu_cur = s_next, nu_next
     raise ConvergenceError(
         f"best-response dynamics did not converge within {max_iter} iterations",
@@ -341,8 +352,16 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     Termination: Newton on Q/f = (3t^4 + 6t^2 - 1)/f + 8t^3, convex and
     increasing on t > 0, decreases t monotonically from t = 1 toward t_m and
     stops when a step no longer decreases it, which a strictly decreasing
-    float sequence must reach; when 1/f = 0, t_m = 0.  t_2 bisects ln h - ln k,
-    increasing on [t_m, sqrt(hi/mu0)], until the midpoint equals an end.
+    float sequence must reach; when 1/f = 0, t_m = 0.  F(t) = ln(h/f) - ln(k/f)
+    increases on [t_m, 1), so F >= 0 at t_lo = min(t_m, sqrt(hi/mu0)) shows
+    that C is nondecreasing, and no t_2 is sought.  Otherwise t_2 is found by
+    guarded Newton on F over [t_lo, sqrt(hi/mu0)] with the acceptance rule of
+    `rps_best_response`, where u = (1/f)(1 + t^2)/t + 2 and
+    F'(t) = (1/f)(t^2 - 1)/(t^2 u) + 4t/(1 - t^2).  The bracket never grows
+    and every midpoint halves it, so midpoints run out once no float lies
+    strictly inside it; between two midpoints each Newton step is at most
+    half the step before last, so the steps reach 0, where the Newton point
+    equals the iterate.  Either ends the search.
     A bill p1 * total_lambda or p2 * total_lambda past float range is refused.
     """
     _positive("total_lambda", total_lambda)
@@ -370,15 +389,34 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
                 break
             t_m = newton
         up = math.sqrt(hi / mu0)
-        lo, level = min(t_m, up), math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
-        while lo < (mid := 0.5 * (lo + up)) < up:
-            tt = mid * mid
-            # ln(h / f) against ln(k / f).
-            if math.log(inv_f * (1.0 + tt) / mid + 2.0) - 2.0 * math.log1p(-tt) < level:
-                lo = mid
-            else:
-                up = mid
-        lams.append(min(mu0 * mid * mid, hi))
+        t = lo = min(t_m, up)
+        tt, level = t * t, math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
+        # F = ln(h / f) - ln(k / f); h is inf at t = 1, and at t = 0 unless 1/f = 0.
+        gap = (math.log(inv_f * (1.0 + tt) / t + 2.0) - 2.0 * math.log1p(-tt) - level
+               if 0.0 < t < 1.0 else math.log(2.0) - level if inv_f == 0.0 else math.inf)
+        if gap < 0.0:
+            step, newton = up - lo, math.nan
+            while True:
+                step_old, step = step, abs(newton - t)
+                if lo < newton < up and step <= 0.5 * step_old:
+                    t = newton
+                elif lo < (mid := 0.5 * (lo + up)) < up:
+                    t, step = mid, 0.5 * (up - lo)
+                else:
+                    break
+                tt = t * t
+                u = inv_f * (1.0 + tt) / t + 2.0
+                gap = math.log(u) - 2.0 * math.log1p(-tt) - level
+                if gap < 0.0:
+                    lo = t
+                else:
+                    up = t
+                # F' (1 - t^2) t^2 u, which is 0 at t_m and positive past it.
+                slope = 4.0 * t * tt * u - inv_f * (1.0 - tt) ** 2
+                newton = t - gap * (1.0 - tt) * tt * u / slope if slope > 0.0 else math.nan
+                if newton == t:
+                    break   # the step rounds away: t is the root to working precision
+            lams.append(min(mu0 * t * t, hi))
 
     def cost(lam: float) -> float:
         if lam >= mu0:

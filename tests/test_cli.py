@@ -385,6 +385,10 @@ GOLDEN_ARGV = {
     "nash": ["nash"],
     "penalty-contract": ["penalty-contract"],
     "power-split": ["power-split"],
+    # power_split's three branches: p1 >= p2 searches no root; a nondecreasing cost
+    # (p1 = 3 at p2 = 5, and four rows more) gives lambda* = 0 without one; six rows
+    # have an interior optimum.
+    "sweep-power-split": ["sweep", "power-split", "--sweep", "p1:1:9:2"],
     "allocate": ["allocate"],
     "sweep-nash": ["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1"],
     "audit": ["audit", "--set", "grid_points=20", "--set", "n_scenarios=3"],

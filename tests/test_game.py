@@ -194,9 +194,12 @@ def test_rps_best_response_refuses_a_root_below_the_bracket():
     *(lambda s=s: rps_best_response(REF, s) for s in (math.nan, -math.inf, -1.0, 0.0)),
     *(lambda tol=tol: best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=tol)
       for tol in (math.inf, -math.inf, -1.0, 0.0)),
+    # At nu = inf the stock read 0, and at nu = 1e-320 it overflowed to inf.
+    *(lambda nu=nu: bs_best_response(REF, nu) for nu in (math.inf, 1e-320)),
 ], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf", "rps-tol-inf", "rps-tol--inf",
         "rps-tol-negative", "rps-s-nan", "rps-s--inf", "rps-s-negative", "rps-s-zero",
-        "brd-tol-inf", "brd-tol--inf", "brd-tol-negative", "brd-tol-zero"])
+        "brd-tol-inf", "brd-tol--inf", "brd-tol-negative", "brd-tol-zero",
+        "bs-nu-inf", "bs-nu-subnormal"])
 def test_solvers_reject_bad_tolerance_and_stock(call):
     with pytest.raises(ParameterError):
         call()
@@ -396,6 +399,15 @@ def test_dynamics_look_up_the_supplier_best_response_once_per_step(monkeypatch):
     monkeypatch.setattr(game, "rps_best_response", counting)
     _, trace = best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=1e-9)
     assert len(calls) == len(trace) - 1 > 1
+
+
+def test_dynamics_keep_their_evaluation_path():
+    """The goldens print 6 digits; these bits pin the start, steps and exits
+    of both best responses, as recorded before their per-call setup was cut."""
+    fixed, trace = best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=1e-9)
+    assert len(trace) - 1 == 19
+    assert (fixed.s.hex(), fixed.nu.hex()) == ("0x1.606ae5277f61bp+2", "0x1.4d32a1c1465c0p-2")
+    assert rps_best_response(REF, 5.5065).hex() == "0x1.4d32bcc1218e8p-2"
 
 
 def test_reaction_curves_are_decreasing():
@@ -692,6 +704,8 @@ def test_power_split_all_grid_when_grid_cheap():
         assert power_split(g, 1.8, 2.0, 1.0, 7.5) == (0.0, pytest.approx(13.5, abs=1e-12))
     assert power_split(make_game(5.0, 5.0, 1.0, 0.0), 1.8, 2.0, 1.0, 7.5) == (
         1.8, pytest.approx(1.8, abs=1e-12))
+    # sqrt(hi / mu0) underflows to 0 here, where the cost's slope is +inf.
+    assert power_split(SPLIT_GAME, 5e-324, 2.0, 1.0, 7.5) == (0.0, 7.5 * 5e-324)
 
 
 def test_power_split_monotone_in_grid_price():
