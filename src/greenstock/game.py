@@ -118,7 +118,8 @@ def bs_best_response(g: GameInstance, nu: float) -> float:
     return s
 
 
-def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
+def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10,
+                      start: float | None = None) -> float:
     """Supplier's best response: the unique root nu in (0, phi) of the
     first-order condition
 
@@ -130,26 +131,30 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         h'(nu) = -s * nu s/(1 + nu s) - 2/nu - 2/(phi-nu) < 0,
 
     which falls from +inf to -inf.  Guarded Newton (`rtsafe`, Press et al.,
-    Numerical Recipes, 9.4) starts at the midpoint of the bracket
-    [DOMAIN_EPS, phi - DOMAIN_EPS], and each evaluation of h moves one end
-    of the bracket to the iterate by the sign of h.  The next iterate is
-    the Newton point, or the midpoint when the Newton point leaves the
-    bracket or is not at most half the step before last.  A Newton step
-    shorter than `tol` becomes a probe `tol` past the iterate toward the
-    root, which closes the bracket when the root is that near; when it is
-    not, the midpoint follows.  Once the bracket is at most `tol` (floored
-    at 4 ulps), or the Newton step rounds away, the Newton point is
-    returned: within `tol` of the root, in practice exact to rounding, and
-    strictly inside (0, phi).  When the root lies below DOMAIN_EPS, every
-    evaluation moves the upper end down, and the iterate ends within `tol`
-    of DOMAIN_EPS; h(DOMAIN_EPS) < 0 shows that case, evaluated only on
-    such an exit, and raises DegenerateGameError.
+    Numerical Recipes, 9.4) starts at `start` when it lies strictly inside
+    the bracket [DOMAIN_EPS, phi - DOMAIN_EPS], else at its midpoint, and
+    each evaluation of h moves one end of the bracket to the iterate by the
+    sign of h.  The next iterate is the Newton point, or the midpoint when
+    the Newton point leaves the bracket or is not at most half the step
+    before last.  A Newton step shorter than `tol` becomes a probe `tol`
+    past the iterate toward the root, which closes the bracket when the
+    root is that near; when it is not, the midpoint follows.  Once the
+    bracket is at most `tol`, or at most 2**-51 of its upper end (2 to 4
+    ulps, where it stops shrinking), or the Newton step rounds away, the
+    Newton point is returned: within that width of the root, in practice
+    exact to rounding, and strictly inside (0, phi).  When the root lies
+    below DOMAIN_EPS, every evaluation moves the upper end down, and the
+    iterate ends within that width of DOMAIN_EPS; h(DOMAIN_EPS) < 0 shows
+    that case, evaluated only on such an exit, and raises
+    DegenerateGameError.
 
-    Termination: the bracket never grows and every midpoint halves it, so
-    there are at most about log2(phi/tol) midpoints.  Between two of them,
-    Newton steps at least halve every second evaluation, so within about
-    2*log2(phi/tol) evaluations a step falls below `tol`, and its probe
-    either closes the bracket or is followed by a midpoint.
+    Termination: the bracket never grows, every midpoint halves it, and its
+    upper end stays above DOMAIN_EPS, so there are at most about
+    log2(phi/DOMAIN_EPS) + 51 midpoints.  Between two of them, Newton
+    steps at least halve every second evaluation, so each run of them
+    ends: a step falls below `tol`, and its probe either closes the
+    bracket or is followed by a midpoint, or it falls below half an ulp of
+    the iterate and rounds away.
     """
     if not 0.0 < tol <= _FLOAT_MAX:
         _positive("tol", tol)
@@ -167,12 +172,10 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
     lo, hi = DOMAIN_EPS, phi - DOMAIN_EPS
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
-    # Below a few ulps of the bracket the iterate stops moving.
-    tol = max(tol, 4.0 * math.ulp(hi))
     log, log1p = math.log, math.log1p
     # Three logs, not one of the quotient, which can underflow to 0.
     level = log(residual_b) - log(cs) - log1p(phi)
-    nu = 0.5 * (lo + hi)
+    nu = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     step = step_old = hi - lo
     probed = False
     while True:
@@ -186,7 +189,8 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         newton = nu + h / (s * (ns / (1.0 + ns)) + 2.0 / nu + 2.0 / gap)
         if newton == nu:
             break   # the step rounds away: nu is the root to working precision
-        if hi - lo <= tol:
+        # Below a few ulps of its upper end the bracket stops shrinking.
+        if hi - lo <= tol or hi - lo <= hi * 2**-51:
             # Rounding can put Newton's point on an end, and hi may be phi itself.
             if lo <= newton <= hi < phi:
                 nu = newton
@@ -205,7 +209,7 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10) -> float:
         else:
             step = 0.5 * (hi - lo)
             nu = lo + step
-    if nu - DOMAIN_EPS <= tol:
+    if nu - DOMAIN_EPS <= tol or nu - DOMAIN_EPS <= hi * 2**-51:
         # Near the lower end, h there tells a root inside the bracket from
         # one below it, which no nu in the bracket approximates.
         ns = DOMAIN_EPS * s
@@ -248,21 +252,30 @@ def best_response_dynamics(
 
     Both reaction curves are decreasing, so the iteration is the usual
     monotone scheme for a supermodular game and converges to the unique
-    equilibrium.  Returns the fixed point and the full iterate trace;
-    raises ConvergenceError (trace attached) if max_iter is exhausted.
+    equilibrium.  Each supplier solve starts at the previous iterate's nu
+    and runs to a tolerance relative to it, r*nu with
+    r = max(min(tol, 1e-10)/100, 2**-53).  The iteration stops once each of
+    |ds| and |dnu| is below `tol` or below 10 r times its own new value, so
+    it ends at any scale of s and nu, also where float spacing exceeds
+    `tol`.  Returns the fixed point and the full iterate trace; raises
+    ConvergenceError (trace attached) if max_iter is exhausted.
     """
     _positive("tol", tol)
     max_iter = _whole("max_iter", max_iter, 1)
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
     s_cur, nu_cur = start.s, start.nu
-    inner_tol = min(tol, 1e-10) * 1e-2
+    # Relative to nu, a tolerance below 2**-53 would ask for more than float precision.
+    inner_tol = max(min(tol, 1e-10) * 1e-2, 2**-53)
+    stop = 10.0 * inner_tol
     for _ in range(max_iter):
         s_next = bs_best_response(g, nu_cur)
-        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), tol=inner_tol)
+        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), tol=inner_tol * nu_cur,
+                                    start=nu_cur)
         pair = StrategyPair(s=s_next, nu=nu_next)
         trace.append(pair)
-        if abs(s_next - s_cur) < tol and abs(nu_next - nu_cur) < tol:
+        ds, dnu = abs(s_next - s_cur), abs(nu_next - nu_cur)
+        if (ds < tol or ds < stop * s_next) and (dnu < tol or dnu < stop * nu_next):
             return pair, trace
         s_cur, nu_cur = s_next, nu_next
     raise ConvergenceError(
@@ -421,8 +434,11 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     def cost(lam: float) -> float:
         if lam >= mu0:
             return math.inf    # hi rounds to mu0 when mu0 is subnormal
-        # L last: it can be subnormal, and the factor it scales is not.
-        stock = (inv_f * math.sqrt(lam) * math.sqrt(mu0) + lam) / (mu0 - lam) * log_ab
+        if lam == 0.0 or log_ab == 0.0:
+            stock = 0.0    # no renewable stock, where 1/f = inf would make it inf * 0
+        else:
+            # L last: it can be subnormal, and the factor it scales is not.
+            stock = (inv_f * math.sqrt(lam) * math.sqrt(mu0) + lam) / (mu0 - lam) * log_ab
         return stock + p1 * lam + p2 * (total_lambda - lam)
 
     best_cost, best_lam = min((cost(lam), lam) for lam in lams)

@@ -243,6 +243,26 @@ def test_large_headroom_nash_terminates(deadline):
                      "--set", "phi=1e5"]) == 0
 
 
+def test_nash_dynamics_converge_at_a_large_stock(tmp_path):
+    # s* = 1.66e11, where float spacing in s passes the dynamics' 1e-9 tolerance.
+    out = tmp_path / "nash.csv"
+    assert main(["nash", "--set", "cs=1e22", "--out", str(out)]) == 0
+    _, header, rows = read_rows(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert row["brd_gap"] <= 1e-9 * row["s_star"]
+
+
+def test_power_split_all_grid_where_one_over_f_overflows(tmp_path):
+    # 1/f is inf, so the renewable stock is inf at any lambda > 0 and absent at 0.
+    out = tmp_path / "split.csv"
+    assert main(["power-split", "--set", "cs=1.7e308", "--set", "b=1e-310",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_rows(out)
+    for row in (dict(zip(header, map(float, r))) for r in rows):
+        assert row["lambda_star"] == 0.0
+        assert row["cost"] == row["p2"] * row["total_lambda"]
+
+
 def test_sweep_alpha_comparative_statics(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1",
