@@ -36,8 +36,7 @@ from .errors import AllGridRegimeError, ParameterError, _nonnegative, _positive,
 
 FEAS_EPS = 1e-9
 # Largest (N, n_points + 1) float64 array of one scenario's deviation
-# orders the audit accepts; a grid past it is refused before anything is
-# allocated.  It also caps the grants the audit holds before costing them.
+# orders the audit accepts; a larger grid is refused before any allocation.
 MAX_AUDIT_MATRIX_BYTES = 2**25
 # Largest audit, in order cells N^2 (n_points + 1) (n_scenarios + 1): each
 # deviation meets every order of its row.  n = 256 at the default grid is
@@ -149,23 +148,38 @@ def optimal_demand(
     return _mu_on_curve(profile, lam, p), float(s_hat), float(cost)
 
 
+def _station(profile):
+    """(lambda_bar, ln(1 + b)): floats for one BsProfile, arrays for a sequence of them."""
+    if isinstance(profile, BsProfile):
+        return profile.lambda_bar, math.log1p(profile.b)
+    # math.log1p, as for one profile: np.log1p can differ from it in the last bit.
+    return (np.array([pr.lambda_bar for pr in profile], dtype=float),
+            np.array([math.log1p(pr.b) for pr in profile]))
+
+
 def _on_curve(profile: BsProfile, lam, p: float, p1: float, p2: float):
     """optimal_demand's (s_hat, cost), elementwise over a rate or an array of rates."""
     s_hat = np.sqrt(p * lam * math.log1p(profile.b))
     return s_hat, 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
 
 
-def _mu_on_curve(profile: BsProfile, lam: float, p: float) -> float:
-    return math.sqrt(lam * math.log1p(profile.b) / p) + lam
+def _mu_on_curve(profile, lam, p: float):
+    """mu_hat(lam): a float for one BsProfile, elementwise for a sequence of them,
+    where an overflow reads inf, as in float arithmetic, for the callers to refuse."""
+    if isinstance(profile, BsProfile):
+        return math.sqrt(lam * math.log1p(profile.b) / p) + lam
+    with np.errstate(over="ignore"):
+        return np.sqrt(lam * _station(profile)[1] / p) + lam
 
 
-def breakeven_lambda(profile: BsProfile, p: float, p1: float, p2: float) -> float:
+def breakeven_lambda(profile, p: float, p1: float, p2: float):
     """Arrival rate at which all-renewable and all-grid costs tie:
 
         lambda_hat = 4 p ln(1 + b) / (p2 - p1 - p)^2.
 
     A BS prefers all-renewable iff lambda_bar >= lambda_hat (the objective
-    is concave in lambda, so the optimum sits at a boundary).
+    is concave in lambda, so the optimum sits at a boundary).  A sequence
+    of profiles (a market's `profiles`) gives the array of their rates.
     """
     _check_prices(p, p1, p2)
     if p2 <= p1 + p:
@@ -173,14 +187,15 @@ def breakeven_lambda(profile: BsProfile, p: float, p1: float, p2: float) -> floa
             f"p2 <= p1 + p: every BS orders zero renewable supply "
             f"(p2={p2}, p1={p1}, p={p})")
     _check_gap(p, p1, p2)
-    return 4.0 * p * math.log1p(profile.b) / (p2 - p1 - p) ** 2
+    return 4.0 * p * _station(profile)[1] / (p2 - p1 - p) ** 2
 
 
-def breakeven_rate(profile: BsProfile, p: float, p1: float, p2: float) -> float:
+def breakeven_rate(profile, p: float, p1: float, p2: float):
     """Supply rate mu_hat(lambda_hat) at the break-even arrival rate.
 
     Grants live in supply-rate units, so take-or-leave rejections compare
-    against this rate, not against lambda_hat itself.
+    against this rate, not against lambda_hat itself.  A sequence of
+    profiles gives the array of their rates.
     """
     return _mu_on_curve(profile, breakeven_lambda(profile, p, p1, p2), p)
 
@@ -200,11 +215,11 @@ def truthful_orders(market: Market) -> OrderVector:
     """Each BS's optimal order: mu_hat(lambda_bar) when lambda_bar is at or
     past break-even, else 0 (all-grid).  At b = 0 break-even is 0, and the
     order is mu_hat(lambda_bar) = lambda_bar."""
-    prices = market.p, market.p1, market.p2
+    profiles = market.profiles
+    lambda_bar = _station(profiles)[0]
+    served = lambda_bar >= breakeven_lambda(profiles, market.p, market.p1, market.p2)
     return OrderVector(orders=tuple(
-        optimal_demand(pr, pr.lambda_bar, *prices)[0]
-        if pr.lambda_bar >= breakeven_lambda(pr, *prices) else 0.0
-        for pr in market.profiles))
+        np.where(served, _mu_on_curve(profiles, lambda_bar, market.p), 0.0).tolist()))
 
 
 def _order_matrix(market: Market, orders) -> np.ndarray:
@@ -254,8 +269,7 @@ def _unsort(sorted_values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _thresholds(market: Market) -> np.ndarray:
-    return np.array([breakeven_rate(pr, market.p, market.p1, market.p2)
-                     for pr in market.profiles])
+    return breakeven_rate(market.profiles, market.p, market.p1, market.p2)
 
 
 def proportional_allocation(market: Market, orders):
@@ -417,7 +431,7 @@ pareto_priority_allocation._deviation_grants = _pareto_deviation
 adaptive_uniform_allocation._deviation_grants = _adaptive_deviation
 
 
-def post_allocation_cost(profile: BsProfile, granted_rate, p: float, p1: float, p2: float):
+def post_allocation_cost(profile, granted_rate, p: float, p1: float, p2: float):
     """Best operating point for a BS holding supply rate `granted_rate`.
 
     The BS pays p per unit granted rate regardless of use, then picks the
@@ -428,18 +442,15 @@ def post_allocation_cost(profile: BsProfile, granted_rate, p: float, p1: float, 
     whose first-order condition gives
     lam(a) = clamp(a - sqrt(a*gamma/(p2 - p1)), 0, min(lambda_bar, a)).
     Returns (lam, cost); a = 0 returns (0, p2*lambda_bar).  A float rate
-    gives floats, an array of rates gives arrays of the same shape.
+    gives floats, an array of rates gives arrays of the same shape.  For a
+    sequence of N profiles (a market's `profiles`), station j is costed at
+    granted_rate[..., j], as in the (K, N) grants; that last axis must be N long.
     """
     _check_prices(p, p1, p2)
-    lam, cost = _post_allocation(
-        profile.lambda_bar, math.log1p(profile.b), granted_rate, p, p1, p2)
-    if np.ndim(granted_rate) == 0:
-        return float(lam), float(cost)
-    return lam, cost
-
-
-def _post_allocation(lambda_bar, gamma, granted_rate, p, p1, p2):
-    """post_allocation_cost, elementwise over rates and profile arrays."""
+    lambda_bar, gamma = _station(profile)
+    if np.ndim(lambda_bar) and np.shape(granted_rate)[-1:] != np.shape(lambda_bar):
+        raise ParameterError(f"granted rates need a last axis of {len(lambda_bar)} "
+                             f"stations, got shape {np.shape(granted_rate)}")
     a = np.asarray(granted_rate, dtype=float)
     if not (a >= 0.0).all():
         raise ParameterError(f"granted rate must be >= 0, got {granted_rate}")
@@ -448,8 +459,10 @@ def _post_allocation(lambda_bar, gamma, granted_rate, p, p1, p2):
     # At a normal rate a > 0, lam <= a * (1 - FEAS_EPS) < a.  lam = a only
     # at a = 0, where the last term is 0 / 1, or at a subnormal a that
     # 1 - FEAS_EPS cannot lower, where it is lam * gamma / 1, subnormal too.
-    return lam, (p * a + p1 * lam + p2 * (lambda_bar - lam)
-                 + lam * gamma / (a - lam + (lam == a)))
+    cost = p * a + p1 * lam + p2 * (lambda_bar - lam) + lam * gamma / (a - lam + (lam == a))
+    if a.ndim == 0:
+        return float(lam), float(cost)
+    return lam, cost
 
 
 def social_cost(market: Market, grants):
@@ -468,11 +481,7 @@ def social_cost(market: Market, grants):
     totals = _row_sums(rows)
     if (totals > market.mu0 + 1e-6).any():
         raise ParameterError(f"grants sum {totals.max()} exceeds capacity {market.mu0}")
-    profiles = market.profiles
-    _, costs = _post_allocation(
-        np.array([pr.lambda_bar for pr in profiles]),
-        np.array([math.log1p(pr.b) for pr in profiles]),
-        rows, market.p, market.p1, market.p2)
+    _, costs = post_allocation_cost(market.profiles, rows, market.p, market.p1, market.p2)
     costs = _row_sums(costs)
     return float(costs[0]) if g.ndim == 1 else costs
 
@@ -576,9 +585,11 @@ def truthfulness_audit(
     sorted orders, for groups of scenarios whose (G, N, n_points + 1)
     arrays fit in `_AUDIT_CALL_BYTES` (128 KiB), and at least one.  Each
     group also makes one `mechanism` call on every deviator's truthful
-    row, and the kernel's truthful grants must equal it bit for bit.  A
-    deviator's costs come from one `post_allocation_cost` call over its
-    scenarios, as many as `MAX_AUDIT_MATRIX_BYTES` holds for all stations.
+    row, and the kernel's truthful grants must equal it bit for bit.  One
+    `post_allocation_cost` call then costs the whole group, every station
+    on its own (last) axis, and the group's largest gains are folded into
+    a running per-station maximum, so memory does not grow with
+    `n_scenarios`.
 
     Refused before anything is allocated: a `mechanism` without a
     deviation kernel (only the three mechanisms here have one), an
@@ -605,49 +616,43 @@ def truthfulness_audit(
             f"{n_scen} scenarios) is more than {MAX_AUDIT_CELLS:.3g}; "
             f"lower the station count, n_points or n_scenarios")
     # Station i's deviation grid spans [0, span * mu_hat(lambda_bar_i)], up to its full demand.
-    tops = [grid.span * _mu_on_curve(pr, pr.lambda_bar, market.p) for pr in market.profiles]
-    for i, top in enumerate(tops):
+    with np.errstate(over="ignore"):        # an overflow reads inf, refused below
+        tops = grid.span * _mu_on_curve(market.profiles, _station(market.profiles)[0], market.p)
+    for i, top in enumerate(tops.tolist()):
         _positive(f"station {i}'s largest deviation order span * mu_hat", top)
     m_star = np.array(truthful_orders(market).orders)
     rng = np.random.default_rng(grid.seed)
     scenarios = np.empty((n_scen, n))
     scenarios[0] = m_star
-    for k in range(1, n_scen):
-        scenarios[k] = m_star * rng.uniform(*OPPONENT_PERTURBATION, size=n)
+    scenarios[1:] = m_star * rng.uniform(*OPPONENT_PERTURBATION, size=(grid.n_scenarios, n))
 
     # Column 0 of each station's orders is its truthful order, then the grid.
     orders = np.empty((n, rows))
     orders[:, 0] = m_star
-    orders[:, 1:] = np.array(tops)[:, None] * np.arange(grid.n_points) / (grid.n_points - 1)
+    orders[:, 1:] = tops[:, None] * np.arange(grid.n_points) / (grid.n_points - 1)
 
     thresholds = _thresholds(market)
     per_group = max(1, _AUDIT_CALL_BYTES // scenario_bytes)
-    per_batch = per_group * max(1, MAX_AUDIT_MATRIX_BYTES // (per_group * scenario_bytes))
     diag = np.arange(n)
-    improvements = [0.0] * n
-    for start in range(0, n_scen, per_batch):
-        batch = scenarios[start:start + per_batch]
-        # own[i, k]: deviator i's grants in scenario k of the batch.
-        own = np.empty((n, len(batch), rows))
-        for first in range(0, len(batch), per_group):
-            scen = batch[first:first + per_group]
-            grants = kernel(market, scen, orders, thresholds)
-            truthful = np.repeat(scen, n, axis=0)
-            truthful.reshape(len(scen), n, n)[:, diag, diag] = m_star
-            called = mechanism(market, truthful).reshape(len(scen), n, n)[:, diag, diag]
-            if called.T.tobytes() != grants[:, :, 0].tobytes():
-                raise ParameterError(
-                    f"{name}'s grants at the truthful orders differ from its deviation kernel's")
-            own[:, first:first + len(scen)] = grants
-        for i, pr in enumerate(market.profiles):
-            _, cost = post_allocation_cost(pr, own[i], market.p, market.p1, market.p2)
-            # A running max from 0.0 over the scenarios in order.
-            gains = np.max(cost[:, :1] - cost[:, 1:], axis=1)
-            improvements[i] = max(improvements[i], *gains.tolist())
-    max_improvement = max(improvements)
+    improvements = np.zeros(n)
+    for first in range(0, n_scen, per_group):
+        scen = scenarios[first:first + per_group]
+        grants = kernel(market, scen, orders, thresholds)
+        truthful = np.repeat(scen, n, axis=0)
+        truthful.reshape(len(scen), n, n)[:, diag, diag] = m_star
+        called = mechanism(market, truthful).reshape(len(scen), n, n)[:, diag, diag]
+        if called.T.tobytes() != grants[:, :, 0].tobytes():
+            raise ParameterError(
+                f"{name}'s grants at the truthful orders differ from its deviation kernel's")
+        # cost[k, t, i]: deviator i's cost at its order t in scenario k.
+        _, cost = post_allocation_cost(market.profiles, grants.transpose(1, 2, 0),
+                                       market.p, market.p1, market.p2)
+        # Costs are positive, so no gain is -0.0; fmax skips a nan gain as a running max() did.
+        improvements = np.fmax(improvements, np.fmax.reduce(cost[:, :1] - cost[:, 1:], axis=(0, 1)))
+    max_improvement = float(improvements.max())
     return AuditReport(
         mechanism=name,
         max_improvement=max_improvement,
-        improvements=tuple(improvements),
+        improvements=tuple(improvements.tolist()),
         truthful_dominant=max_improvement <= 1e-9,
     )

@@ -141,12 +141,12 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10,
     root is that near; when it is not, the midpoint follows.  Once the
     bracket is at most `tol`, or at most 2**-51 of its upper end (2 to 4
     ulps, where it stops shrinking), or the Newton step rounds away, the
-    Newton point is returned: within that width of the root, in practice
-    exact to rounding, and strictly inside (0, phi).  When the root lies
-    below DOMAIN_EPS, every evaluation moves the upper end down, and the
-    iterate ends within that width of DOMAIN_EPS; h(DOMAIN_EPS) < 0 shows
-    that case, evaluated only on such an exit, and raises
-    DegenerateGameError.
+    Newton point clamped into the bracket is returned: within that width of
+    the root, in practice exact to rounding, and strictly inside (0, phi).
+    When the root lies below DOMAIN_EPS, every evaluation moves the upper
+    end down, and the iterate ends within that width of DOMAIN_EPS;
+    h(DOMAIN_EPS) < 0 shows that case, evaluated only on such an exit, and
+    raises DegenerateGameError.
 
     Termination: the bracket never grows, every midpoint halves it, and its
     upper end stays above DOMAIN_EPS, so there are at most about
@@ -191,9 +191,11 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10,
             break   # the step rounds away: nu is the root to working precision
         # Below a few ulps of its upper end the bracket stops shrinking.
         if hi - lo <= tol or hi - lo <= hi * 2**-51:
-            # Rounding can put Newton's point on an end, and hi may be phi itself.
+            # Newton's point may round an ulp past an end (taken; a nan is not); hi may be phi.
             if lo <= newton <= hi < phi:
                 nu = newton
+            elif hi < phi and newton == newton:
+                nu = lo if newton < lo else hi
             break
         step_old, step = step, abs(newton - nu)
         accept = lo < newton < hi and step <= 0.5 * step_old and not probed

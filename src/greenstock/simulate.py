@@ -565,10 +565,13 @@ def _t_quantile(df: int, p: float) -> float:
 def _summary(pdf: np.ndarray, ci: float, events: int, sim_time: float) -> SimStats:
     """SimStats whose means are the pmf of N dotted with N and (N-1)^+."""
     import numpy as np
-    j = np.arange(pdf.size)
+    j = np.arange(pdf.size, dtype=float)     # the one pdf-sized temporary: N, then (N-1)^+
+    mean_outstanding = float(pdf @ j)
+    j -= 1.0
+    j[:1] = 0.0
     return SimStats(
-        mean_outstanding=float(pdf @ j),
-        mean_waiting=float(pdf @ np.maximum(j - 1, 0)),
+        mean_outstanding=mean_outstanding,
+        mean_waiting=float(pdf @ j),
         pdf=pdf,
         ci_halfwidth=ci,
         events=events,

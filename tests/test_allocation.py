@@ -287,10 +287,16 @@ _OUT_OF_RANGE = {f"{site}-{kind}": build(value)
     lambda: DeviationGrid(seed=math.nan),
     lambda: DeviationGrid(seed=-1),
     lambda: breakeven_lambda(_PR, 1.0, 0.0, 1.35e154),
+    # Orders and deviation orders that overflow to inf, with no RuntimeWarning on the way.
+    lambda: truthful_orders(Market(profiles=reference_market().profiles, mu0=20.0,
+                                   p=5e-324, p1=0.0, p2=1.0)),
+    lambda: truthfulness_audit(reference_market(), adaptive_uniform_allocation,
+                               DeviationGrid(n_points=5, n_scenarios=1, span=1e308)),
     *_OUT_OF_RANGE.values(),
 ], ids=["lambda_bar-nan", "lambda_bar-inf", "lambda_bar-subnormal", "lambda_bar-below-normal",
         "n_points-one", "n_points-fraction", "n_scenarios-fraction", "seed-nan", "seed-negative",
-        "breakeven_lambda-gap-square-overflows", *_OUT_OF_RANGE])
+        "breakeven_lambda-gap-square-overflows", "truthful_orders-overflow",
+        "audit-span-overflow", *_OUT_OF_RANGE])
 def test_non_finite_or_out_of_range_inputs_rejected(make):
     with pytest.raises(ParameterError):
         make()
@@ -741,8 +747,8 @@ def tied_profiles(draw, n):
 def audit_cases(draw):
     """A market on the documented domain (N 2-16) with tied and zero
     orders (tied lambda_bar and b, b = 0 and below-break-even stations), a
-    small grid, a kernel-call budget from under one scenario's orders to all
-    of them, and a budget for the grants held between costings."""
+    small grid, and a kernel-call budget from under one scenario's orders
+    to all of them."""
     n = draw(st.integers(2, 16))
     profiles = draw(tied_profiles(n))
     p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
@@ -750,20 +756,17 @@ def audit_cases(draw):
                     p2=p1 + p + draw(st.floats(0.01, 20.0)))
     grid = DeviationGrid(n_points=draw(st.integers(2, 8)), span=draw(st.floats(0.1, 4.0)),
                          n_scenarios=draw(st.integers(0, 3)), seed=draw(st.integers(0, 2**32 - 1)))
-    scenario_bytes = (grid.n_points + 1) * n * 8
-    all_bytes = (grid.n_scenarios + 2) * scenario_bytes
-    return (market, grid, draw(st.integers(1, all_bytes)),
-            draw(st.integers(scenario_bytes, all_bytes)))
+    all_bytes = (grid.n_scenarios + 2) * (grid.n_points + 1) * n * 8
+    return market, grid, draw(st.integers(1, all_bytes))
 
 
 @settings(max_examples=40, deadline=None)
 @given(audit_cases())
 def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
-    """Scenario groups from under one scenario to all of them, and the
-    grants costed in batches of one scenario up to all of them."""
-    market, grid, budget, held = case
-    with mock.patch.object(allocation, "_AUDIT_CALL_BYTES", budget), \
-            mock.patch.object(allocation, "MAX_AUDIT_MATRIX_BYTES", held):
+    """Scenario groups from under one scenario to all of them, each costed
+    in one call."""
+    market, grid, budget = case
+    with mock.patch.object(allocation, "_AUDIT_CALL_BYTES", budget):
         for mechanism, reference in REFERENCES.items():
             report = truthfulness_audit(market, mechanism, grid)
             expected = _ref_audit(market, reference, grid)
@@ -778,7 +781,7 @@ def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
 ])
 def test_audit_calls_stay_within_the_budget(n, n_points, n_scenarios, calls):
     """One mechanism call a scenario group, on every deviator's truthful
-    row, and one post_allocation_cost call a deviator."""
+    row, and one post_allocation_cost call a scenario group."""
     profiles = tuple(BsProfile(lambda_bar=0.5 * (i + 1), b=2.0, index=i) for i in range(n))
     market = Market(profiles=profiles, mu0=2.5 * n, p=2.0, p1=1.0, p2=10.0)
     grid = DeviationGrid(n_points=n_points, n_scenarios=n_scenarios, seed=3)
@@ -796,7 +799,7 @@ def test_audit_calls_stay_within_the_budget(n, n_points, n_scenarios, calls):
         report = truthfulness_audit(market, recording, grid)
     per_group = max(1, _AUDIT_CALL_BYTES // scenario_bytes)
     assert len(shapes) == calls == -(-(n_scenarios + 1) // per_group)
-    assert costs.call_count == n
+    assert costs.call_count == calls
     for k, width in shapes:
         assert width == n and k % n == 0
         assert k // n * scenario_bytes <= _AUDIT_CALL_BYTES or k == n
@@ -992,6 +995,41 @@ def test_social_cost_rows_match_the_one_row_calls(case):
     over[-1, 0] = market.mu0 + 1e-3
     with pytest.raises(ParameterError):
         social_cost(market, over)
+
+
+@settings(max_examples=100, deadline=None)
+@given(markets_with_orders(), st.integers(1, 4))
+def test_station_calls_match_the_one_profile_calls(case, width):
+    """post_allocation_cost over a market's profiles costs station j at
+    [..., j] of (K, N) and (G, T, N) rates, bit-equal to its one-profile
+    call; breakeven_lambda, breakeven_rate and truthful_orders over the
+    profiles are bit-equal to their per-station scalars."""
+    market, orders = case
+    prices = market.p, market.p1, market.p2
+    grants = adaptive_uniform_allocation(market, orders)
+    stacked = np.stack([orders * (0.5 * t) for t in range(width)], axis=1)
+    for rates in (orders, grants, stacked):
+        lam, cost = post_allocation_cost(market.profiles, rates, *prices)
+        assert lam.shape == cost.shape == rates.shape
+        for j, pr in enumerate(market.profiles):
+            one_lam, one_cost = post_allocation_cost(pr, rates[..., j], *prices)
+            assert _bits(lam[..., j]) == _bits(one_lam)
+            assert _bits(cost[..., j]) == _bits(one_cost)
+    for breakeven in (breakeven_lambda, breakeven_rate):
+        assert _bits(breakeven(market.profiles, *prices)) == _bits(
+            [breakeven(pr, *prices) for pr in market.profiles])
+    assert _bits(truthful_orders(market).orders) == _bits([
+        math.sqrt(pr.lambda_bar * math.log1p(pr.b) / market.p) + pr.lambda_bar
+        if pr.lambda_bar >= breakeven_lambda(pr, *prices) else 0.0
+        for pr in market.profiles])
+
+
+def test_post_allocation_cost_refuses_a_last_axis_other_than_the_stations():
+    market = reference_market()
+    for rates in (2.0, np.ones(market.n - 1), np.ones((market.n, 3)),
+                  np.ones((2, 3, market.n + 1))):
+        with pytest.raises(ParameterError, match="last axis"):
+            post_allocation_cost(market.profiles, rates, market.p, market.p1, market.p2)
 
 
 def test_bruteforce_beats_proportional_with_strict_gap_somewhere():

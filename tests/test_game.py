@@ -186,6 +186,17 @@ def test_rps_best_response_refuses_a_root_below_the_bracket():
         cost_bs(g, nash_equilibrium(g))
 
 
+def test_rps_best_response_clamps_newton_at_the_bracket_close():
+    # Rounding put the last Newton point an ulp past the closed bracket, and
+    # the iterate 7.382427476745972 was returned, tol/2 from the root.
+    g = make_game(0.06465989257061626, 0.009996944634116272, 285184.8466243439,
+                  0.11964371562151076)
+    s = 1.752348103203478
+    nu = rps_best_response(g, s, tol=8.807232352511394e-11)
+    assert nu == 7.382427476790009
+    assert abs(log_foc(g, s, nu)) <= 1e-13
+
+
 @pytest.mark.parametrize("call", [
     lambda: rps_best_response(REF, 5.5065, tol=math.nan),
     lambda: rps_best_response(REF, 5.5065, tol=0.0),

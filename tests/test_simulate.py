@@ -507,6 +507,25 @@ def test_memory_does_not_grow_with_the_horizon(horizon):
     assert peak < 24 * 2**20
 
 
+def test_summary_holds_one_pmf_sized_temporary():
+    """_summary dots the pmf with one float arange, shifted in place for
+    (N - 1)^+: its traced peak is one pmf, where an integer arange, its float
+    cast and (N - 1)^+ held three.  The means keep the bits of those dots."""
+    pdf = np.full(10**6, 1e-6)
+    tracemalloc.start()
+    try:
+        stats = sim_module._summary(pdf, 0.0, 10**6, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * pdf.nbytes
+    for pmf in (pdf, np.zeros(0), np.array([1.0]), np.array([0.25, 0.5, 0.25])):
+        j = np.arange(pmf.size)
+        stats = sim_module._summary(pmf, 0.0, 1, 1.0)
+        assert stats.mean_outstanding.hex() == float(pmf @ j).hex()
+        assert stats.mean_waiting.hex() == float(pmf @ np.maximum(j - 1, 0)).hex()
+
+
 # ------------------------------------------------- two-thread pipeline
 
 _H2 = HyperExp2(prob=0.5, rate1=2.3, rate2=3.5)
