@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllGridRegimeError, ParameterError, _nonnegative, _positive, _whole
+from .errors import _FLOAT_MAX, AllGridRegimeError, ParameterError, _nonnegative, _positive, _whole
 
 FEAS_EPS = 1e-9
 # Largest (N, n_points + 1) float64 array of one scenario's deviation
@@ -593,8 +593,16 @@ def truthfulness_audit(
 
     Refused before anything is allocated: a `mechanism` without a
     deviation kernel (only the three mechanisms here have one), an
-    (N, n_points + 1) array past `MAX_AUDIT_MATRIX_BYTES`, and more than
-    `MAX_AUDIT_CELLS` order cells N^2 (n_points + 1) (n_scenarios + 1).
+    (N, n_points + 1) array past `MAX_AUDIT_MATRIX_BYTES`, more than
+    `MAX_AUDIT_CELLS` order cells N^2 (n_points + 1) (n_scenarios + 1),
+    and a market whose costs may pass half of float range, where a gain
+    would read inf - inf.  Deviator i's grant a is at most its order and
+    mu0: a <= A = min(mu0, max(span mu_hat_i, m*_i)).  With gamma = ln(1 + b_i),
+    q = p2 - p1 > p and lam <= min(lambda_bar_i, a (1 - FEAS_EPS)), the cost's
+    terms and products are bounded: p a <= p A, p1 lam + p2 (lambda_bar_i - lam)
+    <= p2 lambda_bar_i, a gamma/q and lam gamma <= A gamma (1 + 1/q), and
+    lam gamma/(a - lam) <= gamma/FEAS_EPS.  Their sum B_i <= max float / 2
+    keeps every cost and gain finite, with room for rounding.
     """
     name = getattr(mechanism, "__name__", str(mechanism))
     kernel = getattr(mechanism, "_deviation_grants", None)
@@ -621,6 +629,14 @@ def truthfulness_audit(
     for i, top in enumerate(tops.tolist()):
         _positive(f"station {i}'s largest deviation order span * mu_hat", top)
     m_star = np.array(truthful_orders(market).orders)
+    p, p2, q = market.p, market.p2, market.p2 - market.p1
+    for i, (profile, top, own) in enumerate(zip(market.profiles, tops.tolist(), m_star.tolist())):
+        a, gamma = min(market.mu0, max(top, own)), math.log1p(profile.b)
+        bound = p * a + p2 * profile.lambda_bar + gamma * (a + a / q + 1.0 / FEAS_EPS)
+        if not bound <= 0.5 * _FLOAT_MAX:
+            raise ParameterError(
+                f"station {i}'s post-allocation costs are bounded only by {bound:.3g}, "
+                f"past half of float range; lower its rate, the prices or mu0")
     rng = np.random.default_rng(grid.seed)
     scenarios = np.empty((n_scen, n))
     scenarios[0] = m_star

@@ -355,28 +355,29 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
                      + p1 lambda + p2 (total_lambda - lambda),
         C'(lambda) = (L/(2 f mu0)) h(t) - q,   h(t) = (1 + 2ft + t^2)/(t (1 - t^2)^2).
 
-    h' has the sign of Q(t) = 3t^4 + 8f t^3 + 6t^2 - 1, which increases from
-    Q(0) = -1 to Q(1) > 0: h falls from +inf to its minimum at the root t_m of
-    Q, then rises to +inf at t = 1.  So C has at most one interior local
-    minimum, at the root t_2 > t_m of h = k = 2f mu0 q/L, and lambda* is the
-    cheapest of 0 (all-grid), hi = min(total_lambda, mu0 (1 - 1e-6)) and
-    mu0 t_2^2, the smaller on a tie; only 0 and hi when L = 0 or q <= 0.  All is
-    computed in 1/f, finite where f overflows (a subnormal c_s); 1/f is inf
-    when alpha = 1 or b = 0, where the renewable cost is inf and lambda* = 0.
+    With k = 2f mu0 q/L and u = (1/f)(1 + t^2)/t + 2, h/f = u/(1 - t^2)^2, so
+    C' has the sign of
 
-    Termination: Newton on Q/f = (3t^4 + 6t^2 - 1)/f + 8t^3, convex and
-    increasing on t > 0, decreases t monotonically from t = 1 toward t_m and
-    stops when a step no longer decreases it, which a strictly decreasing
-    float sequence must reach; when 1/f = 0, t_m = 0.  F(t) = ln(h/f) - ln(k/f)
-    increases on [t_m, 1), so F >= 0 at t_lo = min(t_m, sqrt(hi/mu0)) shows
-    that C is nondecreasing, and no t_2 is sought.  Otherwise t_2 is found by
-    guarded Newton on F over [t_lo, sqrt(hi/mu0)] with the acceptance rule of
-    `rps_best_response`, where u = (1/f)(1 + t^2)/t + 2 and
-    F'(t) = (1/f)(t^2 - 1)/(t^2 u) + 4t/(1 - t^2).  The bracket never grows
-    and every midpoint halves it, so midpoints run out once no float lies
-    strictly inside it; between two midpoints each Newton step is at most
-    half the step before last, so the steps reach 0, where the Newton point
-    equals the iterate.  Either ends the search.
+        F(t) = ln u - 2 ln(1 - t^2) - ln(k/f),
+        F'(t) = (1/f)(t^2 - 1)/(t^2 u) + 4t/(1 - t^2).
+
+    F is strictly convex on (0, 1): (ln u)'' has the sign of
+    a^2 (1 + 4t^2 - t^4) + 4at >= 0 with a = 1/f, and -2 ln(1 - t^2) is
+    strictly convex.  So C has at most one interior local minimum, at the
+    larger root t_2 of F, and lambda* is the cheapest of 0 (all-grid),
+    hi = min(total_lambda, mu0 (1 - 1e-6)) and mu0 t^2 for the t where Newton
+    on F ends, the smaller on a tie; only 0 and hi when L = 0 or q <= 0.  All
+    is computed in 1/f, finite where f overflows (a subnormal c_s); 1/f is
+    inf when alpha = 1 or b = 0, where the renewable cost is inf and lambda* = 0.
+
+    Newton starts at t = sqrt(hi/mu0), unless that underflows to 0, and steps
+    t <- t - F/F' while F > 0 and F' > 0.  F lies above its tangents, so
+    when t_2 lies below the start the iterates fall monotonically onto it.
+    F <= 0 at the start puts the minimum at 0 or hi.  With no root below the
+    start, the iterates pass the minimum of F, where F' <= 0, and stop: C
+    increases on (0, hi], and no candidate beats lambda = 0.  A step that
+    does not land strictly inside (0, t) also ends the loop, so the iterates
+    are a strictly decreasing run of positive floats, which ends.
     A bill p1 * total_lambda or p2 * total_lambda past float range is refused.
     """
     _positive("total_lambda", total_lambda)
@@ -395,43 +396,21 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     hi, q = min(total_lambda, mu0 * (1.0 - 1e-6)), p2 - p1
     lams = [0.0, hi]
     if log_ab > 0.0 and q > 0.0:
-        t_m = 1.0 if inv_f > 0.0 else 0.0
-        while t_m > 0.0:
-            tt = t_m * t_m
-            newton = t_m - ((inv_f * (3.0 * tt * tt + 6.0 * tt - 1.0) + 8.0 * tt * t_m)
-                            / (12.0 * inv_f * t_m * (tt + 1.0) + 24.0 * tt))
-            if not newton < t_m:
+        level = math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
+        t = math.sqrt(hi / mu0)
+        while t > 0.0:
+            # gap is F(t); slope is F'(t) (1 - t^2) t^2 u, of the sign of F'.
+            tt = t * t
+            u = inv_f * (1.0 + tt) / t + 2.0
+            gap = math.log(u) - 2.0 * math.log1p(-tt) - level
+            slope = 4.0 * t * tt * u - inv_f * (1.0 - tt) ** 2
+            if not (gap > 0.0 and slope > 0.0):
                 break
-            t_m = newton
-        up = math.sqrt(hi / mu0)
-        t = lo = min(t_m, up)
-        tt, level = t * t, math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
-        # F = ln(h / f) - ln(k / f); h is inf at t = 1, and at t = 0 unless 1/f = 0.
-        gap = (math.log(inv_f * (1.0 + tt) / t + 2.0) - 2.0 * math.log1p(-tt) - level
-               if 0.0 < t < 1.0 else math.log(2.0) - level if inv_f == 0.0 else math.inf)
-        if gap < 0.0:
-            step, newton = up - lo, math.nan
-            while True:
-                step_old, step = step, abs(newton - t)
-                if lo < newton < up and step <= 0.5 * step_old:
-                    t = newton
-                elif lo < (mid := 0.5 * (lo + up)) < up:
-                    t, step = mid, 0.5 * (up - lo)
-                else:
-                    break
-                tt = t * t
-                u = inv_f * (1.0 + tt) / t + 2.0
-                gap = math.log(u) - 2.0 * math.log1p(-tt) - level
-                if gap < 0.0:
-                    lo = t
-                else:
-                    up = t
-                # F' (1 - t^2) t^2 u, which is 0 at t_m and positive past it.
-                slope = 4.0 * t * tt * u - inv_f * (1.0 - tt) ** 2
-                newton = t - gap * (1.0 - tt) * tt * u / slope if slope > 0.0 else math.nan
-                if newton == t:
-                    break   # the step rounds away: t is the root to working precision
-            lams.append(min(mu0 * t * t, hi))
+            newton = t - gap * (1.0 - tt) * tt * u / slope
+            if not 0.0 < newton < t:
+                break
+            t = newton
+        lams.append(min(mu0 * t * t, hi))
 
     def cost(lam: float) -> float:
         if lam >= mu0:

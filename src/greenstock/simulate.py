@@ -33,13 +33,13 @@ horizon is bounded by time alone, while an unstable run's pending
 departures and pmf grow with its backlog, and it stays capped at 1e8
 events.
 
-Importing the module loads neither numpy nor statistics, and nothing here
-loads scipy.  Each function that draws or simulates imports numpy when it
-runs, and the two scalar inverse normal CDFs (a `TruncatedNormal`'s
-largest draw and the Student-t start) import `statistics.NormalDist`, so
-the analytic scenarios load neither.  The scalar normal CDF, hazard and
-Student-t quantile are computed here from `math`, and the truncated-normal
-draws' inverse normal CDF is a numpy kernel of the stdlib's algorithm.
+Importing the module loads no numpy, and nothing here loads scipy or
+statistics.  Each function that draws or simulates imports numpy when it
+runs, as do `TruncatedNormal` construction and the Student-t quantile, so
+the analytic scenarios load none of it.  The scalar normal CDF, hazard and
+Student-t quantile are computed here from `math`; the one inverse normal
+CDF, `_ndtri`, is a numpy kernel of the stdlib's algorithm, used by the
+draws, a `TruncatedNormal`'s largest draw and the Student-t start.
 """
 
 from __future__ import annotations
@@ -217,11 +217,12 @@ class TruncatedNormal:
     def __post_init__(self):
         _positive("mean", self.mean)
         _positive("cv", self.cv)
-        from statistics import NormalDist
+        import numpy as np
 
         object.__setattr__(self, "_base", self._base_params())
         mu0, sigma0, tail = self._base
-        if not math.isfinite(mu0 - sigma0 * NormalDist().inv_cdf(2.0**-53 * tail)):   # largest draw
+        # The largest draw; in float, not numpy, arithmetic, which overflows without a warning.
+        if not math.isfinite(mu0 - sigma0 * float(_ndtri(np.array([2.0**-53 * tail]))[0])):
             raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
 
     def mean_time(self) -> float:
@@ -549,10 +550,10 @@ def _t_quantile(df: int, p: float) -> float:
     closed-form CDF; the two-sided probability is concave in theta, so
     starting from the normal quantile, which lies below the t quantile,
     the iterates rise monotonically to the root."""
-    from statistics import NormalDist
+    import numpy as np
 
     target = 2.0 * p - 1.0
-    theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
+    theta = math.atan(float(_ndtri(np.array([p]))[0]) / math.sqrt(df))
     for _ in range(100):
         prob, slope = _t_two_sided(df, theta)
         step = (target - prob) / slope

@@ -148,6 +148,9 @@ def test_invalid_parameter_exits_2(tmp_path):
      "station 0's largest deviation order span * mu_hat must be finite and > 0, got inf"),
     (["allocate", "--set", "lambda_bars=[1,2,3]", "--set", "n_bs=5", "--set", "lambda_step=9"],
      "lambda_bars lists every station; n_bs and lambda_step would be ignored"),
+    # p2 * lambda_bar overflows: every cost is inf, and every gain inf - inf.
+    (["audit", "--set", "lambda_step=1e300", "--set", "p2=1e150", "--set", "mu0=1e300"],
+     "station 0's post-allocation costs are bounded only by inf, past half of float range"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -436,15 +439,16 @@ for name in SCENARIOS:
     argv = [name, "--set", "horizon=20000"] if name == "queue-validate" else [name]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "statistics"))
 assert not loaded, loaded
 """
 
 
 def test_no_scenario_imports_scipy():
-    """scipy is a test-only dependency: a fresh interpreter that imports the
-    package and runs every scenario, queue-validate's truncated-normal run
-    at a short horizon among them, loads none of it."""
+    """scipy is a test-only dependency and the simulator inverts the normal
+    CDF itself: a fresh interpreter that imports the package and runs every
+    scenario, queue-validate's truncated-normal run at a short horizon among
+    them, loads neither scipy nor statistics."""
     env = {**os.environ, "PYTHONPATH": str(Path(greenstock.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", _COLD_PATH], env=env,
                           capture_output=True, text=True, timeout=60)

@@ -776,3 +776,95 @@ def test_power_split_at_a_subnormal_supply_cost():
         ref_lam, ref_cost = power_split(make_game(5.0, 1e-300, 1.0, 0.5), 1.8, 2.0, 1.0, p2)
         assert lam == pytest.approx(ref_lam, abs=1e-9) and lam > 0.0
         assert cost == pytest.approx(ref_cost, abs=1e-9)
+
+
+def _two_root_split(g, total_lambda, mu0, p1, p2):
+    """A two-root `power_split`, the reference for the one-root solve: Newton
+    on Q/f = (3t^4 + 6t^2 - 1)/f + 8t^3 from t = 1 for t_m, the minimum of
+    h, then guarded Newton on F over [min(t_m, sqrt(hi/mu0)), sqrt(hi/mu0)]
+    for t_2 when F < 0 at the lower end.  Valid arguments only."""
+    residual, ab = (1.0 - g.alpha) * g.b, g.alpha * g.b
+    if residual <= 0.0:
+        return 0.0, p2 * total_lambda
+    log_ab = math.log1p(ab)
+    inv_f = math.sqrt(g.cs) / math.sqrt(residual) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
+    hi, q = min(total_lambda, mu0 * (1.0 - 1e-6)), p2 - p1
+    lams = [0.0, hi]
+    if log_ab > 0.0 and q > 0.0:
+        t_m = 1.0 if inv_f > 0.0 else 0.0
+        while t_m > 0.0:
+            tt = t_m * t_m
+            newton = t_m - ((inv_f * (3.0 * tt * tt + 6.0 * tt - 1.0) + 8.0 * tt * t_m)
+                            / (12.0 * inv_f * t_m * (tt + 1.0) + 24.0 * tt))
+            if not newton < t_m:
+                break
+            t_m = newton
+        up = math.sqrt(hi / mu0)
+        t = lo = min(t_m, up)
+        tt, level = t * t, math.log(2.0) + math.log(mu0) + math.log(q) - math.log(log_ab)
+        gap = (math.log(inv_f * (1.0 + tt) / t + 2.0) - 2.0 * math.log1p(-tt) - level
+               if 0.0 < t < 1.0 else math.log(2.0) - level if inv_f == 0.0 else math.inf)
+        if gap < 0.0:
+            step, newton = up - lo, math.nan
+            while True:
+                step_old, step = step, abs(newton - t)
+                if lo < newton < up and step <= 0.5 * step_old:
+                    t = newton
+                elif lo < (mid := 0.5 * (lo + up)) < up:
+                    t, step = mid, 0.5 * (up - lo)
+                else:
+                    break
+                tt = t * t
+                u = inv_f * (1.0 + tt) / t + 2.0
+                gap = math.log(u) - 2.0 * math.log1p(-tt) - level
+                if gap < 0.0:
+                    lo = t
+                else:
+                    up = t
+                slope = 4.0 * t * tt * u - inv_f * (1.0 - tt) ** 2
+                newton = t - gap * (1.0 - tt) * tt * u / slope if slope > 0.0 else math.nan
+                if newton == t:
+                    break
+            lams.append(min(mu0 * t * t, hi))
+
+    def cost(lam):
+        if lam >= mu0:
+            return math.inf
+        if lam == 0.0 or log_ab == 0.0:
+            stock = 0.0
+        else:
+            stock = (inv_f * math.sqrt(lam) * math.sqrt(mu0) + lam) / (mu0 - lam) * log_ab
+        return stock + p1 * lam + p2 * (total_lambda - lam)
+
+    best_cost, best_lam = min((cost(lam), lam) for lam in lams)
+    return best_lam, best_cost
+
+
+@on_the_domain
+@given(domain_games, log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3),
+       st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+# One case per way the Newton on F ends: sqrt(hi/mu0) underflows to 0 and
+# it does not run; F <= 0 at the start, the root lying past hi; the start
+# below t_m, the minimum of F, with F > 0 and no root; no root, the
+# iterates passing t_m (F' <= 0) or a step leaving (0, t); an interior root.
+@example(SPLIT_GAME, 5e-324, 2.0, 1.0, 7.5)
+@example(SPLIT_GAME, 0.2, 2.0, 1.0, 10.0)
+@example(SPLIT_GAME, 0.01, 2.0, 1.0, 1.5)
+@example(SPLIT_GAME, 1.8, 2.0, 1.0, 4.0)
+@example(SPLIT_GAME, 1.8, 2.0, 1.0, 1.5)
+@example(SPLIT_GAME, 1.8, 2.0, 1.0, 10.0)
+def test_power_split_matches_the_two_root_reference(deadline, g, total_lambda, mu0, p1, p2):
+    lam, cost = within(deadline, lambda: power_split(g, total_lambda, mu0, p1, p2))
+    ref_lam, ref_cost = _two_root_split(g, total_lambda, mu0, p1, p2)
+    slack = 8 * math.ulp(0.0)
+    assert cost <= ref_cost * (1 + 1e-12) + slack
+    assert ref_cost <= cost * (1 + 1e-12) + slack
+
+
+@pytest.mark.parametrize("inv_f", [0.0, 1e-3, 0.5, 1.0, 1e3, 1e6])
+def test_power_split_root_condition_is_convex(inv_f):
+    # F(t) = ln((1/f)(1 + t^2)/t + 2) - 2 ln(1 - t^2) up to a constant: its
+    # second differences on a fine grid of (0, 1) are nonnegative.
+    t = np.linspace(0.0, 1.0, 200_001)[1:-1]
+    F = np.log(inv_f * (1.0 + t * t) / t + 2.0) - 2.0 * np.log1p(-t * t)
+    assert (F[2:] - 2.0 * F[1:-1] + F[:-2] >= 0.0).all()

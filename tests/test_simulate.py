@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from greenstock import (
@@ -136,6 +136,8 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mean=_positive, cv=_positive)
+# The largest draw overflows: refused, without a numpy overflow warning.
+@example(mean=3.29e307, cv=0.9)
 def test_truncated_normal_samples_or_refuses(mean, cv, deadline):
     """Over every (mean, cv) the dataclass accepts, construction raises
     ParameterError or sampling returns finite draws above the floor."""
@@ -644,6 +646,29 @@ def test_t_quantile_matches_scipy():
     np.testing.assert_allclose(ours, special.stdtrit(df, 0.975), rtol=1e-12, atol=0)
     assert sim_module._t_quantile(1, 0.975) == pytest.approx(12.7062047361747, rel=1e-13)
     assert sim_module._t_quantile(19, 0.975) == pytest.approx(2.09302405440831, rel=1e-13)
+
+
+def _normal_dist_started_t_quantile(df, p):
+    """`_t_quantile`'s Newton started from the stdlib's `NormalDist().inv_cdf`
+    in place of `_ndtri`: a reference for its bits."""
+    from statistics import NormalDist
+    target = 2.0 * p - 1.0
+    theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
+    for _ in range(100):
+        prob, slope = sim_module._t_two_sided(df, theta)
+        step = (target - prob) / slope
+        if not theta + step > theta:
+            break
+        theta += step
+    return math.sqrt(df) * math.tan(theta)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the stdlib's C rationals may be compiled with fused multiply-adds")
+def test_t_quantile_keeps_the_bits_of_its_normal_dist_start():
+    for p in (0.95, 0.975, 0.995):
+        for df in range(1, 501):
+            assert sim_module._t_quantile(df, p) == _normal_dist_started_t_quantile(df, p), (df, p)
 
 
 def _ndtri_points():
