@@ -602,7 +602,9 @@ def truthfulness_audit(
     terms and products are bounded: p a <= p A, p1 lam + p2 (lambda_bar_i - lam)
     <= p2 lambda_bar_i, a gamma/q and lam gamma <= A gamma (1 + 1/q), and
     lam gamma/(a - lam) <= gamma/FEAS_EPS.  Their sum B_i <= max float / 2
-    keeps every cost and gain finite, with room for rounding.
+    keeps every cost and gain finite, with room for rounding.  So does
+    max(n_points, N) times the largest order, a grid top or a perturbed
+    truthful order, for the grid and every row's sum of orders.
     """
     name = getattr(mechanism, "__name__", str(mechanism))
     kernel = getattr(mechanism, "_deviation_grants", None)
@@ -637,6 +639,11 @@ def truthfulness_audit(
             raise ParameterError(
                 f"station {i}'s post-allocation costs are bounded only by {bound:.3g}, "
                 f"past half of float range; lower its rate, the prices or mu0")
+    # The grid's top * (n_points - 1) and each row's sum of N orders must stay in float range.
+    largest = max(float(tops.max()), OPPONENT_PERTURBATION[1] * float(m_star.max()))
+    if not max(grid.n_points, n) * largest <= 0.5 * _FLOAT_MAX:
+        raise ParameterError(f"the audit's largest order {largest:.3g} times max(n_points, "
+                             f"stations) passes half of float range; lower the rates, span or mu0")
     rng = np.random.default_rng(grid.seed)
     scenarios = np.empty((n_scen, n))
     scenarios[0] = m_star

@@ -23,8 +23,8 @@ import math
 import os
 import random
 import sys
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -62,11 +62,12 @@ class ResultTable:
 def _timestamp() -> str:
     # SOURCE_DATE_EPOCH keeps CSV output byte-identical across runs.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    try:
+        moment = time.gmtime(None if epoch is None else int(epoch))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ParameterError(f"SOURCE_DATE_EPOCH must be whole seconds in the platform's "
+                             f"time range, got {epoch!r}") from exc
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
 
 
 def _fmt(value) -> str:

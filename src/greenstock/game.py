@@ -118,46 +118,33 @@ def bs_best_response(g: GameInstance, nu: float) -> float:
     return s
 
 
-def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10,
-                      start: float | None = None) -> float:
+def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> float:
     """Supplier's best response: the unique root nu in (0, phi) of the
     first-order condition
 
         (1-alpha)*b * e^{-nu s} (nu s + 1) / nu^2 = c_s (1 + phi) / (phi - nu)^2.
 
-    Both sides are positive, so the root is the zero of their log ratio
+    With x = ln nu, w = nu s and level = ln((1-alpha)b / (c_s(1+phi))), the
+    log ratio of its two positive sides
 
-        h(nu) = ln((1-alpha)b / (c_s(1+phi))) - nu s + ln(1 + nu s) + 2 ln((phi-nu)/nu),
-        h'(nu) = -s * nu s/(1 + nu s) - 2/nu - 2/(phi-nu) < 0,
+        H(x)   = level - w + ln(1 + w) + 2 ln(phi - nu) - 2x,
+        -H'(x) = w^2/(1 + w) + 2 nu/(phi - nu) + 2 >= 2,
+        H''(x) = -w^2 (2 + w)/(1 + w)^2 - 2 nu phi/(phi - nu)^2 < 0,
 
-    which falls from +inf to -inf.  Guarded Newton (`rtsafe`, Press et al.,
-    Numerical Recipes, 9.4) starts at `start` when it lies strictly inside
-    the bracket [DOMAIN_EPS, phi - DOMAIN_EPS], else at its midpoint, and
-    each evaluation of h moves one end of the bracket to the iterate by the
-    sign of h.  The next iterate is the Newton point, or the midpoint when
-    the Newton point leaves the bracket or is not at most half the step
-    before last.  A Newton step shorter than `tol` becomes a probe `tol`
-    past the iterate toward the root, which closes the bracket when the
-    root is that near; when it is not, the midpoint follows.  Once the
-    bracket is at most `tol`, or at most 2**-51 of its upper end (2 to 4
-    ulps, where it stops shrinking), or the Newton step rounds away, the
-    Newton point clamped into the bracket is returned: within that width of
-    the root, in practice exact to rounding, and strictly inside (0, phi).
-    When the root lies below DOMAIN_EPS, every evaluation moves the upper
-    end down, and the iterate ends within that width of DOMAIN_EPS;
-    h(DOMAIN_EPS) < 0 shows that case, evaluated only on such an exit, and
-    raises DegenerateGameError.
-
-    Termination: the bracket never grows, every midpoint halves it, and its
-    upper end stays above DOMAIN_EPS, so there are at most about
-    log2(phi/DOMAIN_EPS) + 51 midpoints.  Between two of them, Newton
-    steps at least halve every second evaluation, so each run of them
-    ends: a step falls below `tol`, and its probe either closes the
-    bracket or is followed by a midpoint, or it falls below half an ulp of
-    the iterate and rounds away.
+    is strictly decreasing and concave.  Newton steps nu <- nu exp(-H/H')
+    from `start` when it lies strictly inside [DOMAIN_EPS, hi], else from the
+    midpoint, with hi = min(phi - DOMAIN_EPS, the float below phi, max float / s);
+    the root lies below max float / s.  H lies below its tangents, so a step
+    from an iterate right of the root (H <= 0) lands right of it again, and
+    one from the left does too, unless it reaches hi and is cut to the
+    midpoint toward hi.  The loop returns the iterate where the step rounds
+    away, or where H > 0 after an iterate with H <= 0 (rounding crossed the
+    root); |H|/2 bounds the error in ln nu.  An iterate below DOMAIN_EPS
+    comes from the right, so the root lies below the bracket, and
+    DegenerateGameError is raised.  Termination: right of the root the
+    iterates strictly decrease, and the cuts, made only from the left, form
+    at most one run, of strictly increasing nu below hi.
     """
-    if not 0.0 < tol <= _FLOAT_MAX:
-        _positive("tol", tol)
     if not 0.0 < s <= _FLOAT_MAX:
         _positive("s", s)
     norm = g.norm
@@ -172,54 +159,31 @@ def rps_best_response(g: GameInstance, s: float, tol: float = 1e-10,
     lo, hi = DOMAIN_EPS, phi - DOMAIN_EPS
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
-    log, log1p = math.log, math.log1p
+    hi = min(hi, math.nextafter(phi, 0.0), _FLOAT_MAX / s)
+    log, log1p, exp = math.log, math.log1p, math.exp
     # Three logs, not one of the quotient, which can underflow to 0.
     level = log(residual_b) - log(cs) - log1p(phi)
     nu = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    step = step_old = hi - lo
-    probed = False
+    right = False
     while True:
-        ns = nu * s
-        gap = phi - nu
-        h = level - ns + log1p(ns) + 2.0 * log(gap / nu)
-        if h > 0.0:
-            lo = nu
-        else:
-            hi = nu
-        newton = nu + h / (s * (ns / (1.0 + ns)) + 2.0 / nu + 2.0 / gap)
-        if newton == nu:
+        w, gap = nu * s, phi - nu
+        ratio = gap / nu    # one log, not two, unless phi/nu passes float range
+        h = level - w + log1p(w) + 2.0 * (log(ratio) if ratio <= _FLOAT_MAX else log(gap) - log(nu))
+        if h > 0.0 and right:
+            break   # rounding crossed the root
+        right = right or h <= 0.0
+        step = h / (w * (w / (1.0 + w)) + 2.0 * nu / gap + 2.0)
+        new = nu * exp(step) if step < 709.0 else hi    # past exp's range: taken as reaching hi
+        if not new < hi:
+            new = nu + 0.5 * (hi - nu)
+        if new == nu:
             break   # the step rounds away: nu is the root to working precision
-        # Below a few ulps of its upper end the bracket stops shrinking.
-        if hi - lo <= tol or hi - lo <= hi * 2**-51:
-            # Newton's point may round an ulp past an end (taken; a nan is not); hi may be phi.
-            if lo <= newton <= hi < phi:
-                nu = newton
-            elif hi < phi and newton == newton:
-                nu = lo if newton < lo else hi
-            break
-        step_old, step = step, abs(newton - nu)
-        accept = lo < newton < hi and step <= 0.5 * step_old and not probed
-        # A Newton step under tol does not show that the root is within tol
-        # (the slope can change that fast near a pole): probe tol past nu
-        # instead, which closes the bracket if it is.
-        probe = nu + math.copysign(tol, h)
-        probed = accept and step < tol and lo < probe < hi
-        if probed:
-            nu = probe
-        elif accept:
-            nu = newton
-        else:
-            step = 0.5 * (hi - lo)
-            nu = lo + step
-    if nu - DOMAIN_EPS <= tol or nu - DOMAIN_EPS <= hi * 2**-51:
-        # Near the lower end, h there tells a root inside the bracket from
-        # one below it, which no nu in the bracket approximates.
-        ns = DOMAIN_EPS * s
-        if level - ns + log1p(ns) + 2.0 * log((phi - DOMAIN_EPS) / DOMAIN_EPS) < 0.0:
+        if new < lo:
             raise DegenerateGameError(
-                f"the supplier's best response lies below the bracket "
-                f"[{DOMAIN_EPS}, {phi - DOMAIN_EPS}] for nu (s={s}): the first-order "
-                f"condition is negative at nu={DOMAIN_EPS}")
+                f"the supplier's best response lies below the bracket [{DOMAIN_EPS}, "
+                f"{phi - DOMAIN_EPS}] for nu (s={s}): the first-order condition is "
+                f"negative at nu={DOMAIN_EPS}")
+        nu = new
     return nu
 
 
@@ -255,25 +219,23 @@ def best_response_dynamics(
     Both reaction curves are decreasing, so the iteration is the usual
     monotone scheme for a supermodular game and converges to the unique
     equilibrium.  Each supplier solve starts at the previous iterate's nu
-    and runs to a tolerance relative to it, r*nu with
-    r = max(min(tol, 1e-10)/100, 2**-53).  The iteration stops once each of
-    |ds| and |dnu| is below `tol` or below 10 r times its own new value, so
-    it ends at any scale of s and nu, also where float spacing exceeds
-    `tol`.  Returns the fixed point and the full iterate trace; raises
-    ConvergenceError (trace attached) if max_iter is exhausted.
+    and runs to rounding.  The iteration stops once each of |ds| and |dnu|
+    is below `tol` or below 10 r times its own new value, with
+    r = max(min(tol, 1e-10)/100, 2**-53), so it ends at any scale of s and
+    nu, also where float spacing exceeds `tol`.  Returns the fixed point and
+    the full iterate trace; raises ConvergenceError (trace attached) if
+    max_iter is exhausted.
     """
     _positive("tol", tol)
     max_iter = _whole("max_iter", max_iter, 1)
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
     s_cur, nu_cur = start.s, start.nu
-    # Relative to nu, a tolerance below 2**-53 would ask for more than float precision.
-    inner_tol = max(min(tol, 1e-10) * 1e-2, 2**-53)
-    stop = 10.0 * inner_tol
+    # A relative stop below 10 * 2**-53 would ask for more than float precision.
+    stop = 10.0 * max(min(tol, 1e-10) * 1e-2, 2**-53)
     for _ in range(max_iter):
         s_next = bs_best_response(g, nu_cur)
-        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), tol=inner_tol * nu_cur,
-                                    start=nu_cur)
+        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), start=nu_cur)
         pair = StrategyPair(s=s_next, nu=nu_next)
         trace.append(pair)
         ds, dnu = abs(s_next - s_cur), abs(nu_next - nu_cur)

@@ -151,6 +151,10 @@ def test_invalid_parameter_exits_2(tmp_path):
     # p2 * lambda_bar overflows: every cost is inf, and every gain inf - inf.
     (["audit", "--set", "lambda_step=1e300", "--set", "p2=1e150", "--set", "mu0=1e300"],
      "station 0's post-allocation costs are bounded only by inf, past half of float range"),
+    # At b = 0 every cost stays small, but the orders' grid and row sums overflowed.
+    (["audit", "--set", "b=0", "--set", "lambda_step=5e306", "--set", "p=1e-300",
+      "--set", "p1=0", "--set", "p2=1e-100", "--set", "n_scenarios=2", "--set", "grid_points=20"],
+     "the audit's largest order 1e+308 times max(n_points, stations) passes half of float range"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -159,6 +163,16 @@ def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert valid in captured.err
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e20", "", "99999999999999999"])
+def test_malformed_source_date_epoch_exits_2(epoch, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main(["central"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: SOURCE_DATE_EPOCH must be whole seconds in the "
+                            f"platform's time range, got {epoch!r}\n")
 
 
 def _nudged(value):

@@ -177,39 +177,53 @@ def test_rps_best_response_refuses_a_root_below_the_bracket():
     # nu = 1.93e-12, s = 5.2e8 here, against the closed form's s* = 3.0e9.
     g = make_game(1e-3, 1.0, 1e-3, 1.0 - 1.1e-16)
     assert nash_equilibrium(g).nu < DOMAIN_EPS
-    for tol in (1e-10, 1e-300):   # the bracket closes at a few ulps, not at tol
-        with pytest.raises(DegenerateGameError, match=r"below the bracket \[1e-12, "):
-            rps_best_response(g, 1.0, tol=tol)
+    with pytest.raises(DegenerateGameError, match=r"below the bracket \[1e-12, "):
+        rps_best_response(g, 1.0)
     with pytest.raises(DegenerateGameError, match="below the bracket"):
         best_response_dynamics(g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9)
     with pytest.raises(ParameterError, match=r"nu must be > DOMAIN_EPS=1e-12, got 3\.33"):
         cost_bs(g, nash_equilibrium(g))
 
 
-def test_rps_best_response_clamps_newton_at_the_bracket_close():
-    # Rounding put the last Newton point an ulp past the closed bracket, and
-    # the iterate 7.382427476745972 was returned, tol/2 from the root.
+def test_rps_best_response_at_a_wide_headroom():
+    # A guarded solve once returned 7.382427476745972 here, 4.4e-11 from the root.
     g = make_game(0.06465989257061626, 0.009996944634116272, 285184.8466243439,
                   0.11964371562151076)
     s = 1.752348103203478
-    nu = rps_best_response(g, s, tol=8.807232352511394e-11)
-    assert nu == 7.382427476790009
-    assert abs(log_foc(g, s, nu)) <= 1e-13
+    assert abs(log_foc(g, s, rps_best_response(g, s))) <= 1e-13
+
+
+def test_rps_best_response_where_phi_less_the_bracket_margin_rounds_to_phi():
+    # phi - DOMAIN_EPS rounds to phi = 1e6, and the root lies past the upper
+    # end: the midpoint cuts toward it must stop below phi, where ln(phi - nu) is finite.
+    nu = rps_best_response(make_game(10.0, 1e-300, 1e6, 0.5), math.log(6.0) / 5e5)
+    assert nu == 999999.9999999998
+
+
+@pytest.mark.parametrize("args, s", [
+    # nu * s would overflow to inf at the midpoint of [DOMAIN_EPS, phi - DOMAIN_EPS].
+    ((2.9493012454668004e+97, 2.499936398012461e-26, 3.225980927680921e+75,
+      0.9976562004630843), 2.600069720785715e+297),
+    # ln((phi - nu)/nu) overflows near nu = DOMAIN_EPS: the non-root 5.13e-9 was returned.
+    ((7.043785813516692e+19, 5.7074835560657325e-67, 9.22278040040162e+299,
+      0.6422652618081773), 5.628819858609441e+120),
+])
+def test_rps_best_response_refuses_a_root_below_the_bracket_at_float_extremes(
+        args, s, deadline):
+    g = make_game(*args)
+    assert log_foc(g, s, DOMAIN_EPS) < 0.0
+    with deadline(5), pytest.raises(DegenerateGameError, match="below the bracket"):
+        rps_best_response(g, s)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: rps_best_response(REF, 5.5065, tol=math.nan),
-    lambda: rps_best_response(REF, 5.5065, tol=0.0),
     lambda: rps_best_response(REF, math.inf),
-    *(lambda tol=tol: rps_best_response(REF, 5.5065, tol=tol)
-      for tol in (math.inf, -math.inf, -1.0)),
     *(lambda s=s: rps_best_response(REF, s) for s in (math.nan, -math.inf, -1.0, 0.0)),
     *(lambda tol=tol: best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=tol)
       for tol in (math.inf, -math.inf, -1.0, 0.0)),
     # At nu = inf the stock read 0, and at nu = 1e-320 it overflowed to inf.
     *(lambda nu=nu: bs_best_response(REF, nu) for nu in (math.inf, 1e-320)),
-], ids=["rps-tol-nan", "rps-tol-zero", "rps-s-inf", "rps-tol-inf", "rps-tol--inf",
-        "rps-tol-negative", "rps-s-nan", "rps-s--inf", "rps-s-negative", "rps-s-zero",
+], ids=["rps-s-inf", "rps-s-nan", "rps-s--inf", "rps-s-negative", "rps-s-zero",
         "brd-tol-inf", "brd-tol--inf", "brd-tol-negative", "brd-tol-zero",
         "bs-nu-inf", "bs-nu-subnormal"])
 def test_solvers_reject_bad_tolerance_and_stock(call):
@@ -220,7 +234,7 @@ def test_solvers_reject_bad_tolerance_and_stock(call):
 # ----------------------------- supplier best response on the whole domain
 
 def _ref_rps_best_response(g, s, tol=1e-10):
-    """The bisection that guarded Newton replaced, kept as its reference."""
+    """A bisection on the first-order condition, the reference for Newton."""
     residual_b = (1.0 - g.alpha) * g.b
 
     def foc(nu: float) -> float:
@@ -241,13 +255,14 @@ def _ref_rps_best_response(g, s, tol=1e-10):
 
 
 def log_foc(g, s, nu):
-    """ln of the supplier FOC's left side over its right side, +-inf past (0, phi)."""
+    """ln of the supplier FOC's left side over its right side, +-inf past (0, phi)
+    and -inf where nu * s overflows."""
     if nu <= 0.0:
         return math.inf
-    if nu >= g.phi:
+    if nu >= g.phi or nu * s == math.inf:
         return -math.inf
     return (math.log((1.0 - g.alpha) * g.b) - math.log(g.cs) - math.log1p(g.phi)
-            - nu * s + math.log1p(nu * s) + 2.0 * math.log((g.phi - nu) / nu))
+            - nu * s + math.log1p(nu * s) + 2.0 * (math.log(g.phi - nu) - math.log(nu)))
 
 
 def log_uniform(lo, hi):
@@ -272,24 +287,65 @@ def within(deadline, call):
 
 
 @on_the_domain
-@given(domain_games, log_uniform(1e-4, 1e6), log_uniform(1e-14, 1e-4),
-       st.none() | st.floats(-0.5, 1.5))
-def test_rps_best_response_on_the_parameter_domain(deadline, g, s, tol, start_frac):
+@given(domain_games, log_uniform(1e-4, 1e6), st.none() | st.floats(-0.5, 1.5))
+# One case per exit: the step rounds away; rounding crosses the root (REF
+# from the midpoint); midpoint cuts toward the upper end, where phi - DOMAIN_EPS
+# rounds to phi and the root lies past it; the root lies below the bracket; a
+# start outside the bracket.
+@example(make_game(15.509717568752068, 457.235879132555, 693.0602297904592,
+                   0.9000986907671215), 0.0013553755484921213, None)
+@example(REF, 5.5065, None)
+@example(make_game(10.0, 1e-300, 1e6, 0.5), math.log(6.0) / 5e5, None)
+@example(make_game(1e-3, 1.0, 1e-3, 1.0 - 1.1e-16), 1.0, None)
+@example(make_game(403.75252746868824, 28.230718763147177, 14346.372073767616,
+                   0.9415653832094962), 2506.0270093245163, -0.4419895434327705)
+def test_rps_best_response_on_the_parameter_domain(deadline, g, s, start_frac):
     # Any start, inside the bracket or not, must reach the same root.
     start = None if start_frac is None else start_frac * g.phi
-    nu = within(deadline, lambda: rps_best_response(g, s, tol=tol, start=start))
-    lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
-    t = max(tol, 4.0 * math.ulp(hi))
+    nu = within(deadline, lambda: rps_best_response(g, s, start=start))
+    lo, hi = DOMAIN_EPS, min(g.phi - DOMAIN_EPS, math.nextafter(g.phi, 0.0))
     if log_foc(g, s, lo) < 0.0:
         # The root lies below the bracket: no nu in it is a best response.
         assert isinstance(nu, DegenerateGameError), nu
         return
     assert 0.0 < nu < g.phi
-    # The FOC changes sign within tol of nu, unless its root lies past the
-    # upper end of the bracket and nu is within tol of that end.
+    # The FOC changes sign within a relative 1e-13 of nu, unless its root
+    # lies past the upper end of the bracket and nu is within 4 ulps of it.
+    t = 1e-13 * nu
     assert log_foc(g, s, max(nu - t, lo)) >= 0.0
-    assert nu + t >= hi or log_foc(g, s, nu + t) <= 0.0
-    assert abs(nu - _ref_rps_best_response(g, s, tol=tol)) <= 2.0 * t
+    assert nu >= hi - 4.0 * math.ulp(hi) or log_foc(g, s, nu + t) <= 0.0
+    t = max(t, 4.0 * math.ulp(hi))   # the reference's resolution
+    assert abs(nu - _ref_rps_best_response(g, s, tol=t)) <= 2.0 * t
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300), log_uniform(1e-11, 1e300),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), log_uniform(1e-300, 1e300),
+       st.none() | st.floats())
+# The first Newton step, ln(nu) + 1061, is past exp's range.
+@example(1e300, 1e-300, 1e300, 0.5, 1e-300, 1e-11)
+def test_rps_best_response_terminates_at_float_extremes(deadline, b, cs, phi, alpha, s, start):
+    g = make_game(b, cs, phi, alpha)
+    nu = within(deadline, lambda: rps_best_response(g, s, start=start))
+    assert isinstance(nu, GreenstockError) or 0.0 < nu < phi, nu
+
+
+def test_rps_best_response_root_condition_is_concave_in_log_nu():
+    # H(x) = level - w + ln(1 + w) + 2 ln(phi - nu) - 2x with x = ln nu and
+    # w = nu s: no second difference on a fine grid of x is above rounding.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        s, phi = 10.0 ** rng.uniform(-3, 6, size=2)
+        level = rng.uniform(-30.0, 30.0)
+        x = np.linspace(math.log(DOMAIN_EPS), math.log(phi) + math.log1p(-1e-9), 20_001)
+        nu = np.exp(x)
+        w = nu * s
+        terms = (level, -w, np.log1p(w), 2.0 * np.log(phi - nu), -2.0 * x)
+        H = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        second = H[2:] - 2.0 * H[1:-1] + H[:-2]
+        assert (second <= 16 * np.finfo(float).eps * scale[1:-1]).all()
 
 
 @on_the_domain
@@ -748,11 +804,7 @@ def test_power_split_matches_grid_oracle():
 
 
 def test_solvers_terminate_below_float_spacing(deadline):
-    # A tolerance below the float spacing of the bracket must not loop forever.
-    with deadline(5):
-        nu = rps_best_response(REF, 5.5065, tol=1e-300)
-    assert nu == pytest.approx(rps_best_response(REF, 5.5065), abs=1e-9)
-    # A subnormal tol: the supplier solves' tolerance, relative to nu, must not underflow to 0.
+    # A subnormal tol: the dynamics' stop, relative to s and nu, must not underflow to 0.
     for tol in (1e-310, 5e-324):
         with deadline(5):
             fixed, _ = best_response_dynamics(REF, StrategyPair(s=1.0, nu=2e-12), tol=tol)
