@@ -11,7 +11,8 @@ chain is worth doing at the optimal operating point
     cost           = 2 sqrt(p lambda gamma) + (p + p1) lambda + p2 (lambda_bar - lambda),
 
 and all-renewable beats all-grid exactly when lambda_bar exceeds the
-break-even rate lambda_hat = 4 p gamma / (p2 - p1 - p)^2.
+break-even rate lambda_hat = 4 p gamma / (p2 - p1 - p)^2.  Each station
+function takes one `BsProfile`, or a `Market`, whose arrays it reads elementwise.
 
 The supplier rations capacity mu0 across submitted orders with one of
 three mechanisms: proportional, descending-order priority (with
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +84,18 @@ class BsProfile:
                                  f"got {self.lambda_bar}")
         _nonnegative("b", self.b)
 
+    @property
+    def gamma(self) -> float:
+        """ln(1 + b)."""
+        return math.log1p(self.b)
+
 
 @dataclass(frozen=True)
 class Market:
     """N >= 2 base stations facing one supplier of capacity mu0.
 
     Requires p2 > p1 + p; below that no BS orders renewable supply at all.
+    `lambda_bar` and `gamma` hold the profiles' values as read-only arrays.
     """
 
     profiles: tuple[BsProfile, ...]
@@ -96,6 +103,8 @@ class Market:
     p: float
     p1: float
     p2: float
+    lambda_bar: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.profiles) < 2:
@@ -103,6 +112,11 @@ class Market:
         _positive("mu0", self.mu0)
         _check_prices(self.p, self.p1, self.p2)
         _check_gap(self.p, self.p1, self.p2)
+        # Each profile's math.log1p: np.log1p can differ from it in the last bit.
+        for name in ("lambda_bar", "gamma"):
+            values = np.array([getattr(pr, name) for pr in self.profiles], dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
@@ -133,53 +147,37 @@ class AllocationResult:
     rejected: frozenset[int] = frozenset()
 
 
-def optimal_demand(
-    profile: BsProfile, lam: float, p: float, p1: float, p2: float
-) -> tuple[float, float, float]:
+def optimal_demand(stations, lam, p: float, p1: float, p2: float):
     """Optimal supply rate, base stock and cost for serving `lam` renewably.
 
-    Returns (mu_hat, s_hat, cost); lam = 0 degenerates to (0, 0, p2*lambda_bar).
+    Returns (mu_hat, s_hat, cost), elementwise; lam = 0 degenerates to
+    (0, 0, p2*lambda_bar).  `stations` is a `BsProfile` or a `Market`,
+    whose station j serves lam[..., j].
     """
     _check_prices(p, p1, p2)
-    if not 0.0 <= lam <= profile.lambda_bar + FEAS_EPS:
+    if not np.all((0.0 <= lam) & (lam <= stations.lambda_bar + FEAS_EPS)):
         raise ParameterError(
-            f"lam must lie in [0, lambda_bar={profile.lambda_bar}], got {lam}")
-    s_hat, cost = _on_curve(profile, lam, p, p1, p2)
-    return _mu_on_curve(profile, lam, p), float(s_hat), float(cost)
+            f"lam must lie in [0, lambda_bar={stations.lambda_bar}], got {lam}")
+    s_hat = np.sqrt(p * lam * stations.gamma)
+    cost = 2.0 * s_hat + (p + p1) * lam + p2 * (stations.lambda_bar - lam)
+    return _mu_on_curve(stations, lam, p), s_hat, cost
 
 
-def _station(profile):
-    """(lambda_bar, ln(1 + b)): floats for one BsProfile, arrays for a sequence of them."""
-    if isinstance(profile, BsProfile):
-        return profile.lambda_bar, math.log1p(profile.b)
-    # math.log1p, as for one profile: np.log1p can differ from it in the last bit.
-    return (np.array([pr.lambda_bar for pr in profile], dtype=float),
-            np.array([math.log1p(pr.b) for pr in profile]))
-
-
-def _on_curve(profile: BsProfile, lam, p: float, p1: float, p2: float):
-    """optimal_demand's (s_hat, cost), elementwise over a rate or an array of rates."""
-    s_hat = np.sqrt(p * lam * math.log1p(profile.b))
-    return s_hat, 2.0 * s_hat + (p + p1) * lam + p2 * (profile.lambda_bar - lam)
-
-
-def _mu_on_curve(profile, lam, p: float):
-    """mu_hat(lam): a float for one BsProfile, elementwise for a sequence of them,
-    where an overflow reads inf, as in float arithmetic, for the callers to refuse."""
-    if isinstance(profile, BsProfile):
-        return math.sqrt(lam * math.log1p(profile.b) / p) + lam
+def _mu_on_curve(stations, lam, p: float):
+    """mu_hat(lam), elementwise, where an overflow reads inf, as in float
+    arithmetic, for the callers to refuse."""
     with np.errstate(over="ignore"):
-        return np.sqrt(lam * _station(profile)[1] / p) + lam
+        return np.sqrt(lam * stations.gamma / p) + lam
 
 
-def breakeven_lambda(profile, p: float, p1: float, p2: float):
+def breakeven_lambda(stations, p: float, p1: float, p2: float):
     """Arrival rate at which all-renewable and all-grid costs tie:
 
         lambda_hat = 4 p ln(1 + b) / (p2 - p1 - p)^2.
 
     A BS prefers all-renewable iff lambda_bar >= lambda_hat (the objective
-    is concave in lambda, so the optimum sits at a boundary).  A sequence
-    of profiles (a market's `profiles`) gives the array of their rates.
+    is concave in lambda, so the optimum sits at a boundary).  `stations`
+    is a `BsProfile` or a `Market`, which gives the array of their rates.
     """
     _check_prices(p, p1, p2)
     if p2 <= p1 + p:
@@ -187,39 +185,35 @@ def breakeven_lambda(profile, p: float, p1: float, p2: float):
             f"p2 <= p1 + p: every BS orders zero renewable supply "
             f"(p2={p2}, p1={p1}, p={p})")
     _check_gap(p, p1, p2)
-    return 4.0 * p * _station(profile)[1] / (p2 - p1 - p) ** 2
+    return 4.0 * p * stations.gamma / (p2 - p1 - p) ** 2
 
 
-def breakeven_rate(profile, p: float, p1: float, p2: float):
+def breakeven_rate(stations, p: float, p1: float, p2: float):
     """Supply rate mu_hat(lambda_hat) at the break-even arrival rate.
 
     Grants live in supply-rate units, so take-or-leave rejections compare
-    against this rate, not against lambda_hat itself.  A sequence of
-    profiles gives the array of their rates.
+    against this rate, not against lambda_hat itself.  `stations` is a
+    `BsProfile` or a `Market`, which gives the array of their rates.
     """
-    return _mu_on_curve(profile, breakeven_lambda(profile, p, p1, p2), p)
+    return _mu_on_curve(stations, breakeven_lambda(stations, p, p1, p2), p)
 
 
-def _lambda_on_curve(profile: BsProfile, rate, p: float):
+def _lambda_on_curve(stations, rate, p: float):
     """Invert mu_hat(lambda) = rate, elementwise: with g = sqrt(gamma/p),
-    lambda = t^2 for t the positive root of t^2 + g t - rate = 0."""
-    gamma = math.log1p(profile.b)
-    if gamma == 0.0:
-        return rate
-    g = math.sqrt(gamma / p)
+    lambda = t^2 for t the positive root of t^2 + g t - rate = 0, and
+    lambda = rate where gamma = 0."""
+    g = np.sqrt(stations.gamma / p)
     t = 0.5 * (-g + np.sqrt(g * g + 4.0 * rate))
-    return t * t
+    return np.where(g == 0.0, rate, t * t)
 
 
 def truthful_orders(market: Market) -> OrderVector:
     """Each BS's optimal order: mu_hat(lambda_bar) when lambda_bar is at or
     past break-even, else 0 (all-grid).  At b = 0 break-even is 0, and the
     order is mu_hat(lambda_bar) = lambda_bar."""
-    profiles = market.profiles
-    lambda_bar = _station(profiles)[0]
-    served = lambda_bar >= breakeven_lambda(profiles, market.p, market.p1, market.p2)
+    served = market.lambda_bar >= breakeven_lambda(market, market.p, market.p1, market.p2)
     return OrderVector(orders=tuple(
-        np.where(served, _mu_on_curve(profiles, lambda_bar, market.p), 0.0).tolist()))
+        np.where(served, _mu_on_curve(market, market.lambda_bar, market.p), 0.0).tolist()))
 
 
 def _order_matrix(market: Market, orders) -> np.ndarray:
@@ -269,7 +263,7 @@ def _unsort(sorted_values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _thresholds(market: Market) -> np.ndarray:
-    return breakeven_rate(market.profiles, market.p, market.p1, market.p2)
+    return breakeven_rate(market, market.p, market.p1, market.p2)
 
 
 def proportional_allocation(market: Market, orders):
@@ -431,7 +425,7 @@ pareto_priority_allocation._deviation_grants = _pareto_deviation
 adaptive_uniform_allocation._deviation_grants = _adaptive_deviation
 
 
-def post_allocation_cost(profile, granted_rate, p: float, p1: float, p2: float):
+def post_allocation_cost(stations, granted_rate, p: float, p1: float, p2: float):
     """Best operating point for a BS holding supply rate `granted_rate`.
 
     The BS pays p per unit granted rate regardless of use, then picks the
@@ -442,12 +436,12 @@ def post_allocation_cost(profile, granted_rate, p: float, p1: float, p2: float):
     whose first-order condition gives
     lam(a) = clamp(a - sqrt(a*gamma/(p2 - p1)), 0, min(lambda_bar, a)).
     Returns (lam, cost); a = 0 returns (0, p2*lambda_bar).  A float rate
-    gives floats, an array of rates gives arrays of the same shape.  For a
-    sequence of N profiles (a market's `profiles`), station j is costed at
+    gives floats, an array of rates gives arrays of the same shape.
+    `stations` is a `BsProfile` or a `Market`, whose station j is costed at
     granted_rate[..., j], as in the (K, N) grants; that last axis must be N long.
     """
     _check_prices(p, p1, p2)
-    lambda_bar, gamma = _station(profile)
+    lambda_bar, gamma = stations.lambda_bar, stations.gamma
     if np.ndim(lambda_bar) and np.shape(granted_rate)[-1:] != np.shape(lambda_bar):
         raise ParameterError(f"granted rates need a last axis of {len(lambda_bar)} "
                              f"stations, got shape {np.shape(granted_rate)}")
@@ -460,8 +454,6 @@ def post_allocation_cost(profile, granted_rate, p: float, p1: float, p2: float):
     # at a = 0, where the last term is 0 / 1, or at a subnormal a that
     # 1 - FEAS_EPS cannot lower, where it is lam * gamma / 1, subnormal too.
     cost = p * a + p1 * lam + p2 * (lambda_bar - lam) + lam * gamma / (a - lam + (lam == a))
-    if a.ndim == 0:
-        return float(lam), float(cost)
     return lam, cost
 
 
@@ -481,7 +473,7 @@ def social_cost(market: Market, grants):
     totals = _row_sums(rows)
     if (totals > market.mu0 + 1e-6).any():
         raise ParameterError(f"grants sum {totals.max()} exceeds capacity {market.mu0}")
-    _, costs = post_allocation_cost(market.profiles, rows, market.p, market.p1, market.p2)
+    _, costs = post_allocation_cost(market, rows, market.p, market.p1, market.p2)
     costs = _row_sums(costs)
     return float(costs[0]) if g.ndim == 1 else costs
 
@@ -514,9 +506,8 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     if n > 12:
         raise ParameterError(f"brute force limited to N <= 12, got {n}")
     p, p1, p2 = market.p, market.p1, market.p2
-    full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) for pr in market.profiles]
-    full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
-    grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
+    full_rate, _, full_cost = optimal_demand(market, market.lambda_bar, p, p1, p2)
+    grid_cost = p2 * market.lambda_bar
 
     # served[i] flags the masks serving BS i; `values` is stored by column for speed.
     served = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(bool)
@@ -530,8 +521,9 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     for j, pr in enumerate(market.profiles):
         # Only where BS j can take the residual, so no sqrt sees an infeasible mask.
         takes = np.flatnonzero(has_residual & ~served[j] & (residual < full_rate[j]))
-        lam = _lambda_on_curve(pr, residual[takes], p)
-        values[takes, 1 + j] = value[takes] - grid_cost[j] + _on_curve(pr, lam, p, p1, p2)[1]
+        # At large rates rounding can carry lam past lambda_bar + FEAS_EPS.
+        lam = np.minimum(_lambda_on_curve(pr, residual[takes], p), pr.lambda_bar + FEAS_EPS)
+        values[takes, 1 + j] = value[takes] - grid_cost[j] + optimal_demand(pr, lam, p, p1, p2)[2]
     # Mask 0 serves nobody, so it is feasible and the least value is finite.
     masks, cols = np.nonzero(values <= values.min() + 1e-9)
     grants = np.where(served[:, masks].T, full_rate, 0.0)
@@ -627,18 +619,20 @@ def truthfulness_audit(
             f"lower the station count, n_points or n_scenarios")
     # Station i's deviation grid spans [0, span * mu_hat(lambda_bar_i)], up to its full demand.
     with np.errstate(over="ignore"):        # an overflow reads inf, refused below
-        tops = grid.span * _mu_on_curve(market.profiles, _station(market.profiles)[0], market.p)
-    for i, top in enumerate(tops.tolist()):
-        _positive(f"station {i}'s largest deviation order span * mu_hat", top)
+        tops = grid.span * _mu_on_curve(market, market.lambda_bar, market.p)
+    i = int(np.argmin((0.0 < tops) & (tops <= _FLOAT_MAX)))    # the first refused, else 0
+    _positive(f"station {i}'s largest deviation order span * mu_hat", tops[i].item())
     m_star = np.array(truthful_orders(market).orders)
     p, p2, q = market.p, market.p2, market.p2 - market.p1
-    for i, (profile, top, own) in enumerate(zip(market.profiles, tops.tolist(), m_star.tolist())):
-        a, gamma = min(market.mu0, max(top, own)), math.log1p(profile.b)
-        bound = p * a + p2 * profile.lambda_bar + gamma * (a + a / q + 1.0 / FEAS_EPS)
-        if not bound <= 0.5 * _FLOAT_MAX:
-            raise ParameterError(
-                f"station {i}'s post-allocation costs are bounded only by {bound:.3g}, "
-                f"past half of float range; lower its rate, the prices or mu0")
+    a = np.minimum(market.mu0, np.maximum(tops, m_star))
+    # An overflow reads inf, and 0 * inf nan, as in float arithmetic; both are refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = p * a + p2 * market.lambda_bar + market.gamma * (a + a / q + 1.0 / FEAS_EPS)
+    i = int(np.argmin(bound <= 0.5 * _FLOAT_MAX))
+    if not bound[i] <= 0.5 * _FLOAT_MAX:
+        raise ParameterError(
+            f"station {i}'s post-allocation costs are bounded only by {bound[i]:.3g}, "
+            f"past half of float range; lower its rate, the prices or mu0")
     # The grid's top * (n_points - 1) and each row's sum of N orders must stay in float range.
     largest = max(float(tops.max()), OPPONENT_PERTURBATION[1] * float(m_star.max()))
     if not max(grid.n_points, n) * largest <= 0.5 * _FLOAT_MAX:
@@ -668,7 +662,7 @@ def truthfulness_audit(
             raise ParameterError(
                 f"{name}'s grants at the truthful orders differ from its deviation kernel's")
         # cost[k, t, i]: deviator i's cost at its order t in scenario k.
-        _, cost = post_allocation_cost(market.profiles, grants.transpose(1, 2, 0),
+        _, cost = post_allocation_cost(market, grants.transpose(1, 2, 0),
                                        market.p, market.p1, market.p2)
         # Costs are positive, so no gain is -0.0; fmax skips a nan gain as a running max() did.
         improvements = np.fmax(improvements, np.fmax.reduce(cost[:, :1] - cost[:, 1:], axis=(0, 1)))

@@ -14,7 +14,7 @@ class ParameterError(GreenstockError, ValueError):
 
 
 class DegenerateGameError(GreenstockError):
-    """The game has no interior equilibrium (alpha=1, b=0 or c_s=0)."""
+    """The game has no interior equilibrium (alpha=1, b=0 or c_s=0), or its nu rounds onto phi."""
 
 
 class ConvergenceError(GreenstockError):

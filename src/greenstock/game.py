@@ -204,6 +204,8 @@ def nash_equilibrium(g: GameInstance) -> StrategyPair:
         raise DegenerateGameError("degenerate game: auxiliary function vanishes")
     root = math.sqrt(1.0 + g.phi)
     nu = f * g.phi / (root + f)
+    if not nu < g.phi:
+        raise DegenerateGameError(f"the equilibrium nu* rounds onto the pole phi={g.phi}")
     s = (root + f) * math.log1p(g.alpha * g.b) / (f * g.phi)
     return StrategyPair(s=s, nu=nu)
 
@@ -260,6 +262,8 @@ def centralized_optimum(g: GameInstance) -> StrategyPair:
     nu = g.phi * root / (root + g.cs * math.sqrt(g.phi + 1.0))
     if not nu > 0.0:
         raise ParameterError(f"nu_bar underflows to 0 at b_n={g.b}, cs_n={g.cs}, phi={g.phi}")
+    if not nu < g.phi:
+        raise DegenerateGameError(f"the optimum nu_bar rounds onto the pole phi={g.phi}")
     return StrategyPair(s=gamma / nu, nu=nu)
 
 

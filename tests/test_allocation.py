@@ -894,11 +894,13 @@ def _ref_bruteforce(market):
     """social_optimum_bruteforce's rule as a loop over every mask and
     residual taker: of the extreme points within 1e-9 of the least planner
     value, in mask order with full service before each residual taker, the
-    first within 1e-12 of their least social_cost wins."""
+    first within 1e-12 of their least social_cost wins.  Every value is a
+    Python float, so that a repr compares values, not types."""
     n = market.n
     p, p1, p2 = market.p, market.p1, market.p2
-    full_rate = [_mu_on_curve(pr, pr.lambda_bar, p) for pr in market.profiles]
-    full_cost = [optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2] for pr in market.profiles]
+    full_rate = [float(_mu_on_curve(pr, pr.lambda_bar, p)) for pr in market.profiles]
+    full_cost = [float(optimal_demand(pr, pr.lambda_bar, p, p1, p2)[2])
+                 for pr in market.profiles]
     grid_cost = [p2 * pr.lambda_bar for pr in market.profiles]
 
     points = []
@@ -921,9 +923,9 @@ def _ref_bruteforce(market):
         for j in range(n):
             if mask >> j & 1 or residual >= full_rate[j]:
                 continue
-            lam_j = _lambda_on_curve(market.profiles[j], residual, p)
+            lam_j = float(_lambda_on_curve(market.profiles[j], residual, p))
             cand = (value - grid_cost[j]
-                    + optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2])
+                    + float(optimal_demand(market.profiles[j], lam_j, p, p1, p2)[2]))
             points.append((cand, grants[:j] + (residual,) + grants[j + 1:]))
     least = min(value for value, _ in points)
     candidates = [(grants, social_cost(market, grants))
@@ -938,7 +940,7 @@ def planner_markets(draw):
     sliver of the full-service demand to well past it."""
     profiles = draw(tied_profiles(draw(st.integers(2, 12))))
     p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
-    full = sum(_mu_on_curve(pr, pr.lambda_bar, p) for pr in profiles)
+    full = sum(float(_mu_on_curve(pr, pr.lambda_bar, p)) for pr in profiles)
     return Market(profiles=profiles, mu0=max(draw(st.floats(0.0, 1.5)) * full, 1e-3),
                   p=p, p1=p1, p2=p1 + p + draw(st.floats(0.01, 20.0)))
 
@@ -975,6 +977,23 @@ def test_bruteforce_costs_a_later_mask_within_the_tie_tolerance():
     assert repr(result) == repr(_ref_bruteforce(market))
 
 
+def test_bruteforce_takes_a_residual_whose_curve_rate_rounds_past_lambda_bar():
+    """mu0 is the two full rates' sum, so serving station 0 leaves station 1
+    a residual one rounding below its full rate.  Inverted on the curve it
+    reads 1.5e-8 past lambda_bar = 1.2e8, more than FEAS_EPS; the planner
+    still costs that point and returns it."""
+    profiles = (BsProfile(lambda_bar=7e7, b=2.0, index=0),
+                BsProfile(lambda_bar=1.2e8, b=2.0, index=1))
+    full = [float(_mu_on_curve(pr, pr.lambda_bar, 2.0)) for pr in profiles]
+    market = Market(profiles=profiles, mu0=full[0] + full[1], p=2.0, p1=1.0, p2=10.0)
+    residual = market.mu0 - full[0]
+    assert residual < full[1]
+    assert _lambda_on_curve(profiles[1], residual, 2.0) > 1.2e8 + FEAS_EPS
+    grants, cost = social_optimum_bruteforce(market)
+    assert grants == (full[0], residual)
+    assert cost == social_cost(market, grants)
+
+
 @settings(max_examples=100, deadline=None)
 @given(markets_with_orders())
 # A subnormal grant, which 1 - FEAS_EPS cannot lower, at zero backlog cost.
@@ -1000,24 +1019,37 @@ def test_social_cost_rows_match_the_one_row_calls(case):
 @settings(max_examples=100, deadline=None)
 @given(markets_with_orders(), st.integers(1, 4))
 def test_station_calls_match_the_one_profile_calls(case, width):
-    """post_allocation_cost over a market's profiles costs station j at
+    """A market's lambda_bar and gamma are its profiles' floats, bit for
+    bit, in read-only arrays that leave equality and hashing to the five
+    fields.  post_allocation_cost over a market costs station j at
     [..., j] of (K, N) and (G, T, N) rates, bit-equal to its one-profile
-    call; breakeven_lambda, breakeven_rate and truthful_orders over the
-    profiles are bit-equal to their per-station scalars."""
+    call; breakeven_lambda, breakeven_rate, optimal_demand and
+    truthful_orders over the market are bit-equal to their per-station
+    scalars."""
     market, orders = case
     prices = market.p, market.p1, market.p2
+    assert _bits(market.lambda_bar) == _bits([pr.lambda_bar for pr in market.profiles])
+    assert _bits(market.gamma) == _bits([math.log1p(pr.b) for pr in market.profiles])
+    assert not market.lambda_bar.flags.writeable and not market.gamma.flags.writeable
+    twin = Market(profiles=market.profiles, mu0=market.mu0, p=market.p, p1=market.p1,
+                  p2=market.p2)
+    assert twin == market and hash(twin) == hash(market)
     grants = adaptive_uniform_allocation(market, orders)
     stacked = np.stack([orders * (0.5 * t) for t in range(width)], axis=1)
     for rates in (orders, grants, stacked):
-        lam, cost = post_allocation_cost(market.profiles, rates, *prices)
+        lam, cost = post_allocation_cost(market, rates, *prices)
         assert lam.shape == cost.shape == rates.shape
         for j, pr in enumerate(market.profiles):
             one_lam, one_cost = post_allocation_cost(pr, rates[..., j], *prices)
             assert _bits(lam[..., j]) == _bits(one_lam)
             assert _bits(cost[..., j]) == _bits(one_cost)
     for breakeven in (breakeven_lambda, breakeven_rate):
-        assert _bits(breakeven(market.profiles, *prices)) == _bits(
+        assert _bits(breakeven(market, *prices)) == _bits(
             [breakeven(pr, *prices) for pr in market.profiles])
+    for column, one in zip(optimal_demand(market, market.lambda_bar, *prices),
+                           zip(*[optimal_demand(pr, pr.lambda_bar, *prices)
+                                 for pr in market.profiles])):
+        assert _bits(column) == _bits(one)
     assert _bits(truthful_orders(market).orders) == _bits([
         math.sqrt(pr.lambda_bar * math.log1p(pr.b) / market.p) + pr.lambda_bar
         if pr.lambda_bar >= breakeven_lambda(pr, *prices) else 0.0
@@ -1029,7 +1061,7 @@ def test_post_allocation_cost_refuses_a_last_axis_other_than_the_stations():
     for rates in (2.0, np.ones(market.n - 1), np.ones((market.n, 3)),
                   np.ones((2, 3, market.n + 1))):
         with pytest.raises(ParameterError, match="last axis"):
-            post_allocation_cost(market.profiles, rates, market.p, market.p1, market.p2)
+            post_allocation_cost(market, rates, market.p, market.p1, market.p2)
 
 
 def test_bruteforce_beats_proportional_with_strict_gap_somewhere():

@@ -155,6 +155,13 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["audit", "--set", "b=0", "--set", "lambda_step=5e306", "--set", "p=1e-300",
       "--set", "p1=0", "--set", "p2=1e-100", "--set", "n_scenarios=2", "--set", "grid_points=20"],
      "the audit's largest order 1e+308 times max(n_points, stations) passes half of float range"),
+    # The closed forms' nu rounds onto the pole phi (and past it at cs=1e-100).
+    (["nash", "--set", "cs=1e-300", "--set", "phi=1e6"],
+     "the equilibrium nu* rounds onto the pole phi=1000000.0"),
+    (["central", "--set", "cs=1e-100", "--set", "phi=1e6"],
+     "the optimum nu_bar rounds onto the pole phi=1000000.0"),
+    (["central", "--set", "cs=1e-300", "--set", "phi=1e6"],
+     "the optimum nu_bar rounds onto the pole phi=1000000.0"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
