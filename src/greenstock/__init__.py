@@ -33,7 +33,6 @@ from .errors import (
 from .game import (
     EquilibriumReport,
     GameInstance,
-    TransferContract,
     auxiliary_f,
     best_response_dynamics,
     bs_best_response,

@@ -155,11 +155,13 @@ def optimal_demand(stations, lam, p: float, p1: float, p2: float):
     whose station j serves lam[..., j].
     """
     _check_prices(p, p1, p2)
-    if not np.all((0.0 <= lam) & (lam <= stations.lambda_bar + FEAS_EPS)):
+    lambda_bar = stations.lambda_bar
+    # Relative above lambda_bar = 1: past about 1e7, float spacing exceeds FEAS_EPS.
+    if not np.all((0.0 <= lam) & (lam <= lambda_bar + FEAS_EPS * np.maximum(1.0, lambda_bar))):
         raise ParameterError(
-            f"lam must lie in [0, lambda_bar={stations.lambda_bar}], got {lam}")
+            f"lam must lie in [0, lambda_bar={lambda_bar}], got {lam}")
     s_hat = np.sqrt(p * lam * stations.gamma)
-    cost = 2.0 * s_hat + (p + p1) * lam + p2 * (stations.lambda_bar - lam)
+    cost = 2.0 * s_hat + (p + p1) * lam + p2 * (lambda_bar - lam)
     return _mu_on_curve(stations, lam, p), s_hat, cost
 
 
@@ -521,8 +523,7 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     for j, pr in enumerate(market.profiles):
         # Only where BS j can take the residual, so no sqrt sees an infeasible mask.
         takes = np.flatnonzero(has_residual & ~served[j] & (residual < full_rate[j]))
-        # At large rates rounding can carry lam past lambda_bar + FEAS_EPS.
-        lam = np.minimum(_lambda_on_curve(pr, residual[takes], p), pr.lambda_bar + FEAS_EPS)
+        lam = _lambda_on_curve(pr, residual[takes], p)
         values[takes, 1 + j] = value[takes] - grid_cost[j] + optimal_demand(pr, lam, p, p1, p2)[2]
     # Mask 0 serves nobody, so it is feasible and the least value is finite.
     masks, cols = np.nonzero(values <= values.min() + 1e-9)

@@ -32,7 +32,6 @@ from .core import NormalizedParams, StrategyPair
 from .errors import GreenstockError, ParameterError, _whole
 from .game import (
     GameInstance,
-    TransferContract,
     auxiliary_f,
     best_response_dynamics,
     centralized_cost,
@@ -130,7 +129,7 @@ def scenario_penalty_contract(params: dict, seed: int) -> ResultTable:
     report = equilibrium_report(g)
     lo, hi = report.epsilon_range or (math.nan, math.nan)
     eps = 0.5 * (lo + hi) if math.isnan(params["epsilon"]) else params["epsilon"]
-    bs_coord, rps_coord = coordinated_costs(g, TransferContract(eps), report.central)
+    bs_coord, rps_coord = coordinated_costs(g, eps, report.central)
     return ResultTable(
         columns=["b", "cs", "phi", "alpha", "penalty", "eps_lo", "eps_hi",
                  "epsilon", "cost_central", "cost_bs_ne", "cost_rps_ne",
@@ -289,7 +288,7 @@ def check_nash(table: ResultTable, seed: int):
             phi=rng.uniform(0.5, 3), alpha=rng.uniform(0.1, 0.9)))
         ne, _, gap = _dynamics(g, params)
         worst_gap = max(worst_gap, gap)
-        worst_foc = max(worst_foc, abs(ne.nu * ne.s - math.log1p(g.alpha * g.b)))
+        worst_foc = max(worst_foc, abs(ne.nu * ne.s - g.log_ab))
         worst_id = max(worst_id, abs(cost_bs(g, ne) - ne.s))
     return [
         ("dynamics agree with closed form to 1e-6", worst_gap <= 1e-6, f"{worst_gap:.2e}"),
@@ -362,13 +361,14 @@ def check_penalty_contract(table: ResultTable, seed: int):
 def _split_costs(g: GameInstance, total_lambda: float, mu0: float, p1: float, p2: float,
                  lams: list) -> list:
     """power_split's cost at each lambda in closed form; lambda = 0 is all-grid."""
-    f, gamma = auxiliary_f(g), math.log1p(g.alpha * g.b)
+    f = auxiliary_f(g)
 
     def cost(lam: float) -> float:
         if lam <= 0.0:
             return p2 * total_lambda
         phi = mu0 / lam - 1.0
-        return (math.sqrt(1.0 + phi) + f) * gamma / (f * phi) + p1 * lam + p2 * (total_lambda - lam)
+        stock = (math.sqrt(1.0 + phi) + f) * g.log_ab / (f * phi)
+        return stock + p1 * lam + p2 * (total_lambda - lam)
 
     return [cost(lam) for lam in lams]
 

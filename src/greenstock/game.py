@@ -1,7 +1,8 @@
 """The two-player supply-inventory game between a base station and its supplier.
 
 The BS picks the base-stock level s, the supplier picks the normalized
-supply rate nu in (0, phi).  Normalized per-unit-time costs:
+supply rate nu in (0, phi); the cost functions take DOMAIN_EPS < nu < phi.
+Normalized per-unit-time costs:
 
     bs cost       C_o(s, nu) = s - (1 - e^{-nu s})/nu + alpha*b * e^{-nu s}/nu
     supplier cost C_r(s, nu) = (1-alpha)*b * e^{-nu s}/nu + c_s (nu+1)/(phi-nu)
@@ -9,15 +10,15 @@ supply rate nu in (0, phi).  Normalized per-unit-time costs:
 The module provides the closed-form Nash equilibrium, best-response
 dynamics (convergent because the game is supermodular once nu is ordered
 in reverse), the centralized benchmark, the competition penalty, the
-cost-sharing transfer contract that aligns both objectives with the
-centralized cost, and the renewable/grid load split built on top of the
-equilibrium cost.
+linear contract (one sharing fraction eps) that aligns both objectives
+with the centralized cost, and the renewable/grid load split built on top
+of the equilibrium cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
 from .errors import (_FLOAT_MAX, ConvergenceError, DegenerateGameError, ParameterError,
@@ -25,36 +26,31 @@ from .errors import (_FLOAT_MAX, ConvergenceError, DegenerateGameError, Paramete
 
 @dataclass(frozen=True)
 class GameInstance:
-    """One game, fully described by its normalized parameters."""
+    """One game, fully described by its normalized parameters.
+
+    b, cs, phi and alpha are read off `norm`, and the three constants the game
+    functions share, log_ab = ln(1 + alpha*b), gamma = ln(1 + b) and
+    residual_b = (1 - alpha)*b, are derived once.  None of them takes part in
+    `==`, `hash` or the repr, which stay those of `norm`.
+    """
 
     norm: NormalizedParams
-
-    @property
-    def b(self) -> float:
-        return self.norm.b_n
-
-    @property
-    def cs(self) -> float:
-        return self.norm.cs_n
-
-    @property
-    def phi(self) -> float:
-        return self.norm.phi
-
-    @property
-    def alpha(self) -> float:
-        return self.norm.alpha
-
-
-@dataclass(frozen=True)
-class TransferContract:
-    """Cost-sharing fraction epsilon: supplier carries eps*C, BS carries (1-eps)*C."""
-
-    epsilon: float
+    b: float = field(init=False, repr=False, compare=False)
+    cs: float = field(init=False, repr=False, compare=False)
+    phi: float = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
+    log_ab: float = field(init=False, repr=False, compare=False)
+    gamma: float = field(init=False, repr=False, compare=False)
+    residual_b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ParameterError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        norm = self.norm
+        b, alpha = norm.b_n, norm.alpha
+        for name, value in (("b", b), ("cs", norm.cs_n), ("phi", norm.phi), ("alpha", alpha),
+                            ("log_ab", math.log1p(alpha * b)), ("gamma", math.log1p(b)),
+                            # Not b - alpha*b, which cancels to a wrong residual as alpha -> 1.
+                            ("residual_b", (1.0 - alpha) * b)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class EquilibriumReport:
 
 
 def _check_domain(g: GameInstance, x: StrategyPair) -> None:
-    if x.nu >= g.phi - DOMAIN_EPS:
+    if not x.nu < g.phi:
         raise ParameterError(f"nu must stay below phi={g.phi}, got {x.nu}")
 
 
@@ -85,7 +81,7 @@ def cost_rps(g: GameInstance, x: StrategyPair) -> float:
     """Supplier cost: residual backlog share plus the load-factor supply term."""
     _check_domain(g, x)
     supply = g.cs * (x.nu + 1.0) / (g.phi - x.nu)
-    return (1.0 - g.alpha) * g.b * mean_backlog(x.s, x.nu) + supply
+    return g.residual_b * mean_backlog(x.s, x.nu) + supply
 
 
 def total_cost(g: GameInstance, x: StrategyPair) -> float:
@@ -100,10 +96,7 @@ def auxiliary_f(g: GameInstance) -> float:
     """
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0 for the auxiliary function")
-    ab = g.alpha * g.b
-    # Not b - ab, which cancels to a wrong residual as alpha -> 1.
-    residual = (1.0 - g.alpha) * g.b
-    return math.sqrt(residual * (1.0 + math.log1p(ab)) / (g.cs * (1.0 + ab)))
+    return math.sqrt(g.residual_b * (1.0 + g.log_ab) / (g.cs * (1.0 + g.alpha * g.b)))
 
 
 def bs_best_response(g: GameInstance, nu: float) -> float:
@@ -112,7 +105,7 @@ def bs_best_response(g: GameInstance, nu: float) -> float:
     nu must be finite and > 0, and a stock past float range is refused."""
     if not 0.0 < nu <= _FLOAT_MAX:
         _positive("nu", nu)
-    s = math.log1p(g.alpha * g.b) / nu
+    s = g.log_ab / nu
     if not s <= _FLOAT_MAX:
         raise ParameterError(f"the stock ln(1 + alpha*b)/nu overflows float range at nu={nu}")
     return s
@@ -133,8 +126,9 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
 
     is strictly decreasing and concave.  Newton steps nu <- nu exp(-H/H')
     from `start` when it lies strictly inside [DOMAIN_EPS, hi], else from the
-    midpoint, with hi = min(phi - DOMAIN_EPS, the float below phi, max float / s);
-    the root lies below max float / s.  H lies below its tangents, so a step
+    midpoint, with hi = min(the float below phi, max float / s); the root
+    lies below max float / s, and a phi at or below DOMAIN_EPS leaves an
+    empty bracket (ParameterError).  H lies below its tangents, so a step
     from an iterate right of the root (H <= 0) lands right of it again, and
     one from the left does too, unless it reaches hi and is cut to the
     midpoint toward hi.  The loop returns the iterate where the step rounds
@@ -147,22 +141,19 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
     """
     if not 0.0 < s <= _FLOAT_MAX:
         _positive("s", s)
-    norm = g.norm
-    b, cs, phi, alpha = norm.b_n, norm.cs_n, norm.phi, norm.alpha
-    if cs <= 0:
+    if g.cs <= 0:
         raise ParameterError("cs_n must be > 0")
-    residual_b = (1.0 - alpha) * b
-    if residual_b <= 0:
+    if g.residual_b <= 0:
         raise DegenerateGameError(
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
-    lo, hi = DOMAIN_EPS, phi - DOMAIN_EPS
+    phi = g.phi
+    lo, hi = DOMAIN_EPS, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s)
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
-    hi = min(hi, math.nextafter(phi, 0.0), _FLOAT_MAX / s)
     log, log1p, exp = math.log, math.log1p, math.exp
     # Three logs, not one of the quotient, which can underflow to 0.
-    level = log(residual_b) - log(cs) - log1p(phi)
+    level = log(g.residual_b) - log(g.cs) - log1p(phi)
     nu = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     right = False
     while True:
@@ -180,9 +171,8 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
             break   # the step rounds away: nu is the root to working precision
         if new < lo:
             raise DegenerateGameError(
-                f"the supplier's best response lies below the bracket [{DOMAIN_EPS}, "
-                f"{phi - DOMAIN_EPS}] for nu (s={s}): the first-order condition is "
-                f"negative at nu={DOMAIN_EPS}")
+                f"the supplier's best response lies below the bracket [{lo}, {hi}] "
+                f"for nu (s={s}): the first-order condition is negative at nu={lo}")
         nu = new
     return nu
 
@@ -206,7 +196,7 @@ def nash_equilibrium(g: GameInstance) -> StrategyPair:
     nu = f * g.phi / (root + f)
     if not nu < g.phi:
         raise DegenerateGameError(f"the equilibrium nu* rounds onto the pole phi={g.phi}")
-    s = (root + f) * math.log1p(g.alpha * g.b) / (f * g.phi)
+    s = (root + f) * g.log_ab / (f * g.phi)
     return StrategyPair(s=s, nu=nu)
 
 
@@ -257,22 +247,20 @@ def centralized_optimum(g: GameInstance) -> StrategyPair:
     """
     if g.b <= 0 or g.cs <= 0:
         raise DegenerateGameError("centralized optimum requires b > 0 and cs_n > 0")
-    gamma = math.log1p(g.b)
-    root = math.sqrt(g.cs * gamma)
+    root = math.sqrt(g.cs * g.gamma)
     nu = g.phi * root / (root + g.cs * math.sqrt(g.phi + 1.0))
     if not nu > 0.0:
         raise ParameterError(f"nu_bar underflows to 0 at b_n={g.b}, cs_n={g.cs}, phi={g.phi}")
     if not nu < g.phi:
         raise DegenerateGameError(f"the optimum nu_bar rounds onto the pole phi={g.phi}")
-    return StrategyPair(s=gamma / nu, nu=nu)
+    return StrategyPair(s=g.gamma / nu, nu=nu)
 
 
 def centralized_cost(g: GameInstance) -> float:
     """Minimum joint cost C(s_bar, nu_bar) = (c_s + gamma + 2 sqrt(c_s gamma (1+phi)))/phi."""
     if g.b <= 0 or g.cs <= 0:
         raise DegenerateGameError("centralized cost requires b > 0 and cs_n > 0")
-    gamma = math.log1p(g.b)
-    return (g.cs + gamma + 2.0 * math.sqrt(g.cs * gamma * (1.0 + g.phi))) / g.phi
+    return (g.cs + g.gamma + 2.0 * math.sqrt(g.cs * g.gamma * (1.0 + g.phi))) / g.phi
 
 
 def equilibrium_report(g: GameInstance) -> EquilibriumReport:
@@ -295,18 +283,19 @@ def equilibrium_report(g: GameInstance) -> EquilibriumReport:
     )
 
 
-def coordinated_costs(
-    g: GameInstance, contract: TransferContract, x: StrategyPair
-) -> tuple[float, float]:
-    """Costs under the transfer payment eps'(s,nu) = eps*C_o - (1-eps)*C_r:
+def coordinated_costs(g: GameInstance, epsilon: float, x: StrategyPair) -> tuple[float, float]:
+    """Costs under the linear contract with sharing fraction epsilon in [0, 1],
+    whose transfer payment eps'(s,nu) = eps*C_o - (1-eps)*C_r leaves
 
         BS pays (1-eps) C(s, nu), supplier pays eps C(s, nu),
 
     so both are proportional to the centralized objective and the sum
     telescopes back to C exactly.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ParameterError(f"epsilon must lie in [0, 1], got {epsilon}")
     c = total_cost(g, x)
-    return (1.0 - contract.epsilon) * c, contract.epsilon * c
+    return (1.0 - epsilon) * c, epsilon * c
 
 
 def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
@@ -353,12 +342,11 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     _nonnegative("the bill p2 * total_lambda", p2 * total_lambda)
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0 for the auxiliary function")
-    residual, ab = (1.0 - g.alpha) * g.b, g.alpha * g.b
-    if residual <= 0.0:
+    if g.residual_b <= 0.0:
         return 0.0, p2 * total_lambda
-    log_ab = math.log1p(ab)
+    ab, log_ab = g.alpha * g.b, g.log_ab
     # Three roots, not one of the quotient, which can leave float range where 1/f does not.
-    inv_f = math.sqrt(g.cs) / math.sqrt(residual) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
+    inv_f = math.sqrt(g.cs) / math.sqrt(g.residual_b) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
     hi, q = min(total_lambda, mu0 * (1.0 - 1e-6)), p2 - p1
     lams = [0.0, hi]
     if log_ab > 0.0 and q > 0.0:

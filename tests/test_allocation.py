@@ -111,6 +111,18 @@ def test_optimal_demand_idle_and_no_backlog():
         optimal_demand(pr, 4.0, p=0.0, p1=1.0, p2=10.0)
 
 
+def test_optimal_demand_admits_a_curve_rate_one_rounding_past_lambda_bar():
+    """Inverted on the curve, mu_hat(lambda_bar) reads lambda_bar plus two ulps,
+    3e-8 past lambda_bar = 7e7 and so past an absolute FEAS_EPS; the tolerance
+    is relative there, and a rate beyond it is still refused."""
+    pr = BsProfile(lambda_bar=7e7, b=5.0, index=0)
+    lam = _lambda_on_curve(pr, _mu_on_curve(pr, pr.lambda_bar, 0.25), 0.25)
+    assert lam > pr.lambda_bar + FEAS_EPS
+    assert np.isfinite(optimal_demand(pr, lam, 0.25, 1.0, 10.0)).all()
+    with pytest.raises(ParameterError, match="lam must lie in"):
+        optimal_demand(pr, pr.lambda_bar * (1.0 + 2.0 * FEAS_EPS), 0.25, 1.0, 10.0)
+
+
 def test_optimal_demand_matches_grid_refinement():
     """2-D refinement of p*mu + C_o|alpha=1 over (mu, s) finds the closed form."""
     pr = BsProfile(lambda_bar=4.0, b=2.0, index=0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -265,6 +266,21 @@ def test_large_headroom_nash_terminates(deadline):
     with deadline(5):
         assert main(["nash", "--set", "b=1e6", "--set", "cs=0.001",
                      "--set", "phi=1e5"]) == 0
+
+
+@pytest.mark.parametrize("name", ["nash", "penalty-contract"])
+def test_game_answers_where_nu_star_lies_within_domain_eps_of_phi(name, capsys):
+    # nu* = 9.999999999999998 < phi = 10: the cost functions once refused it
+    # as not below phi - DOMAIN_EPS, and both commands exited 2.
+    sets = {"cs": 1e-32, "phi": 10.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([name, "--set", "cs=1e-32", "--set", "phi=10"]) == 0
+        table = run_scenario(name, sets, 0)
+    assert all(math.isfinite(v) for v in table.rows[0])
+    nu_star = greenstock.nash_equilibrium(cli._game(resolve_params(name, sets))).nu
+    assert nu_star == 9.999999999999998
+    assert dict(zip(table.columns, table.rows[0])).get("nu_star", nu_star) == nu_star
 
 
 def test_nash_dynamics_converge_at_a_large_stock(tmp_path):

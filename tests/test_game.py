@@ -5,6 +5,7 @@ oracles; property checks draw random valid instances from a seeded rng,
 or from the whole `NormalizedParams` domain with hypothesis.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from greenstock import (
     NormalizedParams,
     ParameterError,
     StrategyPair,
-    TransferContract,
     auxiliary_f,
     best_response_dynamics,
     bs_best_response,
@@ -164,9 +164,13 @@ def test_rps_best_response_falls_with_supply_cost():
 
 
 def test_rps_best_response_rejects_an_empty_bracket():
-    for phi in (1e-13, 2 * DOMAIN_EPS):
+    # The bracket is [DOMAIN_EPS, the float below phi].
+    for phi in (1e-13, DOMAIN_EPS):
         with pytest.raises(ParameterError, match="no room"):
             rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
+    # Not empty at 2 DOMAIN_EPS, but the root, near phi/2, lies just below it.
+    with pytest.raises(DegenerateGameError, match="below the bracket"):
+        rps_best_response(make_game(10.0, 5.0, 2 * DOMAIN_EPS, 0.5), 5.5065)
     for phi in (3e-12, 1e-9, 1e-6):
         nu = rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
         assert 0.0 < nu < phi
@@ -275,6 +279,25 @@ domain_games = st.builds(
 
 on_the_domain = settings(max_examples=300, deadline=None,
                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@on_the_domain
+@given(domain_games, domain_games)
+def test_game_instance_derives_its_fields_once(g, other):
+    norm = g.norm
+    b, alpha = norm.b_n, norm.alpha
+    expected = {"b": b, "cs": norm.cs_n, "phi": norm.phi, "alpha": alpha,
+                "log_ab": math.log1p(alpha * b), "gamma": math.log1p(b),
+                "residual_b": (1.0 - alpha) * b}
+    for name, value in expected.items():
+        assert getattr(g, name).hex() == value.hex(), name
+    twin = GameInstance(NormalizedParams(b_n=b, cs_n=norm.cs_n, phi=norm.phi, alpha=alpha))
+    assert twin == g and hash(twin) == hash(g)
+    assert repr(g) == f"GameInstance(norm={norm!r})"
+    moved = dataclasses.replace(g, norm=other.norm)
+    assert moved == other
+    for name in expected:
+        assert getattr(moved, name).hex() == getattr(other, name).hex(), name
 
 
 def within(deadline, call):
@@ -636,9 +659,9 @@ def test_epsilon_participation_inequalities():
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, -0.1, 1.1])
-def test_transfer_contract_rejects_nan_and_out_of_range(epsilon):
-    with pytest.raises(ParameterError, match="epsilon"):
-        TransferContract(epsilon)
+def test_coordinated_costs_rejects_nan_and_out_of_range(epsilon):
+    with pytest.raises(ParameterError, match=r"epsilon must lie in \[0, 1\]"):
+        coordinated_costs(REF, epsilon, centralized_optimum(REF))
 
 
 @pytest.mark.parametrize("args, name", [
@@ -709,18 +732,17 @@ def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
 
 
 def test_coordinated_costs_telescope():
-    contract = TransferContract(epsilon=0.7)
     rng = np.random.default_rng(23)
     for _ in range(25):
         x = StrategyPair(s=float(rng.uniform(0.1, 12.0)),
                          nu=float(rng.uniform(0.05, 0.95)))
-        bs_c, rps_c = coordinated_costs(REF, contract, x)
+        bs_c, rps_c = coordinated_costs(REF, 0.7, x)
         assert bs_c + rps_c == pytest.approx(total_cost(REF, x), abs=1e-12)
 
 
 def test_coordinated_costs_at_centralized_point():
     opt = centralized_optimum(REF)
-    bs_c, rps_c = coordinated_costs(REF, TransferContract(epsilon=0.7), opt)
+    bs_c, rps_c = coordinated_costs(REF, 0.7, opt)
     assert bs_c == pytest.approx(0.3 * 17.191557, abs=1e-4)
     assert rps_c == pytest.approx(0.7 * 17.191557, abs=1e-4)
 
@@ -729,7 +751,6 @@ def test_coordinated_argmin_is_centralized_gridpoint():
     """On a 200x200 grid both players' coordinated costs bottom out exactly
     where the joint cost does."""
     opt = centralized_optimum(REF)
-    contract = TransferContract(epsilon=0.7)
     s_axis = np.linspace(0.05, 4 * opt.s, 200)
     nu_axis = REF.phi * np.arange(1, 201) / 201
     k_joint = None
@@ -739,7 +760,7 @@ def test_coordinated_argmin_is_centralized_gridpoint():
         for j, nu in enumerate(nu_axis):
             x = StrategyPair(s=float(s), nu=float(nu))
             joint = total_cost(REF, x)
-            bs_c, _ = coordinated_costs(REF, contract, x)
+            bs_c, _ = coordinated_costs(REF, 0.7, x)
             if joint < best_joint:
                 best_joint, k_joint = joint, (i, j)
             if bs_c < best_bs:

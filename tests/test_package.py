@@ -20,7 +20,7 @@ EXPORTS = {
             "exact_backlog_discrete mean_backlog mean_inventory",
     "errors": "AllGridRegimeError ConvergenceError DegenerateGameError GreenstockError "
               "ParameterError",
-    "game": "EquilibriumReport GameInstance TransferContract auxiliary_f "
+    "game": "EquilibriumReport GameInstance auxiliary_f "
             "best_response_dynamics bs_best_response centralized_cost centralized_optimum "
             "coordinated_costs cost_bs cost_rps "
             "equilibrium_report nash_equilibrium power_split rps_best_response total_cost",
