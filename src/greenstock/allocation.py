@@ -281,6 +281,14 @@ def proportional_allocation(market: Market, orders):
     return _result(orders, m * scale[:, None])
 
 
+def _capacity_before(mu0: float, s: np.ndarray) -> np.ndarray:
+    """mu0 less the orders ahead of each position 0..len of s's last axis,
+    floored at 0: bit-equal to granting min(order, capacity) turn by turn,
+    as the chain is that while the orders fit, and <= 0 once one does not."""
+    chain = np.concatenate([np.full(s.shape[:-1] + (1,), mu0), s], axis=-1)
+    return np.maximum(np.subtract.accumulate(chain, axis=-1), 0.0)
+
+
 def pareto_priority_allocation(market: Market, orders):
     """Serve orders in descending size until capacity runs out.
 
@@ -289,12 +297,7 @@ def pareto_priority_allocation(market: Market, orders):
     """
     m = _order_matrix(market, orders)
     idx, s = _descending(m)
-    g = np.empty_like(s)
-    capacity = np.full(len(s), market.mu0)
-    for pos in range(market.n):
-        g[:, pos] = np.minimum(s[:, pos], capacity)
-        capacity -= g[:, pos]
-    g = _unsort(g, idx)
+    g = _unsort(np.minimum(s, _capacity_before(market.mu0, s[:, :-1])), idx)
     rejected = (0.0 < g) & (g < m) & (g < _thresholds(market))
     g[rejected] = 0.0
     return _result(orders, g, rejected)
@@ -383,12 +386,8 @@ def _proportional_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
 
 
 def _pareto_deviation(market: Market, scen, x, thresholds) -> np.ndarray:
-    so = _opponents_descending(scen)
     # capacity[..., r]: what the opponents ranked above position r leave.
-    capacity = np.empty(so.shape[:2] + (market.n,))
-    capacity[..., 0] = market.mu0
-    for q in range(market.n - 1):
-        capacity[..., q + 1] = capacity[..., q] - np.minimum(so[..., q], capacity[..., q])
+    capacity = _capacity_before(market.mu0, _opponents_descending(scen))
     ranks = _deviation_ranks(scen, x)
     x = x[:, None, :]
     g = np.minimum(x, _at_rank(capacity, ranks))

@@ -24,14 +24,14 @@ arrival; its carries (that arrival, N after it, the events so far)
 follow from the chunk's own counts, so it never waits.  One worker
 thread, started for the run, tallies chunk k while chunk k+1 is drawn:
 the stable merge, N's +/-1 counts, the holding times, and the chunk's
-pmf bins, total and batch partials.  The calling thread folds those
-partials in chunk order, so each float sum adds the same terms in the
-same order as one thread would, and a run's figures are bit-identical
-however the stages overlap.  A one-chunk run tallies inline and starts
-no thread.  Memory is O(two chunks + outstanding orders): a stable run's
-horizon is bounded by time alone, while an unstable run's pending
-departures and pmf grow with its backlog, and it stays capped at 1e8
-events.
+pmf bins, total and batch sums, which it folds into the run's one
+accumulator as it tallies each chunk.  It takes the chunks in order, so
+each float sum adds the same terms in the same order as one thread
+would, and a run's figures are bit-identical however the stages
+overlap.  A one-chunk run tallies inline and starts no thread.  Memory
+is O(two chunks + outstanding orders): a stable run's horizon is bounded
+by time alone, while an unstable run's pending departures and pmf grow
+with its backlog, and it stays capped at 1e8 events.
 
 Importing the module loads no numpy, and nothing here loads scipy or
 statistics.  Each function that draws or simulates imports numpy when it
@@ -323,12 +323,13 @@ def _customer_chunks(config: SimConfig, n: int):
                config.service.sample(service_rng, size), start + size == n)
 
 
-def _recursion(config: SimConfig, horizon: int):
+def _recursion(config: SimConfig):
     """The calling thread's stage: per chunk of customers, the inputs of its
     `_Tally` call (head, n_out, start, arrivals, departed), until the run
-    has `horizon` events.  Each carry follows from the chunk's own counts,
+    has `config.horizon` events.  Each carry follows from the chunk's own counts,
     so the recursion never waits for a tally."""
     import numpy as np
+    horizon = config.horizon
     a_last = cs_last = 0.0                # carried: last arrival, last cumulative service,
     run_max = -math.inf                   # the recursion's running maximum,
     pending = deque()                     # sorted runs of departures not before the last arrival,
@@ -368,19 +369,24 @@ def _recursion(config: SimConfig, horizon: int):
 
 
 class _Tally:
-    """The worker's stage: merges one chunk's events into time order and sums
-    its post-warmup intervals.  A call returns (low, weights, held, batches):
-    N's holding times binned from N = low, their total, and, inside the
-    batch-means window, (first batch, areas, times) of the batches touched;
-    None when every interval is in the warmup.
+    """The worker's stage and the run's one accumulator: merges each chunk's
+    events into time order and folds its post-warmup intervals, in chunk
+    order, into N's time weights `pmf[:size]`, their `total`, and the 20
+    batches' sums of N * hold (`batch_area`) and of hold (`batch_time`).
+    So each sum adds the same floats in the same order as one pass over
+    the run.
 
     The two merge buffers are kept from chunk to chunk: freed and allocated
     afresh, a chunk's megabytes go back to the OS and fault in again."""
 
-    def __init__(self, horizon: int, warm: int, usable: int, per_batch: int):
+    def __init__(self, horizon: int):
         import numpy as np
-        self.horizon, self.warm, self.usable, self.per_batch = horizon, warm, usable, per_batch
+        self.horizon, self.warm = horizon, horizon // 10
+        self.per_batch = (horizon - 1 - self.warm) // _BATCHES    # 20 equal-count batches
+        self.usable = self.per_batch * _BATCHES
         self.buffers = np.empty(0), np.empty(0)
+        self.pmf, self.size, self.total = np.zeros(0), 0, 0.0
+        self.batch_area, self.batch_time = np.zeros(_BATCHES), np.zeros(_BATCHES)
 
     def __call__(self, head, n_out, start, arrivals, departed):
         import numpy as np
@@ -410,13 +416,21 @@ class _Tally:
         skip = max(self.warm - start, 0)
         # In place: numpy makes an overlapping ufunc act as if its input were copied.
         hold = np.subtract(times[skip + 1:], times[skip:-1], out=times[skip:-1])
-        if not hold.size:
-            return None
+        if not hold.size:                 # every interval is in the warmup
+            return
         state = count[skip:-1]
         low = int(state.min())
         if low:
             state -= low
-        weights, held, batches = np.bincount(state, weights=hold), float(hold.sum()), None
+        weights = np.bincount(state, weights=hold)
+        top = low + weights.size
+        if top > self.pmf.size:           # grown geometrically; a new bin adds to 0.0
+            grown = np.zeros(max(top, 2 * self.pmf.size))
+            grown[:self.size] = self.pmf[:self.size]
+            self.pmf = grown
+        self.pmf[low:top] += weights
+        self.size = max(self.size, top)
+        self.total += float(hold.sum())
         j0 = start + skip - self.warm     # post-warmup index of hold[0]
         if j0 < self.usable:
             m = min(hold.size, self.usable - j0)
@@ -426,16 +440,19 @@ class _Tally:
             if low:
                 state[:m] += low
             area = np.multiply(state[:m], hold[:m], out=hold[:m])    # hold is spent
-            batches = (j0 // self.per_batch, np.add.reduceat(area, edges), time)
-        return low, weights, held, batches
+            q0 = j0 // self.per_batch
+            self.batch_area[q0:q0 + time.size] += np.add.reduceat(area, edges)
+            self.batch_time[q0:q0 + time.size] += time
 
 
 def _tallies(jobs, tally, inline: bool):
     """tally(*job) for each job, in order: inline, or on one worker thread
-    while the calling thread computes the next job."""
+    while the calling thread computes the next job.  The worker takes its
+    tasks first in, first out, and job k is done before job k + 2 is
+    submitted, so the calls run one at a time, in order."""
     if inline:
         for job in jobs:
-            yield tally(*job)
+            tally(*job)
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -444,9 +461,9 @@ def _tallies(jobs, tally, inline: bool):
         for job in jobs:
             future = worker.submit(tally, *job)
             if ahead is not None:
-                yield ahead.result()
+                ahead.result()
             ahead = future
-        yield ahead.result()
+        ahead.result()
 
 
 def simulate(config: SimConfig) -> SimStats:
@@ -474,44 +491,17 @@ def simulate(config: SimConfig) -> SimStats:
     if intervals < _BATCHES:
         warnings.warn(f"{intervals} post-warmup intervals are fewer than the "
                       f"{_BATCHES} batch means; ci_halfwidth is inf", stacklevel=2)
-    weights, total, batch_area, batch_time = _run(config)
-    ci = _halfwidth(batch_area / batch_time) if intervals >= _BATCHES else math.inf
-    return _summary(weights / total, ci, intervals, total)
+    run = _run(config)
+    ci = _halfwidth(run.batch_area / run.batch_time) if intervals >= _BATCHES else math.inf
+    return _summary(run.pmf[:run.size] / run.total, ci, intervals, run.total)
 
 
-def _run(config: SimConfig):
-    """One run's chunks drawn, tallied and folded (see `_fold`)."""
-    horizon, warm = config.horizon, config.horizon // 10
-    per_batch = (horizon - 1 - warm) // _BATCHES    # batch means over 20 equal-count batches
-    tally = _Tally(horizon, warm, per_batch * _BATCHES, per_batch)
-    return _fold(_tallies(_recursion(config, horizon), tally,
-                          inline=horizon // 2 + 2 <= _CHUNK))   # a one-chunk run starts no thread
-
-
-def _fold(parts):
-    """The tallies' partials summed in chunk order, so that each sum adds the
-    same floats in the same order as one pass over the run: N's time
-    weights, their total, and the batches' sums of N * hold and of hold."""
-    import numpy as np
-    pmf, size, total = np.zeros(0), 0, 0.0            # pmf[:size] holds N's time weights
-    batch_area, batch_time = np.zeros(_BATCHES), np.zeros(_BATCHES)
-    for part in parts:
-        if part is None:
-            continue
-        low, weights, held, batches = part
-        top = low + weights.size
-        if top > pmf.size:                # grown geometrically; a new bin adds to 0.0
-            grown = np.zeros(max(top, 2 * pmf.size))
-            grown[:size] = pmf[:size]
-            pmf = grown
-        pmf[low:top] += weights
-        size = max(size, top)
-        total += held
-        if batches:
-            q0, area, time = batches
-            batch_area[q0:q0 + area.size] += area
-            batch_time[q0:q0 + time.size] += time
-    return pmf[:size], total, batch_area, batch_time
+def _run(config: SimConfig) -> _Tally:
+    """One run's chunks drawn, then tallied and folded into its `_Tally`."""
+    tally = _Tally(config.horizon)
+    _tallies(_recursion(config), tally,
+             inline=config.horizon // 2 + 2 <= _CHUNK)    # a one-chunk run starts no thread
+    return tally
 
 
 def _halfwidth(means: np.ndarray) -> float:
@@ -611,12 +601,12 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     # The later replicates keep what the pool reads, summed in replicate order.
     pooled, means, sim_time = first.pdf.copy(), [first.mean_outstanding], first.sim_time
     for k in range(1, n_reps):
-        weights, total, _, _ = _run(replace(config, seed=config.seed + k))
-        pdf = weights / total
+        run = _run(replace(config, seed=config.seed + k))
+        pdf = run.pmf[:run.size] / run.total
         if pdf.size > pooled.size:
             pooled = np.concatenate([pooled, np.zeros(pdf.size - pooled.size)])
         pooled[: pdf.size] += pdf
         means.append(float(pdf @ np.arange(pdf.size)))
-        sim_time += total
+        sim_time += run.total
     return _summary(pooled / n_reps, _halfwidth(np.array(means)), n_reps * first.events,
                     sim_time)

@@ -632,6 +632,11 @@ def markets_with_orders(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(markets_with_orders())
+# Reference-market rows (mu0 = 20) whose orders fill mu0 exactly, whose
+# largest order alone exceeds it, and which order nothing.
+@example((reference_market(), np.array([[5.0, 4.0, 3.0, 3.0, 2.0, 1.5, 1.0, 0.5]])))
+@example((reference_market(), np.array([[0.5, 25.0, 1.0, 0.0, 2.0, 3.0, 0.0, 1.0]])))
+@example((reference_market(), np.zeros((1, 8))))
 def test_kernels_match_scalar_references_on_the_market_domain(case):
     market, orders = case
     for mechanism, reference in REFERENCES.items():

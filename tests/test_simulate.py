@@ -558,9 +558,9 @@ def _figures(stats):
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_pipelined_run_is_bit_identical_to_one_thread(name):
-    """The worker tallies while the next chunk is drawn, and the partials are
-    folded in chunk order, so the figures keep every bit; the unstable run
-    keeps them with its pending departures held as sorted runs."""
+    """The worker tallies while the next chunk is drawn, and folds each chunk
+    into the run's sums in chunk order, so the figures keep every bit; the
+    unstable run keeps them with its pending departures held as sorted runs."""
     cfg, pinned = _PINNED[name]
     assert cfg.horizon // 2 + 2 >= 4 * sim_module._CHUNK
     with warnings.catch_warnings():
