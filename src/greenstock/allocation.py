@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, AllGridRegimeError, ParameterError, _nonnegative, _positive, _whole
+from .errors import (_FLOAT_MAX, AllGridRegimeError, ParameterError, _Frozen, _nonnegative,
+                     _positive, _whole)
 
 FEAS_EPS = 1e-9
 # Largest (N, n_points + 1) float64 array of one scenario's deviation
@@ -66,23 +67,21 @@ def _check_gap(p: float, p1: float, p2: float) -> None:
             f"is in float range (p2={p2}, p1={p1}, p={p})")
 
 
-@dataclass(frozen=True)
-class BsProfile:
+class BsProfile(namedtuple("BsProfile", "lambda_bar b index")):
     """One base station: total arrival rate, normalized backlog cost, identity."""
 
-    lambda_bar: float
-    b: float
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lambda_bar: float, b: float, index: int):
         # Written so that nan fails every range check.  At a subnormal rate
         # the post-allocation cost's a * gamma / (p2 - p1) underflows to 0,
         # and its last term divides by zero.
-        if not sys.float_info.min <= self.lambda_bar < math.inf:
+        if not sys.float_info.min <= lambda_bar < math.inf:
             raise ParameterError(f"lambda_bar must be finite and > 0, and not below the "
                                  f"smallest normal float {sys.float_info.min}, "
-                                 f"got {self.lambda_bar}")
-        _nonnegative("b", self.b)
+                                 f"got {lambda_bar}")
+        _nonnegative("b", b)
+        return tuple.__new__(cls, (lambda_bar, b, index))
 
     @property
     def gamma(self) -> float:
@@ -90,51 +89,44 @@ class BsProfile:
         return math.log1p(self.b)
 
 
-@dataclass(frozen=True)
-class Market:
+class Market(_Frozen, namedtuple("Market", "profiles mu0 p p1 p2")):
     """N >= 2 base stations facing one supplier of capacity mu0.
 
     Requires p2 > p1 + p; below that no BS orders renewable supply at all.
     `lambda_bar` and `gamma` hold the profiles' values as read-only arrays.
     """
 
-    profiles: tuple[BsProfile, ...]
-    mu0: float
-    p: float
-    p1: float
-    p2: float
-    lambda_bar: np.ndarray = field(init=False, repr=False, compare=False)
-    gamma: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.profiles) < 2:
+    def __new__(cls, profiles: tuple[BsProfile, ...], mu0: float, p: float, p1: float, p2: float):
+        if len(profiles) < 2:
             raise ParameterError("a market needs at least 2 base stations")
-        _positive("mu0", self.mu0)
-        _check_prices(self.p, self.p1, self.p2)
-        _check_gap(self.p, self.p1, self.p2)
+        _positive("mu0", mu0)
+        _check_prices(p, p1, p2)
+        _check_gap(p, p1, p2)
+        self = tuple.__new__(cls, (profiles, mu0, p, p1, p2))
         # Each profile's math.log1p: np.log1p can differ from it in the last bit.
         for name in ("lambda_bar", "gamma"):
-            values = np.array([getattr(pr, name) for pr in self.profiles], dtype=float)
+            values = np.array([getattr(pr, name) for pr in profiles], dtype=float)
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            self.__dict__[name] = values
+        return self
 
     @property
     def n(self) -> int:
         return len(self.profiles)
 
 
-@dataclass(frozen=True)
-class OrderVector:
+class OrderVector(namedtuple("OrderVector", "orders")):
     """Per-BS supply-rate requests, aligned with Market.profiles."""
 
-    orders: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _nonnegative("orders", *self.orders)
+    def __new__(cls, orders: tuple[float, ...]):
+        _nonnegative("orders", *orders)
+        return tuple.__new__(cls, (orders,))
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(namedtuple("AllocationResult", "grants n_hat rejected",
+                                  defaults=(None, frozenset()))):
     """Feasible grants, aligned with profiles: grant <= order, and sum <= mu0
     up to the rounding of the sum.
 
@@ -142,9 +134,7 @@ class AllocationResult:
     `rejected` lists indices zeroed by the take-or-leave step.
     """
 
-    grants: tuple[float, ...]
-    n_hat: int | None = None
-    rejected: frozenset[int] = frozenset()
+    __slots__ = ()
 
 
 def optimal_demand(stations, lam, p: float, p1: float, p2: float):
@@ -534,29 +524,26 @@ def social_optimum_bruteforce(market: Market) -> tuple[tuple[float, ...], float]
     return tuple(grants[best].tolist()), float(costs[best])
 
 
-@dataclass(frozen=True)
-class DeviationGrid:
-    """Audit resolution: deviation grid per BS and opponent-order scenarios."""
+class DeviationGrid(namedtuple("DeviationGrid", "n_points span n_scenarios seed")):
+    """Audit resolution: n_points deviations per BS, covering [0, span * truthful
+    order], and n_scenarios random opponent perturbations beyond truthful."""
 
-    n_points: int = 200
-    span: float = 2.5            # grid covers [0, span * truthful order]
-    n_scenarios: int = 20        # random opponent perturbations beyond truthful
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, low in (("n_points", 2), ("n_scenarios", 0), ("seed", 0)):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
-        _positive("span", self.span)
+    def __new__(cls, n_points: int = 200, span: float = 2.5, n_scenarios: int = 20, seed: int = 0):
+        grid = (_whole("n_points", n_points, 2), span, _whole("n_scenarios", n_scenarios, 0),
+                _whole("seed", seed, 0))
+        _positive("span", span)
+        return tuple.__new__(cls, grid)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of a dominant-strategy audit for one mechanism."""
+class AuditReport(namedtuple("AuditReport",
+                             "mechanism max_improvement improvements truthful_dominant")):
+    """Outcome of a dominant-strategy audit for one mechanism: max_improvement,
+    the best cost cut any BS found anywhere; improvements, the per-BS maxima
+    over scenarios and grid; truthful_dominant, max_improvement <= 1e-9."""
 
-    mechanism: str
-    max_improvement: float                  # best cost cut any BS found anywhere
-    improvements: tuple[float, ...]         # per-BS maxima over scenarios and grid
-    truthful_dominant: bool                 # max_improvement <= 1e-9
+    __slots__ = ()
 
 
 def truthfulness_audit(
@@ -667,9 +654,5 @@ def truthfulness_audit(
         # Costs are positive, so no gain is -0.0; fmax skips a nan gain as a running max() did.
         improvements = np.fmax(improvements, np.fmax.reduce(cost[:, :1] - cost[:, 1:], axis=(0, 1)))
     max_improvement = float(improvements.max())
-    return AuditReport(
-        mechanism=name,
-        max_improvement=max_improvement,
-        improvements=tuple(improvements.tolist()),
-        truthful_dominant=max_improvement <= 1e-9,
-    )
+    return AuditReport(name, max_improvement, tuple(improvements.tolist()),
+                       max_improvement <= 1e-9)

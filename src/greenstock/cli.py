@@ -18,13 +18,13 @@ criteria, prints one PASS/FAIL line each on stderr and exits 3 on failure.
 from __future__ import annotations
 
 import argparse
-import json
+import bisect
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -49,13 +49,12 @@ if TYPE_CHECKING:   # numpy and the allocation layer load inside the functions t
     from .allocation import Market
 
 
-@dataclass
-class ResultTable:
+class ResultTable(SimpleNamespace):
     """Rectangular numeric table plus provenance for the CSV header."""
 
-    columns: list[str]
-    rows: list[list]
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, columns: list[str], rows: list[list], provenance: dict | None = None):
+        super().__init__(columns=columns, rows=rows,
+                         provenance={} if provenance is None else provenance)
 
 
 def _timestamp() -> str:
@@ -105,11 +104,17 @@ def scenario_central(params: dict, seed: int) -> ResultTable:
 
 
 def _dynamics(g: GameInstance, params: dict) -> tuple[StrategyPair, int, float]:
-    """Closed-form NE, best-response iterations and their final gap to it."""
+    """Closed-form NE, best-response iterations and their final gap to it.
+
+    Near the NE a round scales the error in ln nu by r <= q/(q + 2), q = w^2/(1 + w),
+    w = ln(1 + alpha b) <= 710.  Games drawn across float range took at most
+    25/(1 - r) = 25 (1 + q/2) rounds; the dynamics get 64 (1 + q/2)."""
     ne = nash_equilibrium(g)
     # s = 1.0 is arbitrary: the first step is bs_best_response(g, start.nu).
     start = StrategyPair(s=1.0, nu=params["start_nu_frac"] * g.phi)
-    fixed, trace = best_response_dynamics(g, start, tol=params["tol"])
+    q = g.log_ab * g.log_ab / (1.0 + g.log_ab)
+    fixed, trace = best_response_dynamics(g, start, tol=params["tol"],
+                                          max_iter=math.ceil(64.0 * (1.0 + 0.5 * q)))
     return ne, len(trace) - 1, max(abs(fixed.s - ne.s), abs(fixed.nu - ne.nu))
 
 
@@ -318,27 +323,70 @@ def _keeps_argmin(total: list, k: int, share: float) -> bool:
     return k == 0 or share * min(total[:k]) > share * total[k]
 
 
+def _surface_minimum(g: GameInstance, s_axis: list, nu_axis: list):
+    """`_cost_surface`'s cell(i, j) on these axes, with its bits; its first minimum
+    k; and [the least cell before k, cell k], or [cell k] at k = 0: from O(n) cells.
+
+    Column j is C(s_i), C(s) = s - 1/nu + c e^{-nu s}/nu + rps, convex with its
+    minimum at ln(c)/nu.  A cell is within eps of C, and 2 eps <= the column's
+    `slack` (for unit roundoff u, eps <= 1.01 u ((nu s + 9) T + 3 (s + 1/nu + rps)),
+    T = c e^{-nu s}/nu, and (nu s + 9) T falls in s).  So a scan along a column
+    stops, at the first cell more than slack above the least before it, only
+    where C rises in the scan's direction, and every cell beyond lies above that least."""
+    n, c = len(s_axis), 1.0 + g.b
+    cols = [(-v, 1.0 / v, v, g.cs * (v + 1.0) / (g.phi - v)) for v in nu_axis]
+
+    def cell(i: int, j: int) -> float:
+        neg, inv, v, rps = cols[j]
+        s = s_axis[i]
+        return s - inv + c * math.exp(neg * s) / v + rps
+
+    def scan(j: int, rows: range, slack: float) -> dict:
+        seen, least = {}, math.inf
+        for i in rows:
+            seen[i] = value = cell(i, j)
+            if value > least + slack:
+                break
+            least = min(least, value)
+        return seen
+
+    columns = []    # per column: its least cell, the first row of it, and its slack
+    for j, (_, inv, v, rps) in enumerate(cols):
+        slack = 2.0**-48 * (c * (v * s_axis[0] + 9.0) / v + s_axis[-1] + inv + rps)
+        start = min(bisect.bisect_left(s_axis, math.log(c) / v), n - 1)
+        seen = {**scan(j, range(start, -1, -1), slack), **scan(j, range(start, n), slack)}
+        least = min(seen.values())
+        columns.append((least, min(i for i, value in seen.items() if value == least), slack))
+    _, i, j = min((least, first, j) for j, (least, first, _) in enumerate(columns))
+    # Before k: rows < i of every column, and row i of the columns before j.
+    before = [least if first < t else min(scan(col, range(t - 1, -1, -1), slack).values())
+              for col, (least, first, slack) in enumerate(columns)
+              for t in [i + (col < j)] if t]
+    return cell, i * n + j, [min(before), cell(i, j)] if before else [cell(i, j)]
+
+
 def check_penalty_contract(table: ResultTable, seed: int):
     g = _game(_defaults("penalty-contract"))
     row = _records(table)[0]
     lo, hi = row["eps_lo"], row["eps_hi"]
     opt = centralized_optimum(g)
-    n = 300
-    s_axis, nu_axis, total = _cost_surface(g, 4.0 * opt.s, n)
+    n, s_max = 300, 4.0 * opt.s
+    s_axis = [s_max * k / n for k in range(1, n + 1)]
+    nu_axis = [g.phi * k / (n + 1) for k in range(1, n + 1)]
+    cell, k, cells = _surface_minimum(g, s_axis, nu_axis)
     # Dual route: the closed-form surface equals the library's costs pointwise.
     rng, surface_err = random.Random(1), 0.0
     for _ in range(200):
         i, j = rng.randrange(n), rng.randrange(n)
         x = StrategyPair(s=s_axis[i], nu=nu_axis[j])
-        surface_err = max(surface_err, abs(total[i * n + j] - cost_bs(g, x) - cost_rps(g, x)))
-    k = total.index(min(total))     # the first minimum, as np.argmin takes it
-    i, j = divmod(k, n)
+        surface_err = max(surface_err, abs(cell(i, j) - cost_bs(g, x) - cost_rps(g, x)))
+    i, j = divmod(k, n)     # the first minimum, as np.argmin takes it
     # The cost valley s*nu ~ gamma is flat, so the discrete argmin may sit a
     # few cells along it; require the shared gridpoint to stay in that band.
     near = (abs(s_axis[i] - opt.s) <= 3.0 * (s_axis[1] - s_axis[0])
             and abs(nu_axis[j] - opt.nu) <= 3.0 * (nu_axis[1] - nu_axis[0]))
-    # Under the contract the BS minimizes (1-eps)*C and the supplier eps*C.
-    aligned = all(_keeps_argmin(total, k, share)
+    # The BS minimizes (1-eps)*C and the supplier eps*C; cells before k enter by their least.
+    aligned = all(_keeps_argmin(cells, len(cells) - 1, share)
                   for eps in (lo, 0.5 * (lo + hi), hi) for share in (1.0 - eps, eps))
     # The contract splits the central cost: the BS pays (1 - eps) C, the supplier eps C.
     bs, rps = row["cost_bs_coord"], row["cost_rps_coord"]
@@ -545,6 +593,7 @@ def _parse_set(values) -> dict:
         if "=" not in item:
             raise ParameterError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
+        import json     # here and in _load_config: a call without either loads no json
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -562,6 +611,7 @@ def _load_config(path: str | None, scenario: str) -> dict:
     against the scenario it is given to (for `sweep`, the swept one)."""
     if path is None:
         return {}
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)

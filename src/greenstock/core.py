@@ -17,7 +17,7 @@ The exact discrete law is kept alongside as a validation oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import _FLOAT_MAX, ParameterError, _nonnegative, _positive, _whole
 
@@ -25,39 +25,36 @@ from .errors import _FLOAT_MAX, ParameterError, _nonnegative, _positive, _whole
 DOMAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class NormalizedParams:
-    """Dimensionless cost parameters after dividing through by the reservation cost c.
+class NormalizedParams(namedtuple("NormalizedParams", "b_n cs_n phi alpha")):
+    """Dimensionless cost parameters after dividing through by the reservation cost c:
+    backlog cost b_n = b/c, supply cost cs_n = (cs_raw/c) * (lambda0/mu0), capacity
+    headroom phi = mu0/lam - 1 and backlog cost share alpha, from the arrival rate lam,
+    renewable capacity mu0, backlog cost b, supply cost cs_raw per unit load factor,
+    and the supplier's external demand lambda0."""
 
-    Raw inputs: arrival rate lam, renewable capacity mu0, backlog cost b, supply
-    cost cs_raw per unit load factor, and the supplier's external demand lambda0."""
+    __slots__ = ()
 
-    b_n: float      # normalized backlog cost b/c
-    cs_n: float     # normalized supply cost (cs_raw/c) * (lambda0/mu0)
-    phi: float      # capacity headroom mu0/lam - 1
-    alpha: float    # backlog cost share
-
-    def __post_init__(self):
-        _positive("phi", self.phi)
-        _nonnegative("b_n", self.b_n)
-        _nonnegative("cs_n", self.cs_n)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
+    def __new__(cls, b_n: float, cs_n: float, phi: float, alpha: float):
+        _positive("phi", phi)
+        _nonnegative("b_n", b_n)
+        _nonnegative("cs_n", cs_n)
+        if not 0.0 <= alpha <= 1.0:
+            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+        return tuple.__new__(cls, (b_n, cs_n, phi, alpha))
 
 
-@dataclass(frozen=True)
-class StrategyPair:
+class StrategyPair(namedtuple("StrategyPair", "s nu")):
     """A point (s, nu): base-stock level and normalized supply rate."""
 
-    s: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, s: float, nu: float):
         # Chained comparisons first: the dynamics build one pair per iterate.
-        if not 0.0 <= self.s <= _FLOAT_MAX:
-            _nonnegative("s", self.s)
-        if not 0.0 < self.nu <= _FLOAT_MAX:
-            _positive("nu", self.nu)
+        if not 0.0 <= s <= _FLOAT_MAX:
+            _nonnegative("s", s)
+        if not 0.0 < nu <= _FLOAT_MAX:
+            _positive("nu", nu)
+        return tuple.__new__(cls, (s, nu))
 
 
 def _check_s_nu(s: float, nu: float) -> None:

@@ -1,4 +1,4 @@
-"""Typed errors shared across the toolkit, and the range checks that raise one."""
+"""Typed errors and range checks shared across the toolkit, and the frozen-record base."""
 
 import sys
 
@@ -27,6 +27,19 @@ class ConvergenceError(GreenstockError):
 
 class AllGridRegimeError(GreenstockError):
     """Grid power dominates at any demand level (p2 <= p1 + p)."""
+
+
+class _Frozen:
+    """Base of the records whose __new__ writes derived values into __dict__, outside
+    the tuple's ==, hash, repr and iteration; assigning or deleting any attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 def _whole(name: str, value, low: int) -> int:

@@ -18,14 +18,13 @@ of the equilibrium cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
 from .errors import (_FLOAT_MAX, ConvergenceError, DegenerateGameError, ParameterError,
-                     _nonnegative, _positive, _whole)
+                     _Frozen, _nonnegative, _positive, _whole)
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(_Frozen, namedtuple("GameInstance", "norm")):
     """One game, fully described by its normalized parameters.
 
     b, cs, phi and alpha are read off `norm`, and the three constants the game
@@ -34,36 +33,22 @@ class GameInstance:
     `==`, `hash` or the repr, which stay those of `norm`.
     """
 
-    norm: NormalizedParams
-    b: float = field(init=False, repr=False, compare=False)
-    cs: float = field(init=False, repr=False, compare=False)
-    phi: float = field(init=False, repr=False, compare=False)
-    alpha: float = field(init=False, repr=False, compare=False)
-    log_ab: float = field(init=False, repr=False, compare=False)
-    gamma: float = field(init=False, repr=False, compare=False)
-    residual_b: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        norm = self.norm
+    def __new__(cls, norm: NormalizedParams):
+        self = tuple.__new__(cls, (norm,))
         b, alpha = norm.b_n, norm.alpha
-        for name, value in (("b", b), ("cs", norm.cs_n), ("phi", norm.phi), ("alpha", alpha),
-                            ("log_ab", math.log1p(alpha * b)), ("gamma", math.log1p(b)),
-                            # Not b - alpha*b, which cancels to a wrong residual as alpha -> 1.
-                            ("residual_b", (1.0 - alpha) * b)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(b=b, cs=norm.cs_n, phi=norm.phi, alpha=alpha,
+                             log_ab=math.log1p(alpha * b), gamma=math.log1p(b),
+                             # Not b - alpha*b, which cancels to a wrong residual as alpha -> 1.
+                             residual_b=(1.0 - alpha) * b)
+        return self
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Equilibrium, centralized benchmark and contract range for one instance."""
+class EquilibriumReport(namedtuple("EquilibriumReport", "ne cost_bs_ne cost_rps_ne central "
+                                   "cost_central penalty epsilon_range")):
+    """Equilibrium, centralized benchmark and contract range for one instance;
+    epsilon_range is a (lo, hi) pair, or None when empty after clipping."""
 
-    ne: StrategyPair
-    cost_bs_ne: float
-    cost_rps_ne: float
-    central: StrategyPair
-    cost_central: float
-    penalty: float
-    epsilon_range: tuple[float, float] | None   # None when empty after clipping
+    __slots__ = ()
 
 
 def _check_domain(g: GameInstance, x: StrategyPair) -> None:
@@ -272,15 +257,8 @@ def equilibrium_report(g: GameInstance) -> EquilibriumReport:
     penalty = (bs + rps) / c_central - 1.0
     ratio = rps / c_central
     lo, hi = max(ratio - penalty, 0.0), min(ratio, 1.0)
-    return EquilibriumReport(
-        ne=ne,
-        cost_bs_ne=bs,
-        cost_rps_ne=rps,
-        central=centralized_optimum(g),
-        cost_central=c_central,
-        penalty=penalty,
-        epsilon_range=None if lo > hi else (lo, hi),
-    )
+    return EquilibriumReport(ne, bs, rps, centralized_optimum(g), c_central, penalty,
+                             None if lo > hi else (lo, hi))
 
 
 def coordinated_costs(g: GameInstance, epsilon: float, x: StrategyPair) -> tuple[float, float]:

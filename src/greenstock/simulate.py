@@ -47,11 +47,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import deque, namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import _FLOAT_MAX, ParameterError, _positive, _whole
+from .errors import _FLOAT_MAX, ParameterError, _Frozen, _positive, _whole
 
 if TYPE_CHECKING:           # for annotations; each function that needs numpy imports it
     import numpy as np
@@ -59,14 +58,14 @@ _BATCHES = 20
 _CHUNK = 1 << 16        # customers per chunk
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(namedtuple("Exponential", "rate")):
     """Exponential law with the given rate."""
 
-    rate: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _positive("rate", self.rate)
+    def __new__(cls, rate: float):
+        _positive("rate", rate)
+        return tuple.__new__(cls, (rate,))
 
     def mean_time(self) -> float:
         return 1.0 / self.rate
@@ -78,23 +77,21 @@ class Exponential:
         return rng.exponential(1.0 / self.rate, size=n)
 
 
-@dataclass(frozen=True)
-class HyperExp2:
+class HyperExp2(namedtuple("HyperExp2", "prob rate1 rate2")):
     """Two-phase hyperexponential: rate1 with probability prob, else rate2."""
 
-    prob: float
-    rate1: float
-    rate2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.prob <= 1.0:
-            raise ParameterError(f"prob must lie in [0, 1], got {self.prob}")
+    def __new__(cls, prob: float, rate1: float, rate2: float):
+        if not 0.0 <= prob <= 1.0:
+            raise ParameterError(f"prob must lie in [0, 1], got {prob}")
         # Bounds the ratio of the phase times, which scv() needs in float range; the
         # exact comparison with _FLOAT_MAX also refuses an int whose square is past it.
         if not all(rate > 0 and 0 < rate * rate <= _FLOAT_MAX and 1 / (rate * rate) <= _FLOAT_MAX
-                   for rate in (self.rate1, self.rate2)):
+                   for rate in (rate1, rate2)):
             raise ParameterError(f"rates must be finite and > 0, with squares in float range, "
-                                 f"got {self.rate1}, {self.rate2}")
+                                 f"got {rate1}, {rate2}")
+        return tuple.__new__(cls, (prob, rate1, rate2))
 
     def mean_time(self) -> float:
         return self.prob / self.rate1 + (1.0 - self.prob) / self.rate2
@@ -199,8 +196,7 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class TruncatedNormal:
+class TruncatedNormal(_Frozen, namedtuple("TruncatedNormal", "mean cv")):
     """Left-truncated normal with the *requested* mean and cv.
 
     N(mu0, sigma0^2) conditioned above the floor 1e-6 * mean, with
@@ -210,20 +206,17 @@ class TruncatedNormal:
     Sampling inverts the truncated CDF at n uniforms.
     """
 
-    mean: float
-    cv: float = 0.5
-    _base: tuple = field(init=False, repr=False, compare=False)   # mu0, sigma0, Phi(-a)
-
-    def __post_init__(self):
-        _positive("mean", self.mean)
-        _positive("cv", self.cv)
+    def __new__(cls, mean: float, cv: float = 0.5):
+        _positive("mean", mean)
+        _positive("cv", cv)
         import numpy as np
 
-        object.__setattr__(self, "_base", self._base_params())
-        mu0, sigma0, tail = self._base
+        self = tuple.__new__(cls, (mean, cv))
+        self.__dict__["_base"] = mu0, sigma0, tail = self._base_params()     # tail = Phi(-a)
         # The largest draw; in float, not numpy, arithmetic, which overflows without a warning.
         if not math.isfinite(mu0 - sigma0 * float(_ndtri(np.array([2.0**-53 * tail]))[0])):
-            raise ParameterError(f"mean={self.mean}, cv={self.cv} are beyond float range")
+            raise ParameterError(f"mean={mean}, cv={cv} are beyond float range")
+        return self
 
     def mean_time(self) -> float:
         return self.mean
@@ -270,42 +263,35 @@ class TruncatedNormal:
 DistSpec = Exponential | HyperExp2 | TruncatedNormal
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(namedtuple("SimConfig", "arrival service horizon seed")):
     """One simulation run: distributions, horizon in events, of which the
     first horizon // 10 are warmup, and seed."""
 
-    arrival: DistSpec
-    service: DistSpec
-    horizon: int = 2_000_000
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("arrival", "service"):
-            if not isinstance(getattr(self, name), DistSpec):
+    def __new__(cls, arrival: DistSpec, service: DistSpec, horizon: int = 2_000_000, seed: int = 0):
+        for name, law in (("arrival", arrival), ("service", service)):
+            if not isinstance(law, DistSpec):
                 raise ParameterError(f"{name} must be an Exponential, HyperExp2 or "
-                                     f"TruncatedNormal law, got {getattr(self, name)!r}")
-        for name, low in (("horizon", 1), ("seed", 0)):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
+                                     f"TruncatedNormal law, got {law!r}")
+        return tuple.__new__(cls, (arrival, service, _whole("horizon", horizon, 1),
+                                   _whole("seed", seed, 0)))
 
 
-@dataclass(frozen=True, eq=False)
-class SimStats:
+class SimStats(namedtuple("SimStats", "mean_outstanding mean_waiting pdf ci_halfwidth "
+                          "events sim_time")):
     """Time-weighted long-run averages over the post-warmup horizon.
 
     Each mean, like inventory (s - N)^+ or backlog (N - s)^+ at any s, is
     a functional of `pdf`, the time-weighted pmf of the outstanding count N.
     mean_outstanding counts every unfinished order (system count);
     mean_waiting excludes the one in service, so both readings of an
-    "average queue length" are available.
+    "average queue length" are available.  ci_halfwidth is the 95% batch-means
+    half-width on mean_outstanding.  Stats compare and hash by identity.
     """
 
-    mean_outstanding: float
-    mean_waiting: float
-    pdf: np.ndarray                 # empirical pmf of the outstanding count
-    ci_halfwidth: float             # 95% batch-means half-width on mean_outstanding
-    events: int
-    sim_time: float
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _customer_chunks(config: SimConfig, n: int):
@@ -560,14 +546,7 @@ def _summary(pdf: np.ndarray, ci: float, events: int, sim_time: float) -> SimSta
     mean_outstanding = float(pdf @ j)
     j -= 1.0
     j[:1] = 0.0
-    return SimStats(
-        mean_outstanding=mean_outstanding,
-        mean_waiting=float(pdf @ j),
-        pdf=pdf,
-        ci_halfwidth=ci,
-        events=events,
-        sim_time=sim_time,
-    )
+    return SimStats(mean_outstanding, float(pdf @ j), pdf, ci, events, sim_time)
 
 
 def empirical_pdf_compare(stats: SimStats, rho: float) -> float:
@@ -601,7 +580,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     # The later replicates keep what the pool reads, summed in replicate order.
     pooled, means, sim_time = first.pdf.copy(), [first.mean_outstanding], first.sim_time
     for k in range(1, n_reps):
-        run = _run(replace(config, seed=config.seed + k))
+        run = _run(SimConfig(config.arrival, config.service, config.horizon, config.seed + k))
         pdf = run.pmf[:run.size] / run.total
         if pdf.size > pooled.size:
             pooled = np.concatenate([pooled, np.zeros(pdf.size - pooled.size)])

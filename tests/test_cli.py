@@ -6,18 +6,18 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greenstock
 from greenstock import cli
 from greenstock.cli import main, resolve_params, run_scenario, run_sweep
 from greenstock.game import auxiliary_f
+from greenstock.simulate import SimConfig
 
 
 @pytest.fixture(autouse=True)
@@ -292,6 +292,20 @@ def test_nash_dynamics_converge_at_a_large_stock(tmp_path):
     assert row["brd_gap"] <= 1e-9 * row["s_star"]
 
 
+def test_nash_dynamics_converge_at_a_huge_backlog_cost(tmp_path, deadline):
+    # w = ln(1 + alpha b) = 63.6, so a round of best responses cuts the error in
+    # ln nu by at most r = 0.969: the dynamics take 774 rounds, past a flat 500.
+    out = tmp_path / "nash.csv"
+    with deadline(10):
+        assert main(["nash", "--set", "b=4.8614522745451496e+27", "--set", "cs=125047134451.8479",
+                     "--set", "phi=386.5632363870054", "--set", "alpha=0.875623935822907",
+                     "--out", str(out)]) == 0
+    _, header, rows = read_rows(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert row["brd_iterations"] > 500
+    assert row["brd_gap"] <= 1e-9 * row["s_star"]
+
+
 def test_power_split_all_grid_where_one_over_f_overflows(tmp_path):
     # 1/f is inf, so the renewable stock is inf at any lambda > 0 and absent at 0.
     out = tmp_path / "split.csv"
@@ -501,15 +515,15 @@ for argv in (["central"], ["nash"], ["penalty-contract"], ["power-split"], ["cen
              ["power-split", "--check"], ["sweep", "nash", "--sweep", "alpha:0.1:0.9:0.1"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-for name in ("numpy", "statistics"):
+for name in ("numpy", "statistics", "dataclasses", "inspect", "json"):
     assert name not in sys.modules, (name, sorted(m for m in sys.modules if m.startswith("greenstock")))
 """
 
 
 def test_analytic_cold_path_never_imports_numpy():
     """The closed-form scenarios, their checks and an analytic sweep run in a
-    fresh interpreter without loading numpy or statistics; allocation and
-    simulation load them."""
+    fresh interpreter without loading numpy or statistics, nor dataclasses,
+    inspect or json; allocation and simulation load numpy."""
     env = {**os.environ, "PYTHONPATH": str(Path(greenstock.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_PATH], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -530,7 +544,8 @@ def test_queue_validate_check_reuses_the_scenario_runs(sets, printed, monkeypatc
 
     def counted(cfg):
         runs.append(cfg)
-        return real(replace(cfg, horizon=20_000))    # counted, not checked: short runs
+        # Counted, not checked: short runs.
+        return real(SimConfig(cfg.arrival, cfg.service, 20_000, cfg.seed))
 
     monkeypatch.setattr(cli, "simulate", counted)
     assert main(["queue-validate", "--check", *sets]) in (0, 3)
@@ -618,6 +633,35 @@ def test_keeps_argmin_matches_numpy_argmin_of_the_scaled_surface(share):
     k = _SURFACE.index(min(_SURFACE))
     expected = int(np.argmin(share * _SURFACE_ARRAY)) == k
     assert cli._keeps_argmin(_SURFACE, k, share) == expected
+
+
+def _surface_game(b, cs, phi, alpha):
+    return greenstock.GameInstance(greenstock.NormalizedParams(b_n=b, cs_n=cs, phi=phi,
+                                                               alpha=alpha))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.builds(_surface_game, _log_uniform(1e-12, 1e6), _log_uniform(1e-3, 1e3),
+                   _log_uniform(1e-3, 1e4), st.floats(0.01, 0.99)),
+       span=_log_uniform(0.05, 20.0), n=st.sampled_from([300, 300, 1, 2, 7, 64]))
+@example(g=_PENALTY_GAME, span=4.0, n=300)
+def test_surface_minimum_matches_the_whole_surface(g, span, n):
+    """The O(n) scan gives `_cost_surface`'s first minimum, the bits of the least
+    cell before it and of every sampled cell.  At small b, rounding makes the cells
+    near a column's minimum non-convex, and there a scan without its slack fails."""
+    s_max = span * greenstock.centralized_optimum(g).s
+    s_axis, nu_axis, total = cli._cost_surface(g, s_max, n)
+    cell, k, cells = cli._surface_minimum(g, s_axis, nu_axis)
+    assert k == total.index(min(total))
+    expected = [min(total[:k]), total[k]] if k else [total[k]]
+    assert [c.hex() for c in cells] == [c.hex() for c in expected]
+    for i in range(0, n, 13):
+        for j in range(0, n, 11):
+            assert cell(i, j).hex() == total[i * n + j].hex()
 
 
 @pytest.mark.parametrize("total, k, share, kept", [

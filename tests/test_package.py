@@ -131,3 +131,84 @@ def test_simulate_is_the_function_whatever_is_imported_first(first):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+
+def _records():
+    """(record class, its fields in order, fields that fail its validation or None,
+    the attributes it derives outside the tuple)."""
+    import numpy as np
+
+    from greenstock.cli import ResultTable
+
+    gs = greenstock
+    norm = gs.NormalizedParams(b_n=10.0, cs_n=5.0, phi=1.0, alpha=0.5)
+    report = gs.equilibrium_report(gs.GameInstance(norm))
+    profiles = (gs.BsProfile(lambda_bar=1.0, b=2.0, index=0),
+                gs.BsProfile(lambda_bar=2.0, b=2.0, index=1))
+    market = {"profiles": profiles, "mu0": 20.0, "p": 2.0, "p1": 1.0, "p2": 10.0}
+    sim = {"arrival": gs.Exponential(rate=1.0), "service": gs.Exponential(rate=2.0),
+           "horizon": 1000, "seed": 3}
+    stats = {"mean_outstanding": 1.0, "mean_waiting": 0.5, "pdf": np.array([0.5, 0.5]),
+             "ci_halfwidth": 0.1, "events": 10, "sim_time": 5.0}
+    grid = {"n_points": 200, "span": 2.5, "n_scenarios": 20, "seed": 0}
+    return [
+        (gs.NormalizedParams, norm._asdict(), {**norm._asdict(), "phi": 0.0}, ()),
+        (gs.StrategyPair, {"s": 1.0, "nu": 0.5}, {"s": 1.0, "nu": 0.0}, ()),
+        (gs.GameInstance, {"norm": norm}, None,
+         ("b", "cs", "phi", "alpha", "log_ab", "gamma", "residual_b")),
+        (gs.EquilibriumReport, report._asdict(), None, ()),
+        (gs.Exponential, {"rate": 1.0}, {"rate": -1.0}, ()),
+        (gs.HyperExp2, {"prob": 0.5, "rate1": 2.3, "rate2": 3.5},
+         {"prob": 1.5, "rate1": 2.3, "rate2": 3.5}, ()),
+        (gs.TruncatedNormal, {"mean": 1.0, "cv": 0.5}, {"mean": 1.0, "cv": 0.0}, ("_base",)),
+        (gs.SimConfig, sim, {**sim, "horizon": 0}, ()),
+        (gs.SimStats, stats, None, ()),
+        (gs.BsProfile, {"lambda_bar": 1.0, "b": 2.0, "index": 0},
+         {"lambda_bar": 0.0, "b": 2.0, "index": 0}, ()),
+        (gs.Market, market, {**market, "mu0": -1.0}, ("lambda_bar", "gamma")),
+        (gs.OrderVector, {"orders": (1.0, 2.0)}, {"orders": (1.0, -2.0)}, ()),
+        (gs.AllocationResult, {"grants": (1.0,), "n_hat": 1, "rejected": frozenset({0})},
+         None, ()),
+        (gs.DeviationGrid, grid, {**grid, "n_points": 1}, ()),
+        (gs.AuditReport, {"mechanism": "m", "max_improvement": 0.0,
+                          "improvements": (0.0, 0.0), "truthful_dominant": True}, None, ()),
+        (ResultTable, {"columns": ["a"], "rows": [[1.0]], "provenance": {"seed": 0}}, None, ()),
+    ]
+
+
+_RECORDS = _records()
+
+
+@pytest.mark.parametrize("cls, fields, bad, derived", _RECORDS,
+                         ids=[entry[0].__name__ for entry in _RECORDS])
+def test_record_contract(cls, fields, bad, derived):
+    """Each value record builds alike from positional and keyword arguments, and
+    validates both; it refuses assignment and deletion, of derived attributes
+    too; and its ==, hash and Name(field=value, ...) repr are those of its
+    fields (SimStats: identity), as for the frozen dataclasses it replaced.
+    ResultTable alone stays mutable and unhashable."""
+    record, twin = cls(*fields.values()), cls(**fields)
+    for name, value in fields.items():
+        assert getattr(record, name) is value and getattr(twin, name) is value
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    if bad is not None:
+        for build in (lambda: cls(*bad.values()), lambda: cls(**bad)):
+            with pytest.raises(greenstock.ParameterError):
+                build()
+    if cls is greenstock.SimStats:
+        assert record == record and record != twin and hash(record) == object.__hash__(record)
+    elif cls.__name__ == "ResultTable":
+        assert record == twin
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        record.rows = []
+        return
+    else:
+        assert record == twin and hash(record) == hash(twin) == hash(tuple(fields.values()))
+    for name in (*fields, *derived, "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert all(hasattr(record, name) for name in derived)

@@ -10,7 +10,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,7 +326,8 @@ def test_replicate_deterministic():
 
 def _pooled_simulate_calls(cfg, k):
     """Reference: k whole simulate calls, replicate j at seed + j, pooled."""
-    runs = [simulate(replace(cfg, seed=cfg.seed + j)) for j in range(k)]
+    runs = [simulate(SimConfig(cfg.arrival, cfg.service, cfg.horizon, cfg.seed + j))
+            for j in range(k)]
     pooled = np.zeros(max(r.pdf.size for r in runs))
     for r in runs:
         pooled[: r.pdf.size] += r.pdf
@@ -428,7 +428,8 @@ def test_means_are_functionals_of_the_pmf(arrival, service, a_shape, s_shape, rh
     assert max(_rel(m, ref) for m, ref in zip(means, _direct_means(cfg, s))) <= 1e-12
     assert inventory - backlog == pytest.approx(s - stats.mean_outstanding, abs=1e-9)
     assert stats.pdf.sum() == pytest.approx(1.0, abs=1e-12)
-    singles = [simulate(replace(cfg, seed=seed + i)).mean_outstanding for i in range(k)]
+    singles = [simulate(SimConfig(cfg.arrival, cfg.service, horizon, seed + i)).mean_outstanding
+               for i in range(k)]
     assert _rel(replicate(cfg, k).mean_outstanding, float(np.mean(singles))) <= 1e-12
 
 
