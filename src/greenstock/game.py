@@ -109,23 +109,23 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
         -H'(x) = w^2/(1 + w) + 2 nu/(phi - nu) + 2 >= 2,
         H''(x) = -w^2 (2 + w)/(1 + w)^2 - 2 nu phi/(phi - nu)^2 < 0,
 
-    is strictly decreasing and concave.  Newton steps nu <- nu exp(-H/H')
-    from `start` when it lies strictly inside [DOMAIN_EPS, hi], else from the
-    midpoint, with hi = min(the float below phi, max float / s); the root
-    lies below max float / s, and a phi at or below DOMAIN_EPS leaves an
-    empty bracket (ParameterError).  H lies below its tangents, so a step
-    from an iterate right of the root (H <= 0) lands right of it again, and
-    one from the left does too, unless it reaches hi and is cut to the
-    midpoint toward hi.  The loop returns the iterate where the step rounds
-    away, or where H > 0 after an iterate with H <= 0 (rounding crossed the
-    root); |H|/2 bounds the error in ln nu.  An iterate below DOMAIN_EPS
-    comes from the right, so the root lies below the bracket, and
-    DegenerateGameError is raised.  Termination: right of the root the
-    iterates strictly decrease, and the cuts, made only from the left, form
-    at most one run, of strictly increasing nu below hi.
+    is strictly decreasing and concave, for any finite s >= 0.  Newton steps
+    nu <- nu exp(-H/H') from `start` when it lies strictly inside [DOMAIN_EPS,
+    hi], else from the midpoint, with hi = min(the float below phi, max float
+    / s), no bound at s = 0; the root lies below max float / s, and a phi at
+    or below DOMAIN_EPS leaves an empty bracket (ParameterError).  H lies
+    below its tangents, so a step from an iterate right of the root (H <= 0)
+    lands right of it again, and one from the left does too, unless it
+    reaches hi and is cut to the midpoint toward hi.  The loop returns the
+    iterate where the step rounds away, or where H > 0 after an iterate with
+    H <= 0 (rounding crossed the root); |H|/2 bounds the error in ln nu.  An
+    iterate below DOMAIN_EPS comes from the right, so the root lies below the
+    bracket, and DegenerateGameError is raised.  Termination: right of the
+    root the iterates strictly decrease, and the cuts, made only from the
+    left, form at most one run, of strictly increasing nu below hi.
     """
-    if not 0.0 < s <= _FLOAT_MAX:
-        _positive("s", s)
+    if not 0.0 <= s <= _FLOAT_MAX:
+        _nonnegative("s", s)
     if g.cs <= 0:
         raise ParameterError("cs_n must be > 0")
     if g.residual_b <= 0:
@@ -133,7 +133,7 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
     phi = g.phi
-    lo, hi = DOMAIN_EPS, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s)
+    lo, hi = DOMAIN_EPS, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s if s else math.inf)
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
     log, log1p, exp = math.log, math.log1p, math.exp
@@ -189,36 +189,41 @@ def best_response_dynamics(
     g: GameInstance,
     start: StrategyPair,
     tol: float = 1e-9,
-    max_iter: int = 500,
+    max_iter: int | None = None,
 ) -> tuple[StrategyPair, list[StrategyPair]]:
     """Alternate bs_best_response and rps_best_response from `start`.
 
     Both reaction curves are decreasing, so the iteration is the usual
     monotone scheme for a supermodular game and converges to the unique
-    equilibrium.  Each supplier solve starts at the previous iterate's nu
-    and runs to rounding.  The iteration stops once each of |ds| and |dnu|
-    is below `tol` or below 10 r times its own new value, with
-    r = max(min(tol, 1e-10)/100, 2**-53), so it ends at any scale of s and
-    nu, also where float spacing exceeds `tol`.  Returns the fixed point and
-    the full iterate trace; raises ConvergenceError (trace attached) if
-    max_iter is exhausted.
+    equilibrium.  Each supplier solve answers the BS's own stock, s = 0
+    included, starts at the previous nu and runs to rounding.  The iteration
+    stops once each of |ds| and |dnu| is below `tol` or below 10 r times its
+    own new value, with r = max(min(tol, 1e-10)/100, 2**-53), so it ends at
+    any scale of s and nu.  A round scales the error in ln nu by at most
+    q/(q + 2), q = w^2/(1 + w), w = ln(1 + alpha*b): games across float range
+    took at most 25 (1 + q/2) rounds, and max_iter=None allows 64 (1 + q/2).
+    Returns the fixed point and the iterate trace; raises ConvergenceError
+    (trace attached) if max_iter is exhausted.
     """
     _positive("tol", tol)
+    if max_iter is None:
+        max_iter = math.ceil(64.0 * (1.0 + 0.5 * g.log_ab * g.log_ab / (1.0 + g.log_ab)))
     max_iter = _whole("max_iter", max_iter, 1)
     _check_domain(g, start)
     trace: list[StrategyPair] = [start]
     s_cur, nu_cur = start.s, start.nu
     # A relative stop below 10 * 2**-53 would ask for more than float precision.
     stop = 10.0 * max(min(tol, 1e-10) * 1e-2, 2**-53)
+    nu_tol = 0.0    # round 1's ds reads the caller's start, no best response: dnu relative only
     for _ in range(max_iter):
         s_next = bs_best_response(g, nu_cur)
-        nu_next = rps_best_response(g, max(s_next, DOMAIN_EPS), start=nu_cur)
+        nu_next = rps_best_response(g, s_next, start=nu_cur)
         pair = StrategyPair(s=s_next, nu=nu_next)
         trace.append(pair)
         ds, dnu = abs(s_next - s_cur), abs(nu_next - nu_cur)
-        if (ds < tol or ds < stop * s_next) and (dnu < tol or dnu < stop * nu_next):
+        if (ds < tol or ds < stop * s_next) and (dnu < nu_tol or dnu < stop * nu_next):
             return pair, trace
-        s_cur, nu_cur = s_next, nu_next
+        s_cur, nu_cur, nu_tol = s_next, nu_next, tol
     raise ConvergenceError(
         f"best-response dynamics did not converge within {max_iter} iterations",
         trace=trace)

@@ -262,6 +262,23 @@ def test_check_mode_exit_codes(tmp_path, capsys, monkeypatch):
         assert f"FAIL: {label} to 1e-9" in capsys.readouterr().err
 
 
+# The dynamics once stopped at nu = 1.5e14 here, against nu* = 9.2e29, clamping the
+# stock s* = 1.1e-29 to 1e-12, and exited 0; --check then passed the defaults' table.
+_TINY_STOCK_GAME = ["--set", "b=774320.9702027849", "--set", "cs=3.720007350696224e-57",
+                    "--set", "phi=9.212206307711781e+29", "--set", "alpha=0.026881743252439638"]
+
+
+def test_check_refuses_a_game_off_the_defaults(capsys):
+    assert main(["nash", *_TINY_STOCK_GAME]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = dict(zip(lines[-2].split(","), map(float, lines[-1].split(","))))
+    assert row["s_star"] < 1e-12
+    assert row["brd_gap"] <= 4.0 * math.ulp(row["nu_star"])
+    assert main(["nash", "--check", *_TINY_STOCK_GAME]) == 2
+    checked = capsys.readouterr()
+    assert checked.out == "" and "PASS" not in checked.err
+
+
 def test_large_headroom_nash_terminates(deadline):
     with deadline(5):
         assert main(["nash", "--set", "b=1e6", "--set", "cs=0.001",
@@ -530,16 +547,16 @@ def test_analytic_cold_path_never_imports_numpy():
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("sets, printed", [
-    ([], 0),
-    (["--set", "horizon=2000000"], 0),      # the default, set: the printed table is checked
-    (["--set", "horizon=200000"], 5),       # not the default: the defaults run after it
+@pytest.mark.parametrize("sets, refused", [
+    ([], False),
+    (["--set", "horizon=2000000"], False),  # the default, set: no override
+    (["--set", "horizon=200000"], True),    # not the default: refused before any run
 ], ids=["unset", "default-set", "other"])
-def test_queue_validate_check_reuses_the_scenario_runs(sets, printed, monkeypatch, capsys):
-    """The check reads every row of the table at the defaults and simulates only
+def test_queue_validate_check_reuses_the_scenario_runs(sets, refused, monkeypatch, capsys):
+    """The check reads every row of the printed table and simulates only
     rho = 0.93, whose 2M events are shorter than its sized horizon, at the row's
-    seed; so one call simulates the printed runs and six more, none twice, and
-    the next call simulates them anew."""
+    seed; so one call simulates the five printed runs and one more, none twice,
+    and the next call simulates them anew.  Off the defaults nothing runs."""
     real, runs = cli.simulate, []
 
     def counted(cfg):
@@ -548,10 +565,15 @@ def test_queue_validate_check_reuses_the_scenario_runs(sets, printed, monkeypatc
         return real(SimConfig(cfg.arrival, cfg.service, 20_000, cfg.seed))
 
     monkeypatch.setattr(cli, "simulate", counted)
+    if refused:
+        assert main(["queue-validate", "--check", *sets]) == 2
+        assert runs == []
+        assert "horizon=200000 (default 2000000)" in capsys.readouterr().err
+        return
     assert main(["queue-validate", "--check", *sets]) in (0, 3)
     calls = len(runs)
-    assert calls == len(set(runs)) == printed + 6
-    checked = [(cfg.horizon, cfg.seed) for cfg in runs[printed:]]
+    assert calls == len(set(runs)) == 6
+    checked = [(cfg.horizon, cfg.seed) for cfg in runs]
     assert checked == [*((2_000_000, k) for k in range(5)), (12_046_912, 3)]
     assert main(["queue-validate", "--check", *sets]) in (0, 3)
     assert runs[calls:] == runs[:calls]
@@ -559,13 +581,14 @@ def test_queue_validate_check_reuses_the_scenario_runs(sets, printed, monkeypatc
 
 @pytest.mark.parametrize("name, sets, runs", [
     ("central", ["--set", "b=10"], 1),
-    ("central", ["--set", "b=3"], 2),
-    ("penalty-contract", [], 1),                    # the nan default is its own object
-    ("penalty-contract", ["--set", "epsilon=NaN"], 2),
+    ("central", ["--set", "b=3"], 0),
+    ("penalty-contract", [], 1),
+    ("penalty-contract", ["--set", "epsilon=NaN"], 1),  # nan is its own default's value
 ], ids=["central-default-set", "central-other", "penalty-contract-unset", "penalty-contract-nan-set"])
 def test_check_reruns_the_scenario_only_off_its_defaults(name, sets, runs, monkeypatch, capsys):
-    """--check reads the printed table when the resolved parameters equal the
-    defaults, and otherwise runs the scenario once more at the defaults."""
+    """--check runs the scenario once, at the defaults, and reads the printed
+    table; a resolved parameter off its default exits 2 before any run, named
+    with its default.  No second table is run or checked."""
     scenario, check, defaults = cli.SCENARIOS[name]
     calls = []
 
@@ -574,8 +597,11 @@ def test_check_reruns_the_scenario_only_off_its_defaults(name, sets, runs, monke
         return scenario(params, seed)
 
     monkeypatch.setitem(cli.SCENARIOS, name, (counted, check, defaults))
-    assert main([name, "--check", *sets]) == 0
+    assert main([name, "--check", *sets]) == (0 if runs else 2)
     assert len(calls) == runs
+    if not runs:
+        err = capsys.readouterr().err
+        assert err.startswith("error: --check pins") and "b=3.0 (default 10.0)" in err
 
 
 _lambdas = st.floats(1e-4, 4.0) | st.integers(1, 4000).map(lambda k: k / 1000)
@@ -609,9 +635,22 @@ def _numpy_surface(g, s_max, n):
     return s_axis, nu_axis, total.ravel()
 
 
+def _cost_surface(g, s_max, n):
+    """penalty-contract's grid: s = s_max * k / n and nu = phi * k / (n + 1) for
+    k = 1..n, and the closed-form C_o + C_s at every (s_i, nu_j) as one flat list,
+    cell i * n + j, as np.meshgrid(indexing="ij") lays it out."""
+    s_axis = [s_max * k / n for k in range(1, n + 1)]
+    nu_axis = [g.phi * k / (n + 1) for k in range(1, n + 1)]
+    c = 1.0 + g.b
+    cols = [(-v, 1.0 / v, v, g.cs * (v + 1.0) / (g.phi - v)) for v in nu_axis]
+    total = [s - inv + c * math.exp(neg * s) / v + rps
+             for s in s_axis for neg, inv, v, rps in cols]
+    return s_axis, nu_axis, total
+
+
 _PENALTY_GAME = cli._game(cli._defaults("penalty-contract"))
 _S_MAX = 4.0 * greenstock.centralized_optimum(_PENALTY_GAME).s
-_SURFACE = cli._cost_surface(_PENALTY_GAME, _S_MAX, 300)[2]
+_SURFACE = _cost_surface(_PENALTY_GAME, _S_MAX, 300)[2]
 _SURFACE_ARRAY = np.array(_SURFACE)
 
 
@@ -619,7 +658,7 @@ def test_cost_surface_matches_numpy_meshgrid_and_argmin():
     """penalty-contract's list surface has the numpy axes bit for bit, cells
     within 1e-12 relative (math.exp and np.exp differ in the last bits) and
     the same first argmin."""
-    s_axis, nu_axis, total = cli._cost_surface(_PENALTY_GAME, _S_MAX, 300)
+    s_axis, nu_axis, total = _cost_surface(_PENALTY_GAME, _S_MAX, 300)
     ref_s, ref_nu, ref_total = _numpy_surface(_PENALTY_GAME, _S_MAX, 300)
     assert s_axis == ref_s.tolist() and nu_axis == ref_nu.tolist()
     np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
@@ -654,7 +693,7 @@ def test_surface_minimum_matches_the_whole_surface(g, span, n):
     cell before it and of every sampled cell.  At small b, rounding makes the cells
     near a column's minimum non-convex, and there a scan without its slack fails."""
     s_max = span * greenstock.centralized_optimum(g).s
-    s_axis, nu_axis, total = cli._cost_surface(g, s_max, n)
+    s_axis, nu_axis, total = _cost_surface(g, s_max, n)
     cell, k, cells = cli._surface_minimum(g, s_axis, nu_axis)
     assert k == total.index(min(total))
     expected = [min(total[:k]), total[k]] if k else [total[k]]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenstock import (
     NormalizedParams,
@@ -92,10 +94,21 @@ def test_mean_inventory_large_stock_limit():
     assert mean_inventory(s, nu) == pytest.approx(s - 1.0 / nu, abs=1e-12)
 
 
-def test_mean_inventory_bounded_by_stock():
-    for s in (0.5, 2.0, 11.0):
-        for nu in (0.05, 0.4, 2.0):
-            assert 0.0 <= mean_inventory(s, nu) <= s
+@pytest.mark.parametrize("s, nu", [(1.0, 2e-12), (2e-10, 0.5), (1.0, 0.999e-3), (1.0, 1.0005e-3)])
+def test_mean_inventory_keeps_its_digits_where_nu_s_is_small(s, nu):
+    """s - (1 - e^{-nu s})/nu cancels as nu s falls: it read 2.2e-5 against 1.0e-12 at
+    (1, 2e-12), and -1.65e-17 at (2e-10, 0.5); the last two lie either side of the
+    series' threshold nu s = 1e-3."""
+    assert mean_inventory(s, nu) == pytest.approx(inventory_quadrature(s, nu), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.5, 11.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       st.floats(0.05, 2.0) | st.floats(-11.9, 300.0).map(lambda e: 10.0 ** e))
+@example(2e-10, 0.5)
+@example(3e-300, 0.7)
+def test_mean_inventory_bounded_by_stock(s, nu):
+    assert 0.0 <= mean_inventory(s, nu) <= s
 
 
 # ---------------------------------------------------------- mean backlog

@@ -221,12 +221,12 @@ def test_rps_best_response_refuses_a_root_below_the_bracket_at_float_extremes(
 
 @pytest.mark.parametrize("call", [
     lambda: rps_best_response(REF, math.inf),
-    *(lambda s=s: rps_best_response(REF, s) for s in (math.nan, -math.inf, -1.0, 0.0)),
+    *(lambda s=s: rps_best_response(REF, s) for s in (math.nan, -math.inf, -1.0)),
     *(lambda tol=tol: best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=tol)
       for tol in (math.inf, -math.inf, -1.0, 0.0)),
     # At nu = inf the stock read 0, and at nu = 1e-320 it overflowed to inf.
     *(lambda nu=nu: bs_best_response(REF, nu) for nu in (math.inf, 1e-320)),
-], ids=["rps-s-inf", "rps-s-nan", "rps-s--inf", "rps-s-negative", "rps-s-zero",
+], ids=["rps-s-inf", "rps-s-nan", "rps-s--inf", "rps-s-negative",
         "brd-tol-inf", "brd-tol--inf", "brd-tol-negative", "brd-tol-zero",
         "bs-nu-inf", "bs-nu-subnormal"])
 def test_solvers_reject_bad_tolerance_and_stock(call):
@@ -485,6 +485,51 @@ def test_dynamics_nonconvergence_carries_trace():
     assert len(err.value.trace) == 4
 
 
+float_range_games = st.builds(
+    make_game, log_uniform(1e-30, 1e30), log_uniform(1e-60, 1e60), log_uniform(1e-10, 1e30),
+    st.floats(0.0, 1.0, exclude_max=True))
+
+
+@on_the_domain
+@given(float_range_games)
+# s* = 1.1e-29: the supplier once answered the clamped stock 1e-12 instead, and
+# the dynamics stopped at nu = 1.5e14 against nu* = 9.2e29.
+@example(make_game(774320.9702027849, 3.720007350696224e-57, 9.212206307711781e+29,
+                   0.026881743252439638))
+# w = ln(1 + alpha b) = 63.6: 774 rounds, past the flat 500 the library once allowed.
+@example(make_game(4.8614522745451496e+27, 125047134451.8479, 386.5632363870054,
+                   0.875623935822907))
+@example(make_game(10.0, 5.0, 1.0, 0.0))     # alpha = 0: s* = 0 in every round
+# phi < tol, and the start's s = 1 is the first best response to 1e-9: the first
+# round once stopped there, at s = 1 against s* = 224.
+@example(make_game(1e-9, 1e-4, 1e-9, 0.5))
+@example(make_game(1e-11, 1.0, 1.0, 1.1125369292536007e-308))   # ln(1 + alpha b) subnormal
+def test_dynamics_match_the_closed_form_across_float_range(deadline, g):
+    """Where the dynamics return, their fixed point is the closed form's to 1e-6
+    relative, and elsewhere they raise a typed error, never for want of rounds.
+    The supplier's answer to s = 0 is its own closed form,
+    nu = phi/(1 + sqrt(c_s (1 + phi)/((1 - alpha) b)))."""
+    nu = within(deadline, lambda: rps_best_response(g, 0.0))
+    if not isinstance(nu, GreenstockError):
+        closed = g.phi / (1.0 + math.sqrt(g.cs * (1.0 + g.phi) / g.residual_b))
+        assert nu == pytest.approx(closed, rel=1e-12, abs=0.0)
+    dynamics = within(deadline, lambda: best_response_dynamics(
+        g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9))
+    assert not isinstance(dynamics, ConvergenceError), dynamics
+    ne = within(deadline, lambda: nash_equilibrium(g))
+    if isinstance(ne, GreenstockError):
+        return      # nu* rounds onto phi: no closed form to compare
+    if isinstance(dynamics, GreenstockError):
+        # A best response below the bracket, from nu = phi/2 > nu*, puts nu* below it too.
+        assert isinstance(dynamics, DegenerateGameError) and ne.nu <= 1.01 * DOMAIN_EPS, dynamics
+        return
+    fixed, _ = dynamics
+    # The closed form rounds its s* numerator (sqrt(1 + phi) + f) ln(1 + alpha b)
+    # to 2**-1074 where that is subnormal, which moves s* by up to 2**-1074/nu*.
+    assert abs(fixed.s - ne.s) <= 1e-6 * ne.s + 2.0**-1074 / ne.nu
+    assert abs(fixed.nu - ne.nu) <= 1e-6 * ne.nu
+
+
 def test_dynamics_look_up_the_supplier_best_response_once_per_step(monkeypatch):
     """perfbench's `game.rps_best_response` span wraps the module global, so
     the dynamics must call it through the module, once per iterate."""
@@ -695,10 +740,25 @@ def test_dynamics_reject_nan_tolerance():
         best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), tol=math.nan)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1, 2.5, math.nan, math.inf, "5", None])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, math.nan, math.inf, "5"])
 def test_dynamics_reject_a_bad_iteration_cap(max_iter):
     with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
         best_response_dynamics(REF, StrategyPair(s=1.0, nu=0.5), max_iter=max_iter)
+
+
+def test_dynamics_size_their_default_iteration_cap(monkeypatch):
+    """max_iter=None allows ceil(64 (1 + q/2)) rounds, q = w^2/(1 + w) and
+    w = ln(1 + alpha b): 101 at the reference game, 64 at alpha = 0, and 2069
+    at w = 63.6, where the dynamics take 774 rounds."""
+    from greenstock import game
+    huge_b = make_game(4.8614522745451496e+27, 125047134451.8479, 386.5632363870054,
+                       0.875623935822907)
+    for g, cap in ((REF, 101), (make_game(10.0, 5.0, 1.0, 0.0), 64), (huge_b, 2069)):
+        answers = iter([0.25, 0.75] * cap)    # a supplier that never settles
+        monkeypatch.setattr(game, "rps_best_response", lambda g, s, start: next(answers) * g.phi)
+        with pytest.raises(ConvergenceError, match=f"within {cap} iterations") as err:
+            best_response_dynamics(g, StrategyPair(s=1.0, nu=0.5 * g.phi))
+        assert len(err.value.trace) == cap + 1
 
 
 def test_equilibrium_report_bundles_consistently():
