@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .core import (
-    DOMAIN_EPS,
     NormalizedParams,
     StrategyPair,
     approximation_error,

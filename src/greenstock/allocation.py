@@ -28,13 +28,12 @@ to the mechanism's grant on the full row, so no deviation row is sorted.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 import numpy as np
 
 from .errors import (_FLOAT_MAX, AllGridRegimeError, ParameterError, _Frozen, _nonnegative,
-                     _positive, _whole)
+                     _positive, _rate, _whole)
 
 FEAS_EPS = 1e-9
 # Largest (N, n_points + 1) float64 array of one scenario's deviation
@@ -73,13 +72,9 @@ class BsProfile(namedtuple("BsProfile", "lambda_bar b index")):
     __slots__ = ()
 
     def __new__(cls, lambda_bar: float, b: float, index: int):
-        # Written so that nan fails every range check.  At a subnormal rate
-        # the post-allocation cost's a * gamma / (p2 - p1) underflows to 0,
-        # and its last term divides by zero.
-        if not sys.float_info.min <= lambda_bar < math.inf:
-            raise ParameterError(f"lambda_bar must be finite and > 0, and not below the "
-                                 f"smallest normal float {sys.float_info.min}, "
-                                 f"got {lambda_bar}")
+        # At a subnormal rate the post-allocation cost's a * gamma / (p2 - p1)
+        # underflows to 0, and its last term divides by zero.
+        _rate("lambda_bar", lambda_bar)
         _nonnegative("b", b)
         return tuple.__new__(cls, (lambda_bar, b, index))
 

@@ -19,10 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import _FLOAT_MAX, ParameterError, _nonnegative, _positive, _whole
-
-# Open-interval domain checks exclude the endpoints with this slack.
-DOMAIN_EPS = 1e-12
+from .errors import _FLOAT_MAX, _FLOAT_MIN, ParameterError, _nonnegative, _positive, _rate, _whole
 
 
 class NormalizedParams(namedtuple("NormalizedParams", "b_n cs_n phi alpha")):
@@ -44,7 +41,8 @@ class NormalizedParams(namedtuple("NormalizedParams", "b_n cs_n phi alpha")):
 
 
 class StrategyPair(namedtuple("StrategyPair", "s nu")):
-    """A point (s, nu): base-stock level and normalized supply rate."""
+    """A point (s, nu): base-stock level and normalized supply rate, a rate
+    not below the smallest normal float."""
 
     __slots__ = ()
 
@@ -52,22 +50,16 @@ class StrategyPair(namedtuple("StrategyPair", "s nu")):
         # Chained comparisons first: the dynamics build one pair per iterate.
         if not 0.0 <= s <= _FLOAT_MAX:
             _nonnegative("s", s)
-        if not 0.0 < nu <= _FLOAT_MAX:
-            _positive("nu", nu)
+        if not _FLOAT_MIN <= nu <= _FLOAT_MAX:
+            _rate("nu", nu)
         return tuple.__new__(cls, (s, nu))
-
-
-def _check_s_nu(s: float, nu: float) -> None:
-    if not s >= 0:
-        raise ParameterError(f"s must be >= 0, got {s}")
-    if not nu > DOMAIN_EPS:
-        raise ParameterError(f"nu must be > DOMAIN_EPS={DOMAIN_EPS}, got {nu}")
 
 
 def mean_inventory(s: float, nu: float) -> float:
     """Expected energy reservation level E[(s - N)^+] = s - (1 - e^{-nu s})/nu, which
     cancels as x = nu s falls: below x = 1e-3 its series, within 3e-15 relative."""
-    _check_s_nu(s, nu)
+    _nonnegative("s", s)
+    _rate("nu", nu)
     x = nu * s
     if x < 1e-3:
         return s * x * (0.5 - x * (1.0 / 6.0 - x * (1.0 / 24.0 - x / 120.0)))
@@ -76,7 +68,8 @@ def mean_inventory(s: float, nu: float) -> float:
 
 def mean_backlog(s: float, nu: float) -> float:
     """Expected backlogged connections E[(N - s)^+] = e^{-nu s}/nu."""
-    _check_s_nu(s, nu)
+    _nonnegative("s", s)
+    _rate("nu", nu)
     return math.exp(-nu * s) / nu
 
 

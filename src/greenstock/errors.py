@@ -3,6 +3,7 @@
 import sys
 
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = sys.float_info.min
 
 
 class GreenstockError(Exception):
@@ -59,6 +60,14 @@ def _positive(label: str, *values) -> None:
     for value in values:
         if not 0.0 < value <= _FLOAT_MAX:
             raise ParameterError(f"{label} must be finite and > 0, got {value}")
+
+
+def _rate(label: str, value) -> None:
+    """ParameterError unless value is finite and not below the smallest normal float,
+    the floor of every rate (the supply rate nu, a station's lambda_bar); nan fails."""
+    if not _FLOAT_MIN <= value <= _FLOAT_MAX:
+        raise ParameterError(f"{label} must be finite and > 0, and not below the smallest "
+                             f"normal float {_FLOAT_MIN}, got {value}")
 
 
 def _nonnegative(label: str, *values) -> None:

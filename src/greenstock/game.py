@@ -1,7 +1,8 @@
 """The two-player supply-inventory game between a base station and its supplier.
 
 The BS picks the base-stock level s, the supplier picks the normalized
-supply rate nu in (0, phi); the cost functions take DOMAIN_EPS < nu < phi.
+supply rate nu in (0, phi), not below the smallest normal float, the floor of
+every rate.
 Normalized per-unit-time costs:
 
     bs cost       C_o(s, nu) = s - (1 - e^{-nu s})/nu + alpha*b * e^{-nu s}/nu
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import DOMAIN_EPS, NormalizedParams, StrategyPair, mean_backlog, mean_inventory
-from .errors import (_FLOAT_MAX, ConvergenceError, DegenerateGameError, ParameterError,
-                     _Frozen, _nonnegative, _positive, _whole)
+from .core import NormalizedParams, StrategyPair, mean_backlog, mean_inventory
+from .errors import (_FLOAT_MAX, _FLOAT_MIN, ConvergenceError, DegenerateGameError,
+                     ParameterError, _Frozen, _nonnegative, _positive, _rate, _whole)
 
 class GameInstance(_Frozen, namedtuple("GameInstance", "norm")):
     """One game, fully described by its normalized parameters.
@@ -87,9 +88,10 @@ def auxiliary_f(g: GameInstance) -> float:
 def bs_best_response(g: GameInstance, nu: float) -> float:
     """Optimal base stock for a fixed supply rate: s*(nu) = ln(1 + alpha*b)/nu.
 
-    nu must be finite and > 0, and a stock past float range is refused."""
-    if not 0.0 < nu <= _FLOAT_MAX:
-        _positive("nu", nu)
+    nu must be finite and not below the smallest normal float, and a stock
+    past float range is refused."""
+    if not _FLOAT_MIN <= nu <= _FLOAT_MAX:
+        _rate("nu", nu)
     s = g.log_ab / nu
     if not s <= _FLOAT_MAX:
         raise ParameterError(f"the stock ln(1 + alpha*b)/nu overflows float range at nu={nu}")
@@ -110,16 +112,17 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
         H''(x) = -w^2 (2 + w)/(1 + w)^2 - 2 nu phi/(phi - nu)^2 < 0,
 
     is strictly decreasing and concave, for any finite s >= 0.  Newton steps
-    nu <- nu exp(-H/H') from `start` when it lies strictly inside [DOMAIN_EPS,
-    hi], else from the midpoint, with hi = min(the float below phi, max float
-    / s), no bound at s = 0; the root lies below max float / s, and a phi at
-    or below DOMAIN_EPS leaves an empty bracket (ParameterError).  H lies
+    nu <- nu exp(-H/H') from `start` when it lies strictly inside [lo, hi],
+    else from the midpoint, with lo the smallest normal float, the floor of
+    every rate, and hi = min(the float below phi, max float / s), no bound at
+    s = 0; the root lies below max float / s, and a phi whose float below is
+    not above lo leaves an empty bracket (ParameterError).  H lies
     below its tangents, so a step from an iterate right of the root (H <= 0)
     lands right of it again, and one from the left does too, unless it
     reaches hi and is cut to the midpoint toward hi.  The loop returns the
     iterate where the step rounds away, or where H > 0 after an iterate with
     H <= 0 (rounding crossed the root); |H|/2 bounds the error in ln nu.  An
-    iterate below DOMAIN_EPS comes from the right, so the root lies below the
+    iterate below lo comes from the right, so the root lies below the
     bracket, and DegenerateGameError is raised.  Termination: right of the
     root the iterates strictly decrease, and the cuts, made only from the
     left, form at most one run, of strictly increasing nu below hi.
@@ -133,7 +136,7 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
     phi = g.phi
-    lo, hi = DOMAIN_EPS, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s if s else math.inf)
+    lo, hi = _FLOAT_MIN, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s if s else math.inf)
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
     log, log1p, exp = math.log, math.log1p, math.exp
@@ -168,7 +171,8 @@ def nash_equilibrium(g: GameInstance) -> StrategyPair:
         nu* = f*phi / (sqrt(1+phi) + f),
         s*  = (sqrt(1+phi) + f) ln(1 + alpha*b) / (f*phi),
 
-    a fixed point of both best responses; nu* s* = ln(1 + alpha*b).
+    a fixed point of both best responses; s* is computed as ln(1 + alpha*b)/nu*,
+    with one rounding.
     """
     if g.alpha >= 1.0:
         raise DegenerateGameError("alpha = 1: supplier drives nu to 0, unstable system")
@@ -181,8 +185,7 @@ def nash_equilibrium(g: GameInstance) -> StrategyPair:
     nu = f * g.phi / (root + f)
     if not nu < g.phi:
         raise DegenerateGameError(f"the equilibrium nu* rounds onto the pole phi={g.phi}")
-    s = (root + f) * g.log_ab / (f * g.phi)
-    return StrategyPair(s=s, nu=nu)
+    return StrategyPair(s=g.log_ab / nu, nu=nu)
 
 
 def best_response_dynamics(

@@ -288,7 +288,7 @@ def test_large_headroom_nash_terminates(deadline):
 @pytest.mark.parametrize("name", ["nash", "penalty-contract"])
 def test_game_answers_where_nu_star_lies_within_domain_eps_of_phi(name, capsys):
     # nu* = 9.999999999999998 < phi = 10: the cost functions once refused it
-    # as not below phi - DOMAIN_EPS, and both commands exited 2.
+    # as not below phi - 1e-12, and both commands exited 2.
     sets = {"cs": 1e-32, "phi": 10.0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -6,6 +6,7 @@ or from the whole `NormalizedParams` domain with hypothesis.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from greenstock import (
-    DOMAIN_EPS,
     ConvergenceError,
     DegenerateGameError,
     GameInstance,
@@ -163,29 +163,38 @@ def test_rps_best_response_falls_with_supply_cost():
 
 
 def test_rps_best_response_rejects_an_empty_bracket():
-    # The bracket is [DOMAIN_EPS, the float below phi].
-    for phi in (1e-13, DOMAIN_EPS):
+    # The bracket is [the smallest normal float, the float below phi].
+    for phi in (5e-324, sys.float_info.min):
         with pytest.raises(ParameterError, match="no room"):
             rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
-    # Not empty at 2 DOMAIN_EPS, but the root, near phi/2, lies just below it.
-    with pytest.raises(DegenerateGameError, match="below the bracket"):
-        rps_best_response(make_game(10.0, 5.0, 2 * DOMAIN_EPS, 0.5), 5.5065)
-    for phi in (3e-12, 1e-9, 1e-6):
+    # Once refused below a floor of 1e-12, as no room or a root below it.
+    for phi in (1e-300, 1e-13, 2e-12, 3e-12, 1e-9, 1e-6):
         nu = rps_best_response(make_game(10.0, 5.0, phi, 0.5), 5.5065)
         assert 0.0 < nu < phi
 
 
-def test_rps_best_response_refuses_a_root_below_the_bracket():
-    # nu* = 3.3e-13 < DOMAIN_EPS: the dynamics reported the "fixed point"
-    # nu = 1.93e-12, s = 5.2e8 here, against the closed form's s* = 3.0e9.
+def test_rps_best_response_plays_a_root_below_1e_12():
+    # nu* = 3.3e-13, below a floor of 1e-12 that once refused it: the dynamics
+    # reported the "fixed point" nu = 1.93e-12, s = 5.2e8 here, and later
+    # raised, against the closed form's s* = 3.0e9.
     g = make_game(1e-3, 1.0, 1e-3, 1.0 - 1.1e-16)
-    assert nash_equilibrium(g).nu < DOMAIN_EPS
-    with pytest.raises(DegenerateGameError, match=r"below the bracket \[1e-12, "):
-        rps_best_response(g, 1.0)
-    with pytest.raises(DegenerateGameError, match="below the bracket"):
-        best_response_dynamics(g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9)
-    with pytest.raises(ParameterError, match=r"nu must be > DOMAIN_EPS=1e-12, got 3\.33"):
-        cost_bs(g, nash_equilibrium(g))
+    ne = nash_equilibrium(g)
+    assert ne.nu < 1e-12
+    assert abs(log_foc(g, 1.0, rps_best_response(g, 1.0))) <= 1e-12
+    fixed, _ = best_response_dynamics(g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9)
+    assert fixed.nu == pytest.approx(ne.nu, rel=1e-12, abs=0.0)
+    assert fixed.s == pytest.approx(ne.s, rel=1e-12, abs=0.0)
+    assert math.isfinite(cost_bs(g, ne)) and math.isfinite(cost_rps(g, ne))
+
+
+def test_rps_best_response_refuses_a_root_below_the_bracket(deadline):
+    # The bracket starts at the smallest normal float, the floor of every rate.
+    g = make_game(1e-300, 1e300, 1e-10, 0.5)
+    for s in (0.0, 1.0):
+        assert log_foc(g, s, sys.float_info.min) < 0.0
+        with deadline(1), pytest.raises(DegenerateGameError,
+                                        match=r"below the bracket \[2\.2250738585072014e-308, "):
+            rps_best_response(g, s)
 
 
 def test_rps_best_response_at_a_wide_headroom():
@@ -197,26 +206,27 @@ def test_rps_best_response_at_a_wide_headroom():
 
 
 def test_rps_best_response_where_phi_less_the_bracket_margin_rounds_to_phi():
-    # phi - DOMAIN_EPS rounds to phi = 1e6, and the root lies past the upper
+    # phi - 1e-12 rounds to phi = 1e6, and the root lies past the upper
     # end: the midpoint cuts toward it must stop below phi, where ln(phi - nu) is finite.
     nu = rps_best_response(make_game(10.0, 1e-300, 1e6, 0.5), math.log(6.0) / 5e5)
     assert nu == 999999.9999999998
 
 
 @pytest.mark.parametrize("args, s", [
-    # nu * s would overflow to inf at the midpoint of [DOMAIN_EPS, phi - DOMAIN_EPS].
+    # nu * s would overflow to inf at the midpoint of [1e-12, phi - 1e-12].
     ((2.9493012454668004e+97, 2.499936398012461e-26, 3.225980927680921e+75,
       0.9976562004630843), 2.600069720785715e+297),
-    # ln((phi - nu)/nu) overflows near nu = DOMAIN_EPS: the non-root 5.13e-9 was returned.
+    # ln((phi - nu)/nu) overflows near nu = 1e-12: the non-root 5.13e-9 was returned.
     ((7.043785813516692e+19, 5.7074835560657325e-67, 9.22278040040162e+299,
       0.6422652618081773), 5.628819858609441e+120),
 ])
-def test_rps_best_response_refuses_a_root_below_the_bracket_at_float_extremes(
-        args, s, deadline):
+def test_rps_best_response_finds_a_root_at_float_extremes(args, s, deadline):
+    # Both roots lie below 1e-12, a floor that once refused them.
     g = make_game(*args)
-    assert log_foc(g, s, DOMAIN_EPS) < 0.0
-    with deadline(5), pytest.raises(DegenerateGameError, match="below the bracket"):
-        rps_best_response(g, s)
+    assert log_foc(g, s, 1e-12) < 0.0
+    with deadline(5):
+        nu = rps_best_response(g, s)
+    assert abs(log_foc(g, s, nu)) <= 1e-12
 
 
 @pytest.mark.parametrize("call", [
@@ -245,7 +255,7 @@ def _ref_rps_best_response(g, s, tol=1e-10):
         right = g.cs * (1.0 + g.phi) / (g.phi - nu) ** 2
         return left - right
 
-    lo, hi = DOMAIN_EPS, g.phi - DOMAIN_EPS
+    lo, hi = sys.float_info.min, math.nextafter(g.phi, 0.0)
     # Below a few ulps of the bracket the midpoint stops moving.
     tol = max(tol, 4.0 * math.ulp(hi))
     while hi - lo > tol:
@@ -311,9 +321,9 @@ def within(deadline, call):
 @on_the_domain
 @given(domain_games, log_uniform(1e-4, 1e6), st.none() | st.floats(-0.5, 1.5))
 # One case per exit: the step rounds away; rounding crosses the root (REF
-# from the midpoint); midpoint cuts toward the upper end, where phi - DOMAIN_EPS
-# rounds to phi and the root lies past it; the root lies below the bracket; a
-# start outside the bracket.
+# from the midpoint); midpoint cuts toward the upper end, where phi - 1e-12
+# rounds to phi and the root lies past it; the root lies below 1e-12; a start
+# outside the bracket.
 @example(make_game(15.509717568752068, 457.235879132555, 693.0602297904592,
                    0.9000986907671215), 0.0013553755484921213, None)
 @example(REF, 5.5065, None)
@@ -325,7 +335,7 @@ def test_rps_best_response_on_the_parameter_domain(deadline, g, s, start_frac):
     # Any start, inside the bracket or not, must reach the same root.
     start = None if start_frac is None else start_frac * g.phi
     nu = within(deadline, lambda: rps_best_response(g, s, start=start))
-    lo, hi = DOMAIN_EPS, min(g.phi - DOMAIN_EPS, math.nextafter(g.phi, 0.0))
+    lo, hi = sys.float_info.min, math.nextafter(g.phi, 0.0)
     if log_foc(g, s, lo) < 0.0:
         # The root lies below the bracket: no nu in it is a best response.
         assert isinstance(nu, DegenerateGameError), nu
@@ -360,7 +370,7 @@ def test_rps_best_response_root_condition_is_concave_in_log_nu():
     for _ in range(200):
         s, phi = 10.0 ** rng.uniform(-3, 6, size=2)
         level = rng.uniform(-30.0, 30.0)
-        x = np.linspace(math.log(DOMAIN_EPS), math.log(phi) + math.log1p(-1e-9), 20_001)
+        x = np.linspace(math.log(1e-12), math.log(phi) + math.log1p(-1e-9), 20_001)
         nu = np.exp(x)
         w = nu * s
         terms = (level, -w, np.log1p(w), 2.0 * np.log(phi - nu), -2.0 * x)
@@ -380,23 +390,20 @@ def test_rps_best_response_root_condition_is_concave_in_log_nu():
 @example(make_game(1.0, 1.0, 10.0 ** -2.625, 1.0 - 1.1e-16), 1.8, 2.0, 1.0, 7.5)
 @example(make_game(1.0, 1.0, 10.0, 1.0 - 2.2e-16), 1.8, 2.0, 1.0, 7.5)
 @example(make_game(10.0, 1e22, 1.0, 0.5), 1.8, 2.0, 1.0, 7.5)
+# nu* = 3.3e-13: a floor of 1e-12 once refused the dynamics and the NE costs.
+@example(make_game(1e-3, 1.0, 1e-3, 1.0 - 1.1e-16), 1.8, 2.0, 1.0, 7.5)
 def test_game_solvers_on_the_parameter_domain(deadline, g, total_lambda, mu0, p1, p2):
     ne = within(deadline, lambda: nash_equilibrium(g))
     assert ne.nu * ne.s == pytest.approx(math.log1p(g.alpha * g.b), abs=1e-9)
     assert abs(log_foc(g, ne.s, ne.nu)) <= 1e-9
 
+    assert math.isfinite(cost_bs(g, ne)) and math.isfinite(cost_rps(g, ne))
     dynamics = within(deadline, lambda: best_response_dynamics(
         g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9))
-    if isinstance(dynamics, DegenerateGameError):
-        # From nu = phi/2 > nu* every iterate's nu stays above nu*, so a best
-        # response below the bracket means nu* is below it too.
-        assert ne.nu <= 1.01 * DOMAIN_EPS
-    elif isinstance(dynamics, ConvergenceError):
-        assert not DOMAIN_EPS < ne.nu < g.phi - DOMAIN_EPS, dynamics
-    else:
-        fixed, _ = dynamics
-        assert abs(fixed.nu - ne.nu) <= 1e-6 * max(1.0, ne.nu)
-        assert abs(fixed.s - ne.s) <= 1e-6 * max(1.0, ne.s)
+    assert not isinstance(dynamics, GreenstockError), dynamics
+    fixed, _ = dynamics
+    assert abs(fixed.nu - ne.nu) <= 1e-6 * max(1.0, ne.nu)
+    assert abs(fixed.s - ne.s) <= 1e-6 * max(1.0, ne.s)
 
     lam, cost = within(deadline, lambda: power_split(g, total_lambda, mu0, p1, p2))
     hi = min(total_lambda, mu0 * (1.0 - 1e-6))
@@ -505,8 +512,9 @@ float_range_games = st.builds(
 @example(make_game(1e-9, 1e-4, 1e-9, 0.5))
 @example(make_game(1e-11, 1.0, 1.0, 1.1125369292536007e-308))   # ln(1 + alpha b) subnormal
 def test_dynamics_match_the_closed_form_across_float_range(deadline, g):
-    """Where the dynamics return, their fixed point is the closed form's to 1e-6
-    relative, and elsewhere they raise a typed error, never for want of rounds.
+    """Wherever the closed form returns, the dynamics return its fixed point to
+    1e-6 relative and its costs are finite; elsewhere the dynamics raise a typed
+    error, never for want of rounds.
     The supplier's answer to s = 0 is its own closed form,
     nu = phi/(1 + sqrt(c_s (1 + phi)/((1 - alpha) b)))."""
     nu = within(deadline, lambda: rps_best_response(g, 0.0))
@@ -519,15 +527,11 @@ def test_dynamics_match_the_closed_form_across_float_range(deadline, g):
     ne = within(deadline, lambda: nash_equilibrium(g))
     if isinstance(ne, GreenstockError):
         return      # nu* rounds onto phi: no closed form to compare
-    if isinstance(dynamics, GreenstockError):
-        # A best response below the bracket, from nu = phi/2 > nu*, puts nu* below it too.
-        assert isinstance(dynamics, DegenerateGameError) and ne.nu <= 1.01 * DOMAIN_EPS, dynamics
-        return
+    assert not isinstance(dynamics, GreenstockError), dynamics
     fixed, _ = dynamics
-    # The closed form rounds its s* numerator (sqrt(1 + phi) + f) ln(1 + alpha b)
-    # to 2**-1074 where that is subnormal, which moves s* by up to 2**-1074/nu*.
-    assert abs(fixed.s - ne.s) <= 1e-6 * ne.s + 2.0**-1074 / ne.nu
+    assert abs(fixed.s - ne.s) <= 1e-6 * ne.s
     assert abs(fixed.nu - ne.nu) <= 1e-6 * ne.nu
+    assert math.isfinite(cost_bs(g, ne)) and math.isfinite(cost_rps(g, ne))
 
 
 def test_dynamics_look_up_the_supplier_best_response_once_per_step(monkeypatch):

@@ -16,7 +16,7 @@ from greenstock import allocation
 PACKAGE_DIR = Path(greenstock.__file__).parent
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "core": "DOMAIN_EPS NormalizedParams StrategyPair approximation_error "
+    "core": "NormalizedParams StrategyPair approximation_error "
             "exact_backlog_discrete mean_backlog mean_inventory",
     "errors": "AllGridRegimeError ConvergenceError DegenerateGameError GreenstockError "
               "ParameterError",
