@@ -34,7 +34,7 @@ class NormalizedParams(namedtuple("NormalizedParams", "b_n cs_n phi alpha")):
     def __new__(cls, b_n: float, cs_n: float, phi: float, alpha: float):
         _positive("phi", phi)
         _nonnegative("b_n", b_n)
-        _nonnegative("cs_n", cs_n)
+        _positive("cs_n", cs_n)
         if not 0.0 <= alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
         return tuple.__new__(cls, (b_n, cs_n, phi, alpha))

@@ -15,7 +15,7 @@ class ParameterError(GreenstockError, ValueError):
 
 
 class DegenerateGameError(GreenstockError):
-    """The game has no interior equilibrium (alpha=1, b=0 or c_s=0), or its nu rounds onto phi."""
+    """No interior equilibrium (alpha=1, b=0), or a closed-form nu underflows or rounds onto phi."""
 
 
 class ConvergenceError(GreenstockError):

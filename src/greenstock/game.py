@@ -28,19 +28,22 @@ from .errors import (_FLOAT_MAX, _FLOAT_MIN, ConvergenceError, DegenerateGameErr
 class GameInstance(_Frozen, namedtuple("GameInstance", "norm")):
     """One game, fully described by its normalized parameters.
 
-    b, cs, phi and alpha are read off `norm`, and the three constants the game
-    functions share, log_ab = ln(1 + alpha*b), gamma = ln(1 + b) and
-    residual_b = (1 - alpha)*b, are derived once.  None of them takes part in
-    `==`, `hash` or the repr, which stay those of `norm`.
+    b, cs, phi and alpha are read off `norm`, and the constants the game functions
+    share, log_ab = ln(1 + alpha*b), gamma = ln(1 + b), residual_b = (1 - alpha)*b and
+    inv_f = 1/`auxiliary_f`, are derived once.  None of them takes part in `==`,
+    `hash` or the repr, which stay those of `norm`.
     """
 
     def __new__(cls, norm: NormalizedParams):
         self = tuple.__new__(cls, (norm,))
-        b, alpha = norm.b_n, norm.alpha
-        self.__dict__.update(b=b, cs=norm.cs_n, phi=norm.phi, alpha=alpha,
-                             log_ab=math.log1p(alpha * b), gamma=math.log1p(b),
-                             # Not b - alpha*b, which cancels to a wrong residual as alpha -> 1.
-                             residual_b=(1.0 - alpha) * b)
+        b, cs, alpha = norm.b_n, norm.cs_n, norm.alpha
+        ab, log_ab = alpha * b, math.log1p(alpha * b)
+        residual_b = (1.0 - alpha) * b     # not b - alpha*b, which cancels as alpha -> 1
+        # Three roots, not one of the quotient, which can leave float range where 1/f does not.
+        inv_f = (math.sqrt(cs) / math.sqrt(residual_b) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
+                 if residual_b > 0.0 else math.inf)     # inf where alpha = 1 or b = 0
+        self.__dict__.update(b=b, cs=cs, phi=norm.phi, alpha=alpha, log_ab=log_ab,
+                             gamma=math.log1p(b), residual_b=residual_b, inv_f=inv_f)
         return self
 
 
@@ -76,13 +79,11 @@ def total_cost(g: GameInstance, x: StrategyPair) -> float:
 
 
 def auxiliary_f(g: GameInstance) -> float:
-    """f = sqrt((b - ab + (b - ab) ln(1 + ab)) / (c_s (1 + ab))), ab = alpha*b.
+    """f = sqrt((b - ab + (b - ab) ln(1 + ab)) / (c_s (1 + ab))), ab = alpha*b, as 1/`inv_f`.
 
     Zero exactly when alpha = 1 or b = 0, which are the degenerate games.
     """
-    if g.cs <= 0:
-        raise ParameterError("cs_n must be > 0 for the auxiliary function")
-    return math.sqrt(g.residual_b * (1.0 + g.log_ab) / (g.cs * (1.0 + g.alpha * g.b)))
+    return 1.0 / g.inv_f
 
 
 def bs_best_response(g: GameInstance, nu: float) -> float:
@@ -129,8 +130,6 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
     """
     if not 0.0 <= s <= _FLOAT_MAX:
         _nonnegative("s", s)
-    if g.cs <= 0:
-        raise ParameterError("cs_n must be > 0")
     if g.residual_b <= 0:
         raise DegenerateGameError(
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
@@ -165,27 +164,32 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
     return nu
 
 
+def _interior_optimum(g: GameInstance, k: float, level: float, name: str) -> StrategyPair:
+    """nu = phi/(1 + k sqrt(1 + phi)) and s = level/nu, the one closed form of both
+    interior optima.  nu is computed as (phi/r)/(k + 1/r), r = sqrt(1 + phi), which
+    is finite wherever nu is; a nu below the smallest normal float, the floor of
+    every rate, or one that rounds onto phi raises DegenerateGameError."""
+    r = math.sqrt(1.0 + g.phi)
+    nu = (g.phi / r) / (k + 1.0 / r)
+    if not _FLOAT_MIN <= nu < g.phi:
+        raise DegenerateGameError(f"the {name} " + (
+            f"underflows to {nu}, below the smallest normal float {_FLOAT_MIN}"
+            if nu < _FLOAT_MIN else f"rounds onto the pole phi={g.phi}"))
+    return StrategyPair(s=level / nu, nu=nu)
+
+
 def nash_equilibrium(g: GameInstance) -> StrategyPair:
-    """Closed-form unique Nash equilibrium
+    """Closed-form unique Nash equilibrium, a fixed point of both best responses:
 
-        nu* = f*phi / (sqrt(1+phi) + f),
-        s*  = (sqrt(1+phi) + f) ln(1 + alpha*b) / (f*phi),
+        nu* = f*phi / (sqrt(1+phi) + f) = phi/(1 + (1/f) sqrt(1+phi)),
+        s*  = ln(1 + alpha*b)/nu*,
 
-    a fixed point of both best responses; s* is computed as ln(1 + alpha*b)/nu*,
-    with one rounding.
+    computed in 1/f (`GameInstance.inv_f`), which stays finite where f underflows.
     """
-    if g.alpha >= 1.0:
-        raise DegenerateGameError("alpha = 1: supplier drives nu to 0, unstable system")
-    if g.b <= 0:
-        raise DegenerateGameError("b = 0: no backlog cost, both players idle at the boundary")
-    f = auxiliary_f(g)
-    if f <= 0:
-        raise DegenerateGameError("degenerate game: auxiliary function vanishes")
-    root = math.sqrt(1.0 + g.phi)
-    nu = f * g.phi / (root + f)
-    if not nu < g.phi:
-        raise DegenerateGameError(f"the equilibrium nu* rounds onto the pole phi={g.phi}")
-    return StrategyPair(s=g.log_ab / nu, nu=nu)
+    if g.residual_b <= 0:
+        raise DegenerateGameError(
+            "no interior equilibrium when alpha = 1 or b = 0: the supplier drives nu to 0")
+    return _interior_optimum(g, g.inv_f, g.log_ab, "equilibrium nu*")
 
 
 def best_response_dynamics(
@@ -233,26 +237,20 @@ def best_response_dynamics(
 
 
 def centralized_optimum(g: GameInstance) -> StrategyPair:
-    """Joint minimizer of C = C_o + C_r with gamma = ln(1 + b):
+    """Joint minimizer of C = C_o + C_r, the equilibrium's closed form with
+    sqrt(c_s/gamma) in place of 1/f, gamma = ln(1 + b):
 
-        nu_bar = phi sqrt(c_s gamma) / (sqrt(c_s gamma) + c_s sqrt(phi+1)),
-        s_bar  = gamma / nu_bar.
+        nu_bar = phi/(1 + sqrt(c_s/gamma) sqrt(1+phi)),  s_bar = gamma / nu_bar.
     """
-    if g.b <= 0 or g.cs <= 0:
-        raise DegenerateGameError("centralized optimum requires b > 0 and cs_n > 0")
-    root = math.sqrt(g.cs * g.gamma)
-    nu = g.phi * root / (root + g.cs * math.sqrt(g.phi + 1.0))
-    if not nu > 0.0:
-        raise ParameterError(f"nu_bar underflows to 0 at b_n={g.b}, cs_n={g.cs}, phi={g.phi}")
-    if not nu < g.phi:
-        raise DegenerateGameError(f"the optimum nu_bar rounds onto the pole phi={g.phi}")
-    return StrategyPair(s=g.gamma / nu, nu=nu)
+    if g.b <= 0:
+        raise DegenerateGameError("centralized optimum requires b > 0")
+    return _interior_optimum(g, math.sqrt(g.cs) / math.sqrt(g.gamma), g.gamma, "optimum nu_bar")
 
 
 def centralized_cost(g: GameInstance) -> float:
     """Minimum joint cost C(s_bar, nu_bar) = (c_s + gamma + 2 sqrt(c_s gamma (1+phi)))/phi."""
-    if g.b <= 0 or g.cs <= 0:
-        raise DegenerateGameError("centralized cost requires b > 0 and cs_n > 0")
+    if g.b <= 0:
+        raise DegenerateGameError("centralized cost requires b > 0")
     return (g.cs + g.gamma + 2.0 * math.sqrt(g.cs * g.gamma * (1.0 + g.phi))) / g.phi
 
 
@@ -262,6 +260,9 @@ def equilibrium_report(g: GameInstance) -> EquilibriumReport:
     ne = nash_equilibrium(g)
     bs, rps = cost_bs(g, ne), cost_rps(g, ne)
     c_central = centralized_cost(g)
+    if not c_central > 0.0:
+        raise DegenerateGameError(f"the centralized cost underflows to 0 at b_n={g.b}, "
+                                  f"cs_n={g.cs}, phi={g.phi}, and the penalty divides by it")
     penalty = (bs + rps) / c_central - 1.0
     ratio = rps / c_central
     lo, hi = max(ratio - penalty, 0.0), min(ratio, 1.0)
@@ -308,8 +309,8 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     larger root t_2 of F, and lambda* is the cheapest of 0 (all-grid),
     hi = min(total_lambda, mu0 (1 - 1e-6)) and mu0 t^2 for the t where Newton
     on F ends, the smaller on a tie; only 0 and hi when L = 0 or q <= 0.  All
-    is computed in 1/f, finite where f overflows (a subnormal c_s); 1/f is
-    inf when alpha = 1 or b = 0, where the renewable cost is inf and lambda* = 0.
+    is computed in `inv_f` = 1/f, finite where f overflows (a subnormal c_s);
+    1/f is inf when alpha = 1 or b = 0, where the renewable cost is inf and lambda* = 0.
 
     Newton starts at t = sqrt(hi/mu0), unless that underflows to 0, and steps
     t <- t - F/F' while F > 0 and F' > 0.  F lies above its tangents, so
@@ -326,13 +327,9 @@ def power_split(g: GameInstance, total_lambda: float, mu0: float, p1: float,
     _nonnegative("energy prices", p1, p2)
     _nonnegative("the bill p1 * total_lambda", p1 * total_lambda)
     _nonnegative("the bill p2 * total_lambda", p2 * total_lambda)
-    if g.cs <= 0:
-        raise ParameterError("cs_n must be > 0 for the auxiliary function")
     if g.residual_b <= 0.0:
         return 0.0, p2 * total_lambda
-    ab, log_ab = g.alpha * g.b, g.log_ab
-    # Three roots, not one of the quotient, which can leave float range where 1/f does not.
-    inv_f = math.sqrt(g.cs) / math.sqrt(g.residual_b) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
+    log_ab, inv_f = g.log_ab, g.inv_f
     hi, q = min(total_lambda, mu0 * (1.0 - 1e-6)), p2 - p1
     lams = [0.0, hi]
     if log_ab > 0.0 and q > 0.0:

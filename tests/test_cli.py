@@ -18,6 +18,7 @@ from greenstock import cli
 from greenstock.cli import main, resolve_params, run_scenario, run_sweep
 from greenstock.game import auxiliary_f
 from greenstock.simulate import SimConfig
+from strategies import log_uniform, make_game
 
 
 @pytest.fixture(autouse=True)
@@ -109,7 +110,7 @@ def test_invalid_parameter_exits_2(tmp_path):
     (["audit", "--set", "grid_points=100000000"], "lower n_points"),
     (["central", "--set", "phi=nan"], "phi must be finite and > 0"),
     (["central", "--set", "b=inf"], "b_n must be finite and >= 0"),
-    (["nash", "--set", "cs=nan"], "cs_n must be finite and >= 0"),
+    (["nash", "--set", "cs=nan"], "cs_n must be finite and > 0"),
     (["nash", "--set", "tol=nan"], "tol must be finite and > 0"),
     (["nash", "--set", "start_s=nan"], "unknown parameter start_s"),
     (["penalty-contract", "--set", "b=nan"], "b_n must be finite and >= 0"),
@@ -163,6 +164,11 @@ def test_invalid_parameter_exits_2(tmp_path):
      "the optimum nu_bar rounds onto the pole phi=1000000.0"),
     (["central", "--set", "cs=1e-300", "--set", "phi=1e6"],
      "the optimum nu_bar rounds onto the pole phi=1000000.0"),
+    # The centralized cost underflows to 0, and the penalty divides by it.
+    (["penalty-contract", "--set", "b=5.5587658417940875e-283",
+      "--set", "cs=1.2370128581013361e-274", "--set", "phi=1.0696782426394622e+122",
+      "--set", "alpha=5.931837303800576e-11"],
+     "the centralized cost underflows to 0"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):
@@ -674,19 +680,10 @@ def test_keeps_argmin_matches_numpy_argmin_of_the_scaled_surface(share):
     assert cli._keeps_argmin(_SURFACE, k, share) == expected
 
 
-def _surface_game(b, cs, phi, alpha):
-    return greenstock.GameInstance(greenstock.NormalizedParams(b_n=b, cs_n=cs, phi=phi,
-                                                               alpha=alpha))
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
 @settings(max_examples=60, deadline=None)
-@given(g=st.builds(_surface_game, _log_uniform(1e-12, 1e6), _log_uniform(1e-3, 1e3),
-                   _log_uniform(1e-3, 1e4), st.floats(0.01, 0.99)),
-       span=_log_uniform(0.05, 20.0), n=st.sampled_from([300, 300, 1, 2, 7, 64]))
+@given(g=st.builds(make_game, log_uniform(1e-12, 1e6), log_uniform(1e-3, 1e3),
+                   log_uniform(1e-3, 1e4), st.floats(0.01, 0.99)),
+       span=log_uniform(0.05, 20.0), n=st.sampled_from([300, 300, 1, 2, 7, 64]))
 @example(g=_PENALTY_GAME, span=4.0, n=300)
 def test_surface_minimum_matches_the_whole_surface(g, span, n):
     """The O(n) scan gives `_cost_surface`'s first minimum, the bits of the least

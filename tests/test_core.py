@@ -53,7 +53,7 @@ def test_alpha_outside_unit_interval_rejected():
 
 
 _BAD_PARAMS = [(field, bad) for bad in (math.nan, math.inf, -math.inf, -1.0)
-               for field in ("b_n", "cs_n", "phi", "alpha")] + [("phi", 0.0)]
+               for field in ("b_n", "cs_n", "phi", "alpha")] + [("phi", 0.0), ("cs_n", 0.0)]
 
 
 @pytest.mark.parametrize("field, bad", _BAD_PARAMS,

@@ -7,6 +7,7 @@ or from the whole `NormalizedParams` domain with hypothesis.
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,12 +36,9 @@ from greenstock import (
     rps_best_response,
     total_cost,
 )
+from strategies import log_uniform, make_game
 
 REF = GameInstance(NormalizedParams(b_n=10.0, cs_n=5.0, phi=1.0, alpha=0.5))
-
-
-def make_game(b, cs, phi, alpha):
-    return GameInstance(NormalizedParams(b_n=b, cs_n=cs, phi=phi, alpha=alpha))
 
 
 def random_games(n, seed=20240215):
@@ -113,8 +111,6 @@ def test_auxiliary_reference_value():
 def test_auxiliary_vanishes_only_when_degenerate():
     assert auxiliary_f(make_game(10.0, 5.0, 1.0, 1.0)) == 0.0
     assert auxiliary_f(make_game(0.0, 5.0, 1.0, 0.5)) == 0.0
-    with pytest.raises(ParameterError):
-        auxiliary_f(make_game(10.0, 0.0, 1.0, 0.5))
 
 
 # --------------------------------------------------------- best responses
@@ -278,10 +274,6 @@ def log_foc(g, s, nu):
             - nu * s + math.log1p(nu * s) + 2.0 * (math.log(g.phi - nu) - math.log(nu)))
 
 
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
 domain_games = st.builds(
     make_game, log_uniform(1e-3, 1e6), log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e6),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -295,9 +287,11 @@ on_the_domain = settings(max_examples=300, deadline=None,
 def test_game_instance_derives_its_fields_once(g, other):
     norm = g.norm
     b, alpha = norm.b_n, norm.alpha
+    ab, log_ab, residual_b = alpha * b, math.log1p(alpha * b), (1.0 - alpha) * b
     expected = {"b": b, "cs": norm.cs_n, "phi": norm.phi, "alpha": alpha,
-                "log_ab": math.log1p(alpha * b), "gamma": math.log1p(b),
-                "residual_b": (1.0 - alpha) * b}
+                "log_ab": log_ab, "gamma": math.log1p(b), "residual_b": residual_b,
+                "inv_f": math.sqrt(norm.cs_n) / math.sqrt(residual_b)
+                * math.sqrt((1.0 + ab) / (1.0 + log_ab))}
     for name, value in expected.items():
         assert getattr(g, name).hex() == value.hex(), name
     twin = GameInstance(NormalizedParams(b_n=b, cs_n=norm.cs_n, phi=norm.phi, alpha=alpha))
@@ -449,6 +443,24 @@ def test_nash_degenerate_cases_raise():
         nash_equilibrium(make_game(10.0, 5.0, 1.0, 1.0))
     with pytest.raises(DegenerateGameError):
         nash_equilibrium(make_game(0.0, 5.0, 1.0, 0.5))
+    # nu* below the smallest normal float: once an untyped division by zero.
+    with pytest.raises(DegenerateGameError, match=r"the equilibrium nu\* underflows to 0\.0"):
+        nash_equilibrium(make_game(1.361574426450095e+74, 4.254078359226912e+216,
+                                   5.195813775010137e-239, 0.9999999999999999))
+
+
+def test_nash_keeps_its_digits_where_f_is_subnormal():
+    """f's radicand is 4.0e-319 here; nu* = phi f/(sqrt(1 + phi) + f) against a
+    50-digit reference, once off by 1.26e-6 relative."""
+    args = (1.0992288832725049e-110, 1.9092354769730719e+208, 1.259352512515746e+236,
+            0.3028093296725163)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, cs, phi, alpha = map(Decimal, args)
+        ab = alpha * b
+        f = ((1 - alpha) * b * (1 + (1 + ab).ln()) / (cs * (1 + ab))).sqrt()
+        want = float(phi * f / ((1 + phi).sqrt() + f))
+    assert nash_equilibrium(make_game(*args)).nu == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_comparative_statics_in_alpha():
@@ -492,9 +504,11 @@ def test_dynamics_nonconvergence_carries_trace():
     assert len(err.value.trace) == 4
 
 
-float_range_games = st.builds(
-    make_game, log_uniform(1e-30, 1e30), log_uniform(1e-60, 1e60), log_uniform(1e-10, 1e30),
-    st.floats(0.0, 1.0, exclude_max=True))
+alphas = st.floats(0.0, 1.0, exclude_max=True)
+# The box a finite NE cost is asserted on; past it c_s (nu + 1)/(phi - nu) can pass float range.
+BOX = {"b": (1e-30, 1e30), "cs": (1e-60, 1e60), "phi": (1e-10, 1e30)}
+float_range_games = (st.builds(make_game, *(log_uniform(*BOX[key]) for key in BOX), alphas)
+                     | st.builds(make_game, *3 * [log_uniform(1e-300, 1e300)], alphas))
 
 
 @on_the_domain
@@ -511,27 +525,46 @@ float_range_games = st.builds(
 # round once stopped there, at s = 1 against s* = 224.
 @example(make_game(1e-9, 1e-4, 1e-9, 0.5))
 @example(make_game(1e-11, 1.0, 1.0, 1.1125369292536007e-308))   # ln(1 + alpha b) subnormal
+# f underflowed to 0 and the closed form refused a game the dynamics solve.
+@example(make_game(1e-300, 1e300, 1.0, 0.5))
+# f's radicand was subnormal: nu* came out 1.26e-6 relative off.
+@example(make_game(1.0992288832725049e-110, 1.9092354769730719e+208, 1.259352512515746e+236,
+                   0.3028093296725163))
+# nu* underflows to 0: the closed form once divided by it.
+@example(make_game(1.361574426450095e+74, 4.254078359226912e+216, 5.195813775010137e-239,
+                   0.9999999999999999))
 def test_dynamics_match_the_closed_form_across_float_range(deadline, g):
-    """Wherever the closed form returns, the dynamics return its fixed point to
-    1e-6 relative and its costs are finite; elsewhere the dynamics raise a typed
-    error, never for want of rounds.
-    The supplier's answer to s = 0 is its own closed form,
-    nu = phi/(1 + sqrt(c_s (1 + phi)/((1 - alpha) b)))."""
+    """Where the dynamics converge, the closed form answers, and agrees with
+    their fixed point to 1e-6 relative, unless nu* rounds onto phi; where they
+    raise a typed error, so does the closed form, and they never run out of
+    rounds.  The centralized optimum answers or raises a typed error, and on
+    the box the NE costs are finite.
+    The supplier's answer to s = 0 is the closed form
+    nu = phi/(1 + sqrt(c_s/((1 - alpha) b)) sqrt(1 + phi)), here in a form finite
+    wherever nu is."""
     nu = within(deadline, lambda: rps_best_response(g, 0.0))
     if not isinstance(nu, GreenstockError):
-        closed = g.phi / (1.0 + math.sqrt(g.cs * (1.0 + g.phi) / g.residual_b))
+        root = math.sqrt(1.0 + g.phi)
+        closed = (g.phi / root) / (math.sqrt(g.cs) / math.sqrt(g.residual_b) + 1.0 / root)
         assert nu == pytest.approx(closed, rel=1e-12, abs=0.0)
+    within(deadline, lambda: centralized_optimum(g))
     dynamics = within(deadline, lambda: best_response_dynamics(
         g, StrategyPair(s=1.0, nu=0.5 * g.phi), tol=1e-9))
     assert not isinstance(dynamics, ConvergenceError), dynamics
     ne = within(deadline, lambda: nash_equilibrium(g))
-    if isinstance(ne, GreenstockError):
-        return      # nu* rounds onto phi: no closed form to compare
-    assert not isinstance(dynamics, GreenstockError), dynamics
+    if isinstance(dynamics, GreenstockError):
+        assert isinstance(ne, GreenstockError), (dynamics, ne)
+        return
     fixed, _ = dynamics
+    if isinstance(ne, GreenstockError):
+        # The one refusal of a game the dynamics solve: nu* rounds onto phi.
+        assert "rounds onto the pole" in str(ne), ne
+        assert fixed.nu >= (1.0 - 1e-6) * g.phi
+        return
     assert abs(fixed.s - ne.s) <= 1e-6 * ne.s
     assert abs(fixed.nu - ne.nu) <= 1e-6 * ne.nu
-    assert math.isfinite(cost_bs(g, ne)) and math.isfinite(cost_rps(g, ne))
+    if all(lo <= getattr(g, key) <= hi for key, (lo, hi) in BOX.items()):
+        assert math.isfinite(cost_bs(g, ne)) and math.isfinite(cost_rps(g, ne))
 
 
 def test_dynamics_look_up_the_supplier_best_response_once_per_step(monkeypatch):
@@ -771,6 +804,15 @@ def test_equilibrium_report_bundles_consistently():
     assert rep.ne.nu * rep.ne.s == pytest.approx(math.log(6.0), abs=1e-9)
     assert rep.central.nu * rep.central.s == pytest.approx(math.log(11.0), abs=1e-9)
     assert rep.penalty >= 0.0
+
+
+def test_equilibrium_report_refuses_an_underflowing_centralized_cost():
+    """The penalty and the sharing range divide by the centralized cost."""
+    g = make_game(5.5587658417940875e-283, 1.2370128581013361e-274, 1.0696782426394622e+122,
+                  5.931837303800576e-11)
+    assert centralized_cost(g) == 0.0
+    with pytest.raises(DegenerateGameError, match="the centralized cost underflows to 0"):
+        equilibrium_report(g)
 
 
 def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
