@@ -251,7 +251,17 @@ def centralized_cost(g: GameInstance) -> float:
     """Minimum joint cost C(s_bar, nu_bar) = (c_s + gamma + 2 sqrt(c_s gamma (1+phi)))/phi."""
     if g.b <= 0:
         raise DegenerateGameError("centralized cost requires b > 0")
-    return (g.cs + g.gamma + 2.0 * math.sqrt(g.cs * g.gamma * (1.0 + g.phi))) / g.phi
+    # Three roots, not one of the product, which can leave float range where the cost does not.
+    root = math.sqrt(g.cs) * math.sqrt(g.gamma) * math.sqrt(1.0 + g.phi)
+    cost = (g.cs + g.gamma + 2.0 * root) / g.phi
+    if cost == math.inf and g.phi > 1.0:
+        # Only the numerator overflowed: divide each term by phi first.
+        cost = (g.cs / g.phi + g.gamma / g.phi
+                + 2.0 * math.sqrt(g.cs / g.phi) * math.sqrt(g.gamma) * math.sqrt(1.0 + 1.0 / g.phi))
+    if not cost <= _FLOAT_MAX:
+        raise DegenerateGameError(f"the centralized cost overflows float range at b_n={g.b}, "
+                                  f"cs_n={g.cs}, phi={g.phi}")
+    return cost
 
 
 def equilibrium_report(g: GameInstance) -> EquilibriumReport:

@@ -2,11 +2,12 @@
 
 The reference market is the 8-station scenario (mu0=20, p=2, p1=1, p2=10,
 b=2, lambda_bar_i = 0.5 i) whose hand-executable numbers anchor every
-mechanism; fuzz checks draw random markets from seeded rngs.
+mechanism.  Property tests draw markets and orders from the market domain
+in `strategies.py`; only `scarce_market`, for the planner-dominance checks,
+is drawn from a seeded rng.
 """
 
 import functools
-import itertools
 import math
 from unittest import mock
 
@@ -45,28 +46,12 @@ from greenstock.allocation import (
     _mu_on_curve,
     _thresholds,
 )
+from strategies import make_market, markets, order_rows
 
 
-def reference_market(mu0=20.0):
-    profiles = tuple(BsProfile(lambda_bar=0.5 * i, b=2.0, index=i - 1)
-                     for i in range(1, 9))
-    return Market(profiles=profiles, mu0=mu0, p=2.0, p1=1.0, p2=10.0)
-
-
-def random_market(rng, n=None, scarcity=None, same_b=False):
-    n = n if n is not None else int(rng.integers(2, 9))
-    b = rng.uniform(0.5, 5.0)
-    profiles = tuple(
-        BsProfile(lambda_bar=float(rng.uniform(0.3, 4.0)),
-                  b=b if same_b else float(rng.uniform(0.5, 5.0)),
-                  index=i)
-        for i in range(n))
-    p, p1 = 2.0, 1.0
-    p2 = float(rng.uniform(p1 + p + 1.0, 12.0))
-    demand = sum(
-        optimal_demand(pr, pr.lambda_bar, p, p1, p2)[0] for pr in profiles)
-    frac = scarcity if scarcity is not None else float(rng.uniform(0.4, 1.4))
-    return Market(profiles=profiles, mu0=max(frac * demand, 1e-3), p=p, p1=p1, p2=p2)
+def reference_market(**kwargs):
+    """lambda_bar_i = 0.5 i for i = 1..8, b = 2; mu0 and the prices as `make_market`'s."""
+    return make_market([0.5 * i for i in range(1, 9)], **kwargs)
 
 
 def scarce_market(rng, t_range=(0.4, 0.6), p2_range=(4.0, 9.0)):
@@ -76,18 +61,12 @@ def scarce_market(rng, t_range=(0.4, 0.6), p2_range=(4.0, 9.0)):
     interior splits edge out extreme points)."""
     n = int(rng.integers(2, 9))
     b = float(rng.uniform(0.5, 5.0))
-    profiles = tuple(BsProfile(lambda_bar=float(rng.uniform(0.3, 4.0)), b=b, index=i)
-                     for i in range(n))
-    p, p1 = 2.0, 1.0
+    lambda_bars = [float(rng.uniform(0.3, 4.0)) for _ in range(n)]
     p2 = float(rng.uniform(*p2_range))
-    demand = 0.0
-    for pr in profiles:
-        if pr.lambda_bar >= breakeven_lambda(pr, p, p1, p2):
-            demand += optimal_demand(pr, pr.lambda_bar, p, p1, p2)[0]
+    demand = _added_left_to_right(truthful_orders(make_market(lambda_bars, b, p2=p2)).orders)
     if demand <= 0.0:
         return None
-    mu0 = max(float(rng.uniform(*t_range)) * demand, 1e-3)
-    return Market(profiles=profiles, mu0=mu0, p=p, p1=p1, p2=p2)
+    return make_market(lambda_bars, b, max(float(rng.uniform(*t_range)) * demand, 1e-3), p2=p2)
 
 
 # -------------------------------------------------------- optimal demand
@@ -194,10 +173,7 @@ def test_breakeven_zero_backlog_and_all_grid_signal():
     with pytest.raises(AllGridRegimeError):
         breakeven_lambda(BsProfile(lambda_bar=1.0, b=2.0, index=0), 2.0, 1.0, 3.0)
     # At b = 0 the break-even rate is 0, so the station orders its full demand.
-    market = Market(profiles=(BsProfile(lambda_bar=1.5, b=0.0, index=0),
-                              BsProfile(lambda_bar=4.0, b=2.0, index=1)),
-                    mu0=20.0, p=2.0, p1=1.0, p2=10.0)
-    assert truthful_orders(market).orders[0] == 1.5
+    assert truthful_orders(make_market([1.5, 4.0], b=[0.0, 2.0])).orders[0] == 1.5
 
 
 def test_breakeven_rate_reference_value():
@@ -267,7 +243,7 @@ def _price_site(call, price):
 
 _PR = BsProfile(lambda_bar=4.0, b=2.0, index=0)
 _PRICED = {    # id prefix: a call that takes the three prices
-    "": lambda **prices: Market(profiles=reference_market().profiles, mu0=20.0, **prices),
+    "": reference_market,
     "optimal_demand-": lambda **prices: optimal_demand(_PR, 1.0, **prices),
     "breakeven_lambda-": lambda **prices: breakeven_lambda(_PR, **prices),
     "breakeven_rate-": lambda **prices: breakeven_rate(_PR, **prices),
@@ -300,8 +276,7 @@ _OUT_OF_RANGE = {f"{site}-{kind}": build(value)
     lambda: DeviationGrid(seed=-1),
     lambda: breakeven_lambda(_PR, 1.0, 0.0, 1.35e154),
     # Orders and deviation orders that overflow to inf, with no RuntimeWarning on the way.
-    lambda: truthful_orders(Market(profiles=reference_market().profiles, mu0=20.0,
-                                   p=5e-324, p1=0.0, p2=1.0)),
+    lambda: truthful_orders(reference_market(p=5e-324, p1=0.0, p2=1.0)),
     lambda: truthfulness_audit(reference_market(), adaptive_uniform_allocation,
                                DeviationGrid(n_points=5, n_scenarios=1, span=1e308)),
     *_OUT_OF_RANGE.values(),
@@ -440,22 +415,6 @@ def test_adaptive_monotone_under_inflation():
                     assert result.grants[j] <= orders.orders[j] + 1e-9
             if base.grants[i] < orders.orders[i] - 1e-9:   # uniform group member
                 assert result.grants[i] <= base.grants[i] + 1e-9
-
-
-def test_mechanisms_always_feasible():
-    """1000 random markets/orders: sum(g) <= mu0 and g_i <= m_i."""
-    rng = np.random.default_rng(404)
-    for _ in range(1000):
-        market = random_market(rng)
-        mechanism = (proportional_allocation, pareto_priority_allocation,
-                     adaptive_uniform_allocation)[int(rng.integers(0, 3))]
-        orders = OrderVector(tuple(
-            float(rng.uniform(0.0, 2.0) * pr.lambda_bar) for pr in market.profiles))
-        result = mechanism(market, orders)
-        assert sum(result.grants) <= market.mu0 + 1e-9
-        for g, m in zip(result.grants, orders.orders):
-            assert g <= m + 1e-9
-            assert g >= 0.0
 
 
 # ------------------------------- batched kernels vs the scalar references
@@ -613,21 +572,9 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-@st.composite
-def markets_with_orders(draw):
-    """A market anywhere in the documented domain (N 2-16, p2 > p1 + p) and
-    a (K, N) order matrix with zeros and ties."""
-    n = draw(st.integers(2, 16))
-    positive = st.floats(0.05, 20.0)
-    profiles = tuple(BsProfile(lambda_bar=draw(positive), b=draw(st.floats(0.0, 10.0)), index=i)
-                     for i in range(n))
-    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
-    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
-                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
-    pool = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3))
-    entry = st.one_of(st.just(0.0), st.sampled_from(pool), st.floats(0.0, 30.0))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
-    return market, np.array(rows)
+def markets_with_orders():
+    """A market on the market domain and a (K, N) order matrix, K 1-6."""
+    return markets().flatmap(lambda market: st.tuples(st.just(market), order_rows(market.n, 6)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -667,17 +614,10 @@ def test_kernels_match_scalar_references_on_the_market_domain(case):
 
 
 def test_audit_matches_scalar_reference_loop():
-    """Bit-equal improvements on the reference market, one with an idle
-    (below-break-even) and a zero-backlog BS, and random markets."""
-    rng = np.random.default_rng(31)
-    edge = (BsProfile(lambda_bar=0.05, b=2.0, index=0),
-            BsProfile(lambda_bar=1.0, b=0.0, index=1),
-            BsProfile(lambda_bar=2.5, b=3.0, index=2))
-    markets = [reference_market(),
-               Market(profiles=edge, mu0=2.0, p=2.0, p1=1.0, p2=10.0),
-               random_market(rng), random_market(rng, n=5)]
+    """Bit-equal improvements on the reference market and one with an idle
+    (below-break-even) and a zero-backlog BS."""
     grid = DeviationGrid(n_points=40, n_scenarios=3, seed=5)
-    for market in markets:
+    for market in (reference_market(), make_market([0.05, 1.0, 2.5], b=[2.0, 0.0, 3.0], mu0=2.0)):
         for mechanism, reference in REFERENCES.items():
             report = truthfulness_audit(market, mechanism, grid)
             expected = _ref_audit(market, reference, grid)
@@ -687,30 +627,22 @@ def test_audit_matches_scalar_reference_loop():
 
 @st.composite
 def deviation_cases(draw):
-    """A market on the documented domain (N 2-16) with tied lambda_bar and
-    b, b = 0 and below-break-even stations; opponent scenarios with zeros
-    and ties; deviation orders that are 0, equal to an opponent's order
-    (at indices on both sides of the deviator's) or neither."""
-    n = draw(st.integers(2, 16))
-    profiles = draw(tied_profiles(n))
-    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
-    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
-                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
-    pool = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3))
-    entry = st.one_of(st.just(0.0), st.sampled_from(pool), st.floats(0.0, 30.0))
-    scen = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                                  min_size=1, max_size=4)))
-    deviation = st.one_of(entry, st.sampled_from(scen.ravel().tolist()))
+    """A market on the market domain; 1-4 opponent scenarios; deviation orders
+    that are 0, equal to an opponent's order (at indices on both sides of the
+    deviator's) or neither."""
+    market = draw(markets())
+    scen = draw(order_rows(market.n, 4))
+    deviation = st.one_of(st.just(0.0), st.sampled_from(scen.ravel().tolist()),
+                          st.floats(0.0, 30.0))
     width = draw(st.integers(1, 6))
     x = np.array(draw(st.lists(st.lists(deviation, min_size=width, max_size=width),
-                               min_size=n, max_size=n)))
+                               min_size=market.n, max_size=market.n)))
     return market, scen, x
 
 
 def _edge_case(orders, mu0, x):
     """Zero-backlog stations, so that no grant is rejected."""
-    profiles = tuple(BsProfile(lambda_bar=1.0, b=0.0, index=i) for i in range(len(orders)))
-    market = Market(profiles=profiles, mu0=mu0, p=1.0, p1=0.0, p2=10.0)
+    market = make_market([1.0] * len(orders), b=0.0, mu0=mu0, p=1.0, p1=0.0, p2=10.0)
     return market, np.array([orders]), np.array(x)
 
 
@@ -738,10 +670,8 @@ def test_deviation_kernels_match_the_mechanisms_bit_for_bit(case):
 def test_audit_matches_the_block_audit_on_large_markets(n):
     """Tied lambda_bar and b, b = 0 and below-break-even stations, past the
     N <= 16 of the hypothesis domains."""
-    profiles = tuple(BsProfile(lambda_bar=0.05 if i % 11 == 3 else 0.25 * (1 + i % 13),
-                               b=0.0 if i % 7 == 2 else 1.0 + i % 2, index=i)
-                     for i in range(n))
-    market = Market(profiles=profiles, mu0=0.2 * n, p=2.0, p1=1.0, p2=10.0)
+    market = make_market([0.05 if i % 11 == 3 else 0.25 * (1 + i % 13) for i in range(n)],
+                         b=[0.0 if i % 7 == 2 else 1.0 + i % 2 for i in range(n)], mu0=0.2 * n)
     grid = DeviationGrid(n_points=6, n_scenarios=2, seed=n)
     for mechanism in REFERENCES:
         report = truthfulness_audit(market, mechanism, grid)
@@ -749,31 +679,13 @@ def test_audit_matches_the_block_audit_on_large_markets(n):
 
 
 @st.composite
-def tied_profiles(draw, n):
-    """n stations whose lambda_bar and b often repeat, with some b = 0."""
-    lambda_bars = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3))
-    bs = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
-    return tuple(
-        BsProfile(lambda_bar=draw(st.one_of(st.sampled_from(lambda_bars), st.floats(0.05, 20.0))),
-                  b=draw(st.one_of(st.just(0.0), st.sampled_from(bs), st.floats(0.0, 10.0))),
-                  index=i)
-        for i in range(n))
-
-
-@st.composite
 def audit_cases(draw):
-    """A market on the documented domain (N 2-16) with tied and zero
-    orders (tied lambda_bar and b, b = 0 and below-break-even stations), a
-    small grid, and a kernel-call budget from under one scenario's orders
-    to all of them."""
-    n = draw(st.integers(2, 16))
-    profiles = draw(tied_profiles(n))
-    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
-    market = Market(profiles=profiles, mu0=draw(st.floats(0.01, 100.0)), p=p, p1=p1,
-                    p2=p1 + p + draw(st.floats(0.01, 20.0)))
+    """A market on the market domain, a small grid, and a kernel-call budget
+    from under one scenario's orders to all of them."""
+    market = draw(markets())
     grid = DeviationGrid(n_points=draw(st.integers(2, 8)), span=draw(st.floats(0.1, 4.0)),
                          n_scenarios=draw(st.integers(0, 3)), seed=draw(st.integers(0, 2**32 - 1)))
-    all_bytes = (grid.n_scenarios + 2) * (grid.n_points + 1) * n * 8
+    all_bytes = (grid.n_scenarios + 2) * (grid.n_points + 1) * market.n * 8
     return market, grid, draw(st.integers(1, all_bytes))
 
 
@@ -799,8 +711,7 @@ def test_batched_audit_matches_scalar_reference_on_the_market_domain(case):
 def test_audit_calls_stay_within_the_budget(n, n_points, n_scenarios, calls):
     """One mechanism call a scenario group, on every deviator's truthful
     row, and one post_allocation_cost call a scenario group."""
-    profiles = tuple(BsProfile(lambda_bar=0.5 * (i + 1), b=2.0, index=i) for i in range(n))
-    market = Market(profiles=profiles, mu0=2.5 * n, p=2.0, p1=1.0, p2=10.0)
+    market = make_market([0.5 * (i + 1) for i in range(n)], mu0=2.5 * n)
     grid = DeviationGrid(n_points=n_points, n_scenarios=n_scenarios, seed=3)
     scenario_bytes = (n_points + 1) * n * 8
     shapes = []
@@ -891,9 +802,8 @@ def test_bruteforce_abundant_capacity_serves_everyone():
 def test_bruteforce_symmetric_pair_prefers_one_served():
     """With capacity for exactly one demand, an even split loses: the
     interior point the KKT contradiction rules out is strictly worse."""
-    pr = [BsProfile(lambda_bar=2.0, b=2.0, index=i) for i in range(2)]
-    mu_hat = optimal_demand(pr[0], 2.0, 2.0, 1.0, 10.0)[0]
-    market = Market(profiles=tuple(pr), mu0=mu_hat, p=2.0, p1=1.0, p2=10.0)
+    mu_hat = truthful_orders(make_market([2.0, 2.0])).orders[0]
+    market = make_market([2.0, 2.0], mu0=mu_hat)
     grants, cost = social_optimum_bruteforce(market)
     assert sorted(grants) == pytest.approx([0.0, mu_hat], abs=1e-9)
     split = social_cost(market, [mu_hat / 2, mu_hat / 2])
@@ -901,10 +811,8 @@ def test_bruteforce_symmetric_pair_prefers_one_served():
 
 
 def test_bruteforce_refuses_large_markets():
-    profiles = tuple(BsProfile(lambda_bar=1.0, b=1.0, index=i) for i in range(13))
-    market = Market(profiles=profiles, mu0=5.0, p=2.0, p1=1.0, p2=10.0)
     with pytest.raises(ParameterError):
-        social_optimum_bruteforce(market)
+        social_optimum_bruteforce(make_market([1.0] * 13, b=1.0, mu0=5.0))
 
 
 def _ref_bruteforce(market):
@@ -951,19 +859,9 @@ def _ref_bruteforce(market):
     return next((grants, cost) for grants, cost in candidates if cost <= best + 1e-12)
 
 
-@st.composite
-def planner_markets(draw):
-    """N 2-12 with tied lambda_bar and b, b = 0 stations, and mu0 from a
-    sliver of the full-service demand to well past it."""
-    profiles = draw(tied_profiles(draw(st.integers(2, 12))))
-    p, p1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0))
-    full = sum(float(_mu_on_curve(pr, pr.lambda_bar, p)) for pr in profiles)
-    return Market(profiles=profiles, mu0=max(draw(st.floats(0.0, 1.5)) * full, 1e-3),
-                  p=p, p1=p1, p2=p1 + p + draw(st.floats(0.01, 20.0)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(planner_markets())
+# mu0 from a sliver of the full-service demand to well past it.
+@given(markets(max_n=12, mu0_share=st.floats(0.0, 1.5)))
 def test_bruteforce_matches_the_full_mask_loop(market):
     assert repr(social_optimum_bruteforce(market)) == repr(_ref_bruteforce(market))
 
@@ -971,8 +869,7 @@ def test_bruteforce_matches_the_full_mask_loop(market):
 def test_bruteforce_costs_the_twelve_station_market_in_one_call():
     """The planner's social_cost calls at the 12-station benchmark market,
     the count perfbench's traced audit reports."""
-    profiles = tuple(BsProfile(lambda_bar=0.5 * i, b=2.0, index=i - 1) for i in range(1, 13))
-    market = Market(profiles=profiles, mu0=30.0, p=2.0, p1=1.0, p2=10.0)
+    market = make_market([0.5 * i for i in range(1, 13)], mu0=30.0)
     with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
         social_optimum_bruteforce(market)
     assert calls.call_count == 1
@@ -983,13 +880,11 @@ def test_bruteforce_costs_a_later_mask_within_the_tie_tolerance():
     first: far more than rounding, within the 1e-9 candidate window.  Both
     masks serving one station fully, the other taking the residual, are
     the candidates."""
-    profiles = (BsProfile(lambda_bar=2.0, b=2.0, index=0),
-                BsProfile(lambda_bar=2.0 - 1e-11, b=2.0, index=1))
-    market = Market(profiles=profiles, mu0=5.0, p=2.0, p1=1.0, p2=10.0)
+    market = make_market([2.0, 2.0 - 1e-11], mu0=5.0)
     with mock.patch.object(allocation, "social_cost", wraps=allocation.social_cost) as calls:
         result = social_optimum_bruteforce(market)
     (_, candidates), = (call.args for call in calls.call_args_list)
-    full = [_mu_on_curve(pr, pr.lambda_bar, market.p) for pr in profiles]
+    full = [_mu_on_curve(pr, pr.lambda_bar, market.p) for pr in market.profiles]
     assert candidates.tolist() == [[full[0], 5.0 - full[0]], [5.0 - full[1], full[1]]]
     assert repr(result) == repr(_ref_bruteforce(market))
 
@@ -999,13 +894,11 @@ def test_bruteforce_takes_a_residual_whose_curve_rate_rounds_past_lambda_bar():
     a residual one rounding below its full rate.  Inverted on the curve it
     reads 1.5e-8 past lambda_bar = 1.2e8, more than FEAS_EPS; the planner
     still costs that point and returns it."""
-    profiles = (BsProfile(lambda_bar=7e7, b=2.0, index=0),
-                BsProfile(lambda_bar=1.2e8, b=2.0, index=1))
-    full = [float(_mu_on_curve(pr, pr.lambda_bar, 2.0)) for pr in profiles]
-    market = Market(profiles=profiles, mu0=full[0] + full[1], p=2.0, p1=1.0, p2=10.0)
+    full = truthful_orders(make_market([7e7, 1.2e8])).orders
+    market = make_market([7e7, 1.2e8], mu0=full[0] + full[1])
     residual = market.mu0 - full[0]
     assert residual < full[1]
-    assert _lambda_on_curve(profiles[1], residual, 2.0) > 1.2e8 + FEAS_EPS
+    assert _lambda_on_curve(market.profiles[1], residual, 2.0) > 1.2e8 + FEAS_EPS
     grants, cost = social_optimum_bruteforce(market)
     assert grants == (full[0], residual)
     assert cost == social_cost(market, grants)
@@ -1149,10 +1042,8 @@ def test_every_mechanism_truthful_without_scarcity():
     # Capacity must cover every audited scenario (deviations up to 2.5x and
     # opponent perturbations up to 1.5x), otherwise an inflating opponent
     # manufactures scarcity and proportional rationing kicks in.
-    pr = (BsProfile(lambda_bar=2.0, b=2.0, index=0),
-          BsProfile(lambda_bar=1.0, b=2.0, index=1))
-    demand = sum(optimal_demand(x, x.lambda_bar, 2.0, 1.0, 10.0)[0] for x in pr)
-    market = Market(profiles=pr, mu0=2.5 * demand + 1.0, p=2.0, p1=1.0, p2=10.0)
+    demand = sum(truthful_orders(make_market([2.0, 1.0])).orders)
+    market = make_market([2.0, 1.0], mu0=2.5 * demand + 1.0)
     grid = DeviationGrid(n_points=60, n_scenarios=4, seed=9)
     for mech in (proportional_allocation, pareto_priority_allocation,
                  adaptive_uniform_allocation):
@@ -1160,19 +1051,11 @@ def test_every_mechanism_truthful_without_scarcity():
         assert report.truthful_dominant, f"{mech.__name__} failed without scarcity"
 
 
-def test_adaptive_truthful_across_random_markets():
-    """Dominance holds on random markets, feasible and infeasible alike, and
-    with b = 0 stations in every other market."""
-    rng = np.random.default_rng(2718)
-    for k in range(10):
-        market = random_market(rng)
-        if k % 2:
-            market = Market(profiles=tuple(
-                BsProfile(lambda_bar=pr.lambda_bar, b=0.0 if i % 2 else pr.b, index=i)
-                for i, pr in enumerate(market.profiles)),
-                mu0=market.mu0, p=market.p, p1=market.p1, p2=market.p2)
-        report = truthfulness_audit(
-            market, adaptive_uniform_allocation,
-            DeviationGrid(n_points=50, n_scenarios=3, seed=int(rng.integers(1 << 16))))
-        assert report.truthful_dominant, (
-            f"improvement {report.max_improvement} on {market}")
+@settings(max_examples=60, deadline=None)
+@given(markets(), st.integers(0, (1 << 16) - 1))
+def test_adaptive_truthful_across_random_markets(market, seed):
+    """Dominance holds across the market domain: capacity scarce or not, tied
+    stations, b = 0 and below-break-even stations."""
+    report = truthfulness_audit(market, adaptive_uniform_allocation,
+                                DeviationGrid(n_points=50, n_scenarios=3, seed=seed))
+    assert report.truthful_dominant, f"improvement {report.max_improvement} on {market}"

@@ -169,6 +169,12 @@ def test_invalid_parameter_exits_2(tmp_path):
       "--set", "cs=1.2370128581013361e-274", "--set", "phi=1.0696782426394622e+122",
       "--set", "alpha=5.931837303800576e-11"],
      "the centralized cost underflows to 0"),
+    # Here c_s/phi overflows, though nu_bar and s_bar are finite.
+    (["central", "--set", "b=5.603514732500859e-127", "--set", "cs=1.2961167764240645e+290",
+      "--set", "phi=2.1678336858399428e-77"], "the centralized cost overflows float range"),
+    (["penalty-contract", "--set", "b=5.603514732500859e-127",
+      "--set", "cs=1.2961167764240645e+290", "--set", "phi=2.1678336858399428e-77"],
+     "the centralized cost overflows float range"),
 ])
 def test_undeclared_or_malformed_parameter_exits_2(argv, valid, capsys, deadline):
     with deadline(5):

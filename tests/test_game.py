@@ -815,6 +815,27 @@ def test_equilibrium_report_refuses_an_underflowing_centralized_cost():
         equilibrium_report(g)
 
 
+def test_centralized_cost_stays_finite_where_its_radicand_overflows():
+    """c_s gamma (1 + phi) overflows at c_s = 1e300, phi = 1e10, while the cost,
+    about 1e290, does not: it is the three-root closed form, and the report on it
+    answers.  Where only the numerator overflows, each term is divided by phi
+    first; a cost past float range is refused."""
+    g = make_game(10.0, 1e300, 1e10, 0.5)
+    gamma = math.log1p(10.0)
+    root = math.sqrt(1e300) * math.sqrt(gamma) * math.sqrt(1.0 + 1e10)
+    assert centralized_cost(g) == (1e300 + gamma + 2.0 * root) / 1e10
+    assert math.isfinite(equilibrium_report(g).penalty)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cs, phi, dgamma = Decimal(1.7e308), Decimal(1e308), Decimal(gamma)
+        exact = (cs + dgamma + 2 * (cs * dgamma * (1 + phi)).sqrt()) / phi
+    assert centralized_cost(make_game(10.0, 1.7e308, 1e308, 0.5)) == pytest.approx(
+        float(exact), rel=1e-15)
+    with pytest.raises(DegenerateGameError, match="the centralized cost overflows float range"):
+        centralized_cost(make_game(5.603514732500859e-127, 1.2961167764240645e+290,
+                                   2.1678336858399428e-77, 0.5))
+
+
 def test_equilibrium_quantities_solve_the_game_once(monkeypatch):
     """The penalty and sharing range are read from one equilibrium report,
     so each of these solves the game exactly once."""
