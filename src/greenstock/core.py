@@ -47,7 +47,7 @@ class StrategyPair(namedtuple("StrategyPair", "s nu")):
     __slots__ = ()
 
     def __new__(cls, s: float, nu: float):
-        # Chained comparisons first: the dynamics build one pair per iterate.
+        # Chained comparisons first: a valid pair makes no helper call.
         if not 0.0 <= s <= _FLOAT_MAX:
             _nonnegative("s", s)
         if not _FLOAT_MIN <= nu <= _FLOAT_MAX:

@@ -29,9 +29,10 @@ class GameInstance(_Frozen, namedtuple("GameInstance", "norm")):
     """One game, fully described by its normalized parameters.
 
     b, cs, phi and alpha are read off `norm`, and the constants the game functions
-    share, log_ab = ln(1 + alpha*b), gamma = ln(1 + b), residual_b = (1 - alpha)*b and
-    inv_f = 1/`auxiliary_f`, are derived once.  None of them takes part in `==`,
-    `hash` or the repr, which stay those of `norm`.
+    share, log_ab = ln(1 + alpha*b), gamma = ln(1 + b), residual_b = (1 - alpha)*b,
+    inv_f = 1/`auxiliary_f`, and `rps_best_response`'s rps_level and nu_top, the float
+    below phi, are derived once.  None of them takes part in `==`, `hash` or the
+    repr, which stay those of `norm`.
     """
 
     def __new__(cls, norm: NormalizedParams):
@@ -42,8 +43,12 @@ class GameInstance(_Frozen, namedtuple("GameInstance", "norm")):
         # Three roots, not one of the quotient, which can leave float range where 1/f does not.
         inv_f = (math.sqrt(cs) / math.sqrt(residual_b) * math.sqrt((1.0 + ab) / (1.0 + log_ab))
                  if residual_b > 0.0 else math.inf)     # inf where alpha = 1 or b = 0
+        # Three logs, not one of the quotient, which can underflow to 0.
+        rps_level = (math.log(residual_b) - math.log(cs) - math.log1p(norm.phi)
+                     if residual_b > 0.0 else -math.inf)
         self.__dict__.update(b=b, cs=cs, phi=norm.phi, alpha=alpha, log_ab=log_ab,
-                             gamma=math.log1p(b), residual_b=residual_b, inv_f=inv_f)
+                             gamma=math.log1p(b), residual_b=residual_b, inv_f=inv_f,
+                             rps_level=rps_level, nu_top=math.nextafter(norm.phi, 0.0))
         return self
 
 
@@ -70,7 +75,12 @@ def cost_rps(g: GameInstance, x: StrategyPair) -> float:
     """Supplier cost: residual backlog share plus the load-factor supply term."""
     _check_domain(g, x)
     supply = g.cs * (x.nu + 1.0) / (g.phi - x.nu)
-    return g.residual_b * mean_backlog(x.s, x.nu) + supply
+    if supply == math.inf:
+        supply = g.cs / (g.phi - x.nu) * (x.nu + 1.0)   # only c_s (nu + 1) overflowed
+    cost = g.residual_b * mean_backlog(x.s, x.nu) + supply
+    if not cost <= _FLOAT_MAX:
+        raise DegenerateGameError(f"the supplier's cost overflows float range at {x}")
+    return cost
 
 
 def total_cost(g: GameInstance, x: StrategyPair) -> float:
@@ -134,13 +144,11 @@ def rps_best_response(g: GameInstance, s: float, start: float | None = None) -> 
         raise DegenerateGameError(
             "no interior minimum: cost is increasing in nu when alpha=1 or b=0 "
             "(best response sits at the nu=0 boundary)")
-    phi = g.phi
-    lo, hi = _FLOAT_MIN, min(math.nextafter(phi, 0.0), _FLOAT_MAX / s if s else math.inf)
+    phi, level = g.phi, g.rps_level
+    lo, hi = _FLOAT_MIN, min(g.nu_top, _FLOAT_MAX / s) if s else g.nu_top
     if not lo < hi:
         raise ParameterError(f"phi={phi} leaves no room for nu in [{lo}, {hi}]")
     log, log1p, exp = math.log, math.log1p, math.exp
-    # Three logs, not one of the quotient, which can underflow to 0.
-    level = log(g.residual_b) - log(g.cs) - log1p(phi)
     nu = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     right = False
     while True:
@@ -225,7 +233,8 @@ def best_response_dynamics(
     for _ in range(max_iter):
         s_next = bs_best_response(g, nu_cur)
         nu_next = rps_best_response(g, s_next, start=nu_cur)
-        pair = StrategyPair(s=s_next, nu=nu_next)
+        # Both values are range-checked already: s by bs_best_response, nu in [lo, hi].
+        pair = StrategyPair._make((s_next, nu_next))
         trace.append(pair)
         ds, dnu = abs(s_next - s_cur), abs(nu_next - nu_cur)
         if (ds < tol or ds < stop * s_next) and (dnu < nu_tol or dnu < stop * nu_next):
@@ -268,11 +277,11 @@ def equilibrium_report(g: GameInstance) -> EquilibriumReport:
     """Bundle NE, centralized benchmark, penalty and contract range, the one
     place they are computed: from one NE and one centralized cost."""
     ne = nash_equilibrium(g)
-    bs, rps = cost_bs(g, ne), cost_rps(g, ne)
     c_central = centralized_cost(g)
     if not c_central > 0.0:
         raise DegenerateGameError(f"the centralized cost underflows to 0 at b_n={g.b}, "
                                   f"cs_n={g.cs}, phi={g.phi}, and the penalty divides by it")
+    bs, rps = cost_bs(g, ne), cost_rps(g, ne)
     penalty = (bs + rps) / c_central - 1.0
     ratio = rps / c_central
     lo, hi = max(ratio - penalty, 0.0), min(ratio, 1.0)

@@ -312,6 +312,18 @@ def test_game_answers_where_nu_star_lies_within_domain_eps_of_phi(name, capsys):
     assert dict(zip(table.columns, table.rows[0])).get("nu_star", nu_star) == nu_star
 
 
+@pytest.mark.parametrize("name", ["nash", "penalty-contract"])
+def test_game_costs_stay_finite_where_c_s_times_nu_plus_one_overflows(name, capsys):
+    # c_s (nu* + 1) passes float range, while the supplier's cost, 4.40107, does
+    # not: nash once printed cost_rps inf with exit 0, and penalty-contract exited 2
+    # with "epsilon must lie in [0, 1], got nan".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([name, "--set", "cs=1.7e308", "--set", "phi=1e308"]) == 0
+    fields = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert all(math.isfinite(float(v)) for v in fields), fields
+
+
 def test_nash_dynamics_converge_at_a_large_stock(tmp_path):
     # s* = 1.66e11, where float spacing in s passes the dynamics' 1e-9 tolerance.
     out = tmp_path / "nash.csv"

@@ -291,7 +291,9 @@ def test_game_instance_derives_its_fields_once(g, other):
     expected = {"b": b, "cs": norm.cs_n, "phi": norm.phi, "alpha": alpha,
                 "log_ab": log_ab, "gamma": math.log1p(b), "residual_b": residual_b,
                 "inv_f": math.sqrt(norm.cs_n) / math.sqrt(residual_b)
-                * math.sqrt((1.0 + ab) / (1.0 + log_ab))}
+                * math.sqrt((1.0 + ab) / (1.0 + log_ab)),
+                "rps_level": math.log(residual_b) - math.log(norm.cs_n) - math.log1p(norm.phi),
+                "nu_top": math.nextafter(norm.phi, 0.0)}
     for name, value in expected.items():
         assert getattr(g, name).hex() == value.hex(), name
     twin = GameInstance(NormalizedParams(b_n=b, cs_n=norm.cs_n, phi=norm.phi, alpha=alpha))
@@ -592,6 +594,47 @@ def test_dynamics_keep_their_evaluation_path():
     assert rps_best_response(REF, 5.5065).hex() == "0x1.4d32bcc1218e8p-2"
 
 
+def reference_dynamics(g, start, tol):
+    """`best_response_dynamics` at its default cap as a plain loop, with every
+    pair built by the validating `StrategyPair` constructor."""
+    max_iter = math.ceil(64.0 * (1.0 + 0.5 * g.log_ab * g.log_ab / (1.0 + g.log_ab)))
+    stop, nu_tol, trace = 10.0 * max(min(tol, 1e-10) * 1e-2, 2**-53), 0.0, [start]
+    for _ in range(max_iter):
+        last = trace[-1]
+        s = bs_best_response(g, last.nu)
+        pair = StrategyPair(s=s, nu=rps_best_response(g, s, start=last.nu))
+        trace.append(pair)
+        ds, dnu = abs(pair.s - last.s), abs(pair.nu - last.nu)
+        if (ds < tol or ds < stop * pair.s) and (dnu < nu_tol or dnu < stop * pair.nu):
+            return pair, trace
+        nu_tol = tol
+    raise ConvergenceError("reference loop ran out of rounds", trace=trace)
+
+
+@on_the_domain
+@given(float_range_games, st.floats(1e-3, 0.999))
+@example(make_game(10.0, 5.0, 1.0, 0.0), 0.5)     # alpha = 0: s = 0 in every round
+@example(make_game(10.0, 5.0, 1.0, 1.0 - 2**-53), 0.5)
+@example(make_game(1e-300, 1e300, 1e-10, 0.5), 0.5)   # the root lies below the bracket
+def test_dynamics_trace_matches_a_validating_reference_loop(deadline, g, start_frac):
+    """The dynamics' trace equals, hex for hex, the reference loop's, and every
+    pair in it lies in `StrategyPair`'s domain, below phi; where the loop raises,
+    the dynamics raise the same error type with the same message."""
+    start = StrategyPair(s=1.0, nu=start_frac * g.phi)
+    got = within(deadline, lambda: best_response_dynamics(g, start, tol=1e-9))
+    want = within(deadline, lambda: reference_dynamics(g, start, tol=1e-9))
+    if isinstance(want, GreenstockError):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert not isinstance(got, GreenstockError), got
+    hexes = [[(p.s.hex(), p.nu.hex()) for p in trace] for _, trace in (got, want)]
+    assert hexes[0] == hexes[1]
+    assert got[0] == got[1][-1]
+    for pair in got[1]:
+        assert type(pair) is StrategyPair and StrategyPair(*pair) == pair
+        assert pair.nu < g.phi
+
+
 def test_reaction_curves_are_decreasing():
     """Reversed-nu supermodularity in action: both reactions slope down."""
     for nu_lo, nu_hi in ((0.1, 0.11), (0.3, 0.31), (0.6, 0.61)):
@@ -834,6 +877,23 @@ def test_centralized_cost_stays_finite_where_its_radicand_overflows():
     with pytest.raises(DegenerateGameError, match="the centralized cost overflows float range"):
         centralized_cost(make_game(5.603514732500859e-127, 1.2961167764240645e+290,
                                    2.1678336858399428e-77, 0.5))
+
+
+def test_cost_rps_stays_finite_where_c_s_times_nu_plus_one_overflows():
+    """c_s (nu + 1) overflows at c_s = 1.7e308, phi = 1e308, while the supplier's
+    cost at the equilibrium, about 4.4, does not: there c_s/(phi - nu) is taken
+    first, and the cost agrees with a 50-digit value.  A cost past float range is
+    refused."""
+    g = make_game(10.0, 1.7e308, 1e308, 0.5)
+    ne = nash_equilibrium(g)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s, nu, cs, phi = map(Decimal, (ne.s, ne.nu, g.cs, g.phi))
+        exact = Decimal(g.residual_b) * (-nu * s).exp() / nu + cs * (nu + 1) / (phi - nu)
+    assert cost_rps(g, ne) == pytest.approx(float(exact), rel=1e-12)
+    assert math.isfinite(equilibrium_report(g).penalty)
+    with pytest.raises(DegenerateGameError, match="the supplier's cost overflows float range"):
+        cost_rps(make_game(10.0, 1.7e308, 1.0, 0.5), StrategyPair(s=1.0, nu=0.5))
 
 
 def test_equilibrium_quantities_solve_the_game_once(monkeypatch):

@@ -156,7 +156,8 @@ def _records():
         (gs.NormalizedParams, norm._asdict(), {**norm._asdict(), "phi": 0.0}, ()),
         (gs.StrategyPair, {"s": 1.0, "nu": 0.5}, {"s": 1.0, "nu": 0.0}, ()),
         (gs.GameInstance, {"norm": norm}, None,
-         ("b", "cs", "phi", "alpha", "log_ab", "gamma", "residual_b", "inv_f")),
+         ("b", "cs", "phi", "alpha", "log_ab", "gamma", "residual_b", "inv_f", "rps_level",
+          "nu_top")),
         (gs.EquilibriumReport, report._asdict(), None, ()),
         (gs.Exponential, {"rate": 1.0}, {"rate": -1.0}, ()),
         (gs.HyperExp2, {"prob": 0.5, "rate1": 2.3, "rate2": 3.5},
